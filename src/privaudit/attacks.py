@@ -175,12 +175,11 @@ def min_gower_distance(schema: Schema, target, ds: Dataset) -> float:
     if len(ds) == 0:
         raise ValueError("empty synthetic dataset")
     acc = np.zeros(len(ds), dtype=np.float64)
-    for ci, col in enumerate(schema.columns):
-        vals = np.array([r[ci] for r in ds.rows])
+    for col, vals, v in zip(schema.columns, ds.columns, target):
         if isinstance(col, NumericColumn):
-            acc += np.abs(vals - target[ci]) / (col.hi - col.lo)
+            acc += np.abs(vals - v) / (col.hi - col.lo)
         else:
-            acc += (vals.astype(int) != int(target[ci])).astype(np.float64)
+            acc += (vals != int(v)).astype(np.float64)
     return float(acc.min()) / len(schema.columns)
 
 
@@ -220,13 +219,12 @@ def groundhog_features(ds: Dataset, include_correlations: bool = False) -> np.nd
     """
     feats: list[float] = []
     numeric: list[np.ndarray] = []
-    for ci, col in enumerate(ds.schema.columns):
-        vals = np.array([r[ci] for r in ds.rows])
+    for col, vals in zip(ds.schema.columns, ds.columns):
         if isinstance(col, NumericColumn):
             feats += [float(vals.mean()), float(np.median(vals)), float(vals.var())]
-            numeric.append(vals.astype(np.float64))
+            numeric.append(vals)
         else:
-            counts = np.bincount(vals.astype(int), minlength=len(col.levels))
+            counts = np.bincount(vals, minlength=len(col.levels))
             feats += (counts / len(ds)).tolist()
     if include_correlations and len(numeric) > 1:
         m = np.stack(numeric)

@@ -11,7 +11,6 @@ configurations get caught.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,6 +19,7 @@ from .attacks import (
     AttackReport,
     OperatingPoint,
     ScoredRuns,
+    _num,
     attack_dcr,
     attack_groundhog,
     attack_lira,
@@ -107,9 +107,7 @@ def default_record_canary(schema: Schema, ds: Dataset | None = None) -> CanarySp
             values.append(col.hi)
         else:
             if ds is not None and len(ds) > 0:
-                counts = np.bincount(
-                    [int(r[ci]) for r in ds.rows], minlength=len(col.levels)
-                )
+                counts = np.bincount(ds.columns[ci], minlength=len(col.levels))
                 values.append(int(np.argmin(counts)))
             else:
                 values.append(len(col.levels) - 1)
@@ -356,10 +354,6 @@ def estimate_mia_cost(n: int, t: int, cost_model_m: AffineCost, cost_model_b: Af
 
 # ---------------------------------------------------------------------------
 # serialization
-
-def _num(v: float):
-    return "unbounded" if math.isinf(v) else v
-
 
 def verdict_to_json_dict(v: AuditVerdict) -> dict:
     return {

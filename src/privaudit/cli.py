@@ -178,23 +178,22 @@ def _write_sidecar(out: Path, command: str) -> None:
 
 
 def _accountant_doc(trainer, n: int, delta: float) -> dict:
-    try:
-        eps = trainer.claimed_epsilon(n, delta)
-    except (NoValidGuaranteeError, ZeroDivisionError):
-        return {"schema_version": 1, "no_valid_guarantee": True,
-                "reason": "configuration provides no valid privacy guarantee"}
-    doc = {"schema_version": 1, "claimed": {"epsilon": eps, "delta": delta}}
     # a claim computed while a bug mode is active is the claim being audited,
-    # not a guarantee: flag it
+    # not a guarantee, so the broken configurations are named before any claim
     dp = getattr(trainer, "config", None) or getattr(
         getattr(trainer, "spec", None), "disc_config", None)
     if dp is not None and dp.bug_mode != BugMode.NONE:
-        return {"schema_version": 1, "no_valid_guarantee": True,
-                "reason": f"bug_mode={dp.bug_mode.value}"}
-    if isinstance(trainer, MarginalTrainer) and trainer.spec.noise_std == 0:
-        return {"schema_version": 1, "no_valid_guarantee": True,
-                "reason": "noise_std=0"}
-    return doc
+        reason = f"bug_mode={dp.bug_mode.value}"
+    elif isinstance(trainer, MarginalTrainer) and trainer.spec.noise_std == 0:
+        reason = "noise_std=0"
+    else:
+        try:
+            eps = trainer.claimed_epsilon(n, delta)
+        except NoValidGuaranteeError:
+            reason = "configuration provides no valid privacy guarantee"
+        else:
+            return {"schema_version": 1, "claimed": {"epsilon": eps, "delta": delta}}
+    return {"schema_version": 1, "no_valid_guarantee": True, "reason": reason}
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +273,9 @@ def _check_attack_compat(names, trainer, tm: ThreatModel) -> None:
 
 
 def _pick_target(cfg: dict, ds: Dataset):
-    """Return (target record, pool). A selected in-data target is removed from
-    the pool; an explicit record must be absent from the data already."""
+    """Return (target record, pool). Every copy of a selected in-data target
+    is removed from the pool; an explicit record must be absent from the data
+    already."""
     doc = cfg.get("attack", {}).get("target", {"strategy": "marginal_outlier"})
     seed = int(cfg.get("master_seed", 0))
     if "record" in doc:
@@ -283,9 +283,7 @@ def _pick_target(cfg: dict, ds: Dataset):
     strategy = doc.get("strategy", "marginal_outlier")
     target = _build("attack.target.strategy",
                     lambda: select_targets(ds, strategy, 1, seed)[0])
-    rows = list(ds.rows)
-    rows.remove(target)
-    return target, Dataset(schema=ds.schema, rows=tuple(rows), provenance=ds.provenance)
+    return target, ds.take(np.flatnonzero(~ds.matches(target)))
 
 
 def cmd_attack(cfg: dict, args) -> int:
@@ -406,8 +404,9 @@ def cmd_report(cfg: dict | None, args) -> int:
         except json.JSONDecodeError:
             summary["missing"].append(p.name)
             continue
-        ops = doc.get("operating_points", [])
-        low = ops[-1] if ops else {}
+        targeted = [op for op in doc.get("operating_points", [])
+                    if op.get("target_fpr") is not None]
+        low = min(targeted, key=lambda op: op["target_fpr"], default={})
         summary["attacks"].append({
             "file": p.name,
             "attack": doc.get("attack"),

@@ -1,7 +1,8 @@
 """Tabular dataset model.
 
-Schema-typed ingestion, canonical [0,1]/one-hot encoding, neighboring-dataset
-construction, and target-record selection. Datasets are immutable after
+Schema-typed ingestion into columnar datasets, canonical whole-column
+[0,1]/one-hot encoding, neighboring-dataset construction, and target-record
+selection. Datasets are immutable after
 construction and safe to share across concurrent shadow runs.
 """
 
@@ -27,7 +28,7 @@ __all__ = [
     "encode",
     "decode",
     "encode_record",
-    "decode_row",
+    "row_keys",
     "select_targets",
 ]
 
@@ -165,29 +166,71 @@ class Schema:
             return Schema.from_json_dict(json.load(f))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
+    """Columnar table: one read-only 1-D array per schema column, float64 for
+    numeric columns and int64 level indices for categorical ones."""
+
     schema: Schema
-    rows: tuple[Record, ...]
+    columns: tuple[np.ndarray, ...]
     provenance: str = ""
 
+    def __post_init__(self):
+        cols = tuple(
+            np.array(c, dtype=np.float64 if isinstance(col, NumericColumn) else np.int64)
+            for col, c in zip(self.schema.columns, self.columns, strict=True)
+        )
+        if any(c.ndim != 1 for c in cols) or len({c.size for c in cols}) > 1:
+            raise DataError("columns must be 1-d arrays of equal length")
+        for c in cols:
+            c.setflags(write=False)
+        object.__setattr__(self, "columns", cols)
+
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.columns[0].size if self.columns else 0
+
+    @property
+    def rows(self) -> tuple[Record, ...]:
+        """The records as tuples of Python floats and ints, in row order."""
+        return tuple(zip(*(c.tolist() for c in self.columns)))
 
     @staticmethod
     def from_rows(schema: Schema, rows, provenance: str = "") -> "Dataset":
-        validated = tuple(schema.validate_record(r, row=i) for i, r in enumerate(rows))
-        return Dataset(schema=schema, rows=validated, provenance=provenance)
+        validated = [schema.validate_record(r, row=i) for i, r in enumerate(rows)]
+        return Dataset(schema, _transpose(schema, validated), provenance)
+
+    def take(self, idx) -> "Dataset":
+        """The rows at the given indices, in that order."""
+        return Dataset(self.schema, tuple(c[idx] for c in self.columns), self.provenance)
+
+    def with_record(self, record) -> "Dataset":
+        """This dataset with the record appended as its last row."""
+        one = _single(self.schema, record)
+        cols = tuple(np.concatenate(pair) for pair in zip(self.columns, one.columns))
+        return Dataset(self.schema, cols, self.provenance)
+
+    def matches(self, record) -> np.ndarray:
+        """Boolean mask of the rows whose encoding equals the record's."""
+        return row_keys(self) == row_keys(_single(self.schema, record))[0]
 
     def to_csv(self, path) -> None:
+        cells = [
+            [repr(v) for v in c.tolist()] if isinstance(col, NumericColumn)
+            else [col.levels[i] for i in c.tolist()]
+            for col, c in zip(self.schema.columns, self.columns)
+        ]
         with open(path, "w", encoding="utf-8", newline="") as f:
             w = csv.writer(f)
             w.writerow(self.schema.names)
-            for r in self.rows:
-                out = []
-                for col, v in zip(self.schema.columns, r):
-                    out.append(repr(v) if isinstance(col, NumericColumn) else col.levels[v])
-                w.writerow(out)
+            w.writerows(zip(*cells))
+
+
+def _transpose(schema: Schema, records) -> tuple:
+    return tuple(zip(*records)) or ((),) * len(schema.columns)
+
+
+def _single(schema: Schema, record) -> Dataset:
+    return Dataset(schema, _transpose(schema, [schema.validate_record(record)]))
 
 
 @dataclass(frozen=True)
@@ -235,60 +278,49 @@ def load_csv(path, schema: Schema) -> Dataset:
                         )
                     values.append(col.levels.index(cell))
             rows.append(schema.validate_record(values, row=rownum))
-    return Dataset(schema=schema, rows=tuple(rows), provenance=str(path))
-
-
-def encode_record(schema: Schema, record: Record) -> np.ndarray:
-    out = np.zeros(schema.encoded_width, dtype=np.float64)
-    for (a, b), col, v in zip(schema.encoded_spans(), schema.columns, record):
-        if isinstance(col, NumericColumn):
-            out[a] = (v - col.lo) / (col.hi - col.lo)
-        else:
-            out[a + int(v)] = 1.0
-    return out
+    return Dataset(schema, _transpose(schema, rows), str(path))
 
 
 def encode(ds: Dataset) -> EncodedMatrix:
     """Numeric columns scaled to [0,1] by schema bounds; categoricals one-hot."""
-    m = np.zeros((len(ds), ds.schema.encoded_width), dtype=np.float64)
-    for i, r in enumerate(ds.rows):
-        m[i] = encode_record(ds.schema, r)
+    n = len(ds)
+    m = np.zeros((n, ds.schema.encoded_width), dtype=np.float64)
+    for (a, _), col, c in zip(ds.schema.encoded_spans(), ds.schema.columns, ds.columns):
+        if isinstance(col, NumericColumn):
+            m[:, a] = (c - col.lo) / (col.hi - col.lo)
+        else:
+            m[np.arange(n), a + c] = 1.0
     return EncodedMatrix(matrix=m, schema=ds.schema)
 
 
-def decode_row(schema: Schema, vec: np.ndarray) -> Record:
-    values = []
-    for (a, b), col in zip(schema.encoded_spans(), schema.columns):
-        if isinstance(col, NumericColumn):
-            x = float(np.clip(vec[a], 0.0, 1.0))
-            values.append(col.lo + x * (col.hi - col.lo))
-        else:
-            values.append(int(np.argmax(vec[a:b])))
-    return tuple(values)
+def encode_record(schema: Schema, record: Record) -> np.ndarray:
+    return encode(_single(schema, record)).matrix[0]
 
 
 def decode(em: EncodedMatrix, provenance: str = "") -> Dataset:
-    rows = tuple(decode_row(em.schema, em.matrix[i]) for i in range(em.matrix.shape[0]))
-    return Dataset(schema=em.schema, rows=rows, provenance=provenance)
+    """Inverse of encode: numerics clipped to [0,1] and rescaled, each
+    categorical span decoded to its argmax level."""
+    cols = []
+    for (a, b), col in zip(em.spans, em.schema.columns):
+        if isinstance(col, NumericColumn):
+            cols.append(col.lo + np.clip(em.matrix[:, a], 0.0, 1.0) * (col.hi - col.lo))
+        else:
+            cols.append(np.argmax(em.matrix[:, a:b], axis=1))
+    return Dataset(em.schema, tuple(cols), provenance)
 
 
-def _record_key(schema: Schema, record: Record) -> bytes:
-    # canonical encoded representation, used for exact-match duplicate checks
-    return encode_record(schema, record).tobytes()
+def row_keys(ds: Dataset) -> np.ndarray:
+    """One opaque key per row: its encoded bytes viewed as np.void. Rows are
+    the same record exactly when their keys are equal."""
+    m = encode(ds).matrix
+    return m.view(np.dtype((np.void, m.itemsize * m.shape[1]))).ravel()
 
 
 def make_neighbors(base: Dataset, target: Record) -> tuple[Dataset, Dataset]:
     """Return (D, D') where D' is D with the target appended."""
-    target = base.schema.validate_record(target)
-    tkey = _record_key(base.schema, target)
-    if any(_record_key(base.schema, r) == tkey for r in base.rows):
+    if base.matches(target).any():
         raise DataError("target record already present in base dataset")
-    dprime = Dataset(
-        schema=base.schema,
-        rows=base.rows + (target,),
-        provenance=base.provenance,
-    )
-    return base, dprime
+    return base, base.with_record(target)
 
 
 def _marginal_outlier_scores(ds: Dataset, bins: int = 10) -> np.ndarray:
@@ -300,18 +332,15 @@ def _marginal_outlier_scores(ds: Dataset, bins: int = 10) -> np.ndarray:
     """
     n = len(ds)
     scores = np.zeros(n, dtype=np.float64)
-    for ci, col in enumerate(ds.schema.columns):
-        vals = [r[ci] for r in ds.rows]
+    for col, vals in zip(ds.schema.columns, ds.columns):
         if isinstance(col, NumericColumn):
             width = (col.hi - col.lo) / bins
-            idx = np.minimum(((np.asarray(vals) - col.lo) / width).astype(int), bins - 1)
+            idx = np.minimum(((vals - col.lo) / width).astype(int), bins - 1)
             counts = np.bincount(idx, minlength=bins)
-            freq = counts[idx] / n
         else:
-            idx = np.asarray(vals, dtype=int)
+            idx = vals
             counts = np.bincount(idx, minlength=len(col.levels))
-            freq = counts[idx] / n
-        scores += -np.log(freq)
+        scores += -np.log(counts[idx] / n)
     return scores
 
 
@@ -322,10 +351,10 @@ def select_targets(ds: Dataset, strategy: str, k: int, seed: int) -> list[Record
     if strategy == "random":
         rng = np.random.default_rng(seed)
         idx = rng.choice(len(ds), size=k, replace=False)
-        return [ds.rows[i] for i in idx]
+        return list(ds.take(idx).rows)
     if strategy == "marginal_outlier":
         scores = _marginal_outlier_scores(ds)
         # descending by score, ties broken by ascending row index
-        order = sorted(range(len(ds)), key=lambda i: (-scores[i], i))
-        return [ds.rows[i] for i in order[:k]]
+        order = np.argsort(-scores, kind="stable")
+        return list(ds.take(order[:k]).rows)
     raise DataError(f"unknown strategy {strategy!r}")

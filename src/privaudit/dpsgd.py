@@ -17,7 +17,7 @@ import numpy as np
 
 from . import models
 from .core_stats import PrivacyParams, gdp_epsilon_of_delta, subsampled_gdp_mu
-from .data import CategoricalColumn, Dataset, Schema, encode, encode_record
+from .data import CategoricalColumn, Dataset, Schema, encode
 from .models import ModelSpec
 from .seeds import derive_seed
 
@@ -34,7 +34,6 @@ __all__ = [
     "train",
     "claimed_privacy",
     "features_and_labels",
-    "record_features_and_label",
     "PredictiveTrainer",
     "save_trace",
     "load_trace",
@@ -276,17 +275,7 @@ def features_and_labels(ds: Dataset, label_column: str) -> tuple[np.ndarray, np.
     ci = ds.schema.names.index(label_column)
     a, b = em.spans[ci]
     keep = np.r_[0:a, b:em.matrix.shape[1]].astype(int)
-    features = em.matrix[:, keep]
-    labels = np.array([r[ci] for r in ds.rows], dtype=int)
-    return features, labels
-
-
-def record_features_and_label(schema: Schema, record, label_column: str) -> tuple[np.ndarray, int]:
-    vec = encode_record(schema, record)
-    ci = schema.names.index(label_column)
-    a, b = schema.encoded_spans()[ci]
-    keep = np.r_[0:a, b:vec.size].astype(int)
-    return vec[keep], int(record[ci])
+    return em.matrix[:, keep], ds.columns[ci]
 
 
 @dataclass(frozen=True)
@@ -341,9 +330,9 @@ class PredictiveTrainer:
         return claimed_privacy(cfg, n, delta).epsilon
 
     def target_loss(self, artifact: TrainedArtifact, record) -> float:
-        schema = artifact.meta["schema"]
-        xf, label = record_features_and_label(schema, record, self.label_column)
-        return models.per_example_loss(artifact.spec, artifact.params, xf, label)
+        one = Dataset.from_rows(artifact.meta["schema"], [record])
+        x, y = features_and_labels(one, self.label_column)
+        return models.per_example_loss(artifact.spec, artifact.params, x[0], int(y[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, encode_record
+from .data import Dataset, row_keys
 from .dpsgd import PredictiveTrainer
 from .seeds import derive_seed
 from .synthesizers import disc_loss, sample
@@ -88,11 +88,7 @@ class FeatureBundle:
 
 def dataset_fingerprint(ds: Dataset) -> str:
     """Hash of the row multiset; invariant under row order."""
-    keys = sorted(encode_record(ds.schema, r).tobytes() for r in ds.rows)
-    h = hashlib.sha256()
-    for k in keys:
-        h.update(k)
-    return h.hexdigest()
+    return hashlib.sha256(np.sort(row_keys(ds)).tobytes()).hexdigest()
 
 
 def _stratified_bits(n: int, seed: int) -> np.ndarray:
@@ -126,9 +122,11 @@ def run_shadow_experiment(
     if t_runs < 2:
         raise ValueError("need at least 2 shadow runs")
     target = pool.schema.validate_record(target)
-    tkey = encode_record(pool.schema, target).tobytes()
-    if any(encode_record(pool.schema, r).tobytes() == tkey for r in pool.rows):
+    if pool.matches(target).any():
         raise ValueError("target record must not be present in the pool")
+    # row n is the target: a run takes its pool rows in order, then row n iff b_t = 1
+    n = len(pool)
+    with_target = pool.with_record(target)
 
     bits = _stratified_bits(t_runs, derive_seed(master_seed, "bits"))
 
@@ -136,12 +134,12 @@ def run_shadow_experiment(
         s_t = derive_seed(master_seed, t)
         if tm.data_knowledge == RESAMPLED_DATASET:
             rng = np.random.default_rng(derive_seed(s_t, "subsample"))
-            idx = rng.choice(len(pool), size=len(pool) // 2, replace=False)
-            base_rows = tuple(pool.rows[i] for i in sorted(idx))
+            idx = np.sort(rng.choice(n, size=n // 2, replace=False))
         else:
-            base_rows = pool.rows
-        rows = base_rows + ((target,) if bits[t] else ())
-        ds = Dataset(schema=pool.schema, rows=rows, provenance=f"shadow:{t}")
+            idx = np.arange(n)
+        if bits[t]:
+            idx = np.append(idx, n)
+        ds = with_target.take(idx)
         artifact = trainer.fit(ds, s_t)
         return ShadowRun(
             index=t,

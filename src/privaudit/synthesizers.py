@@ -18,15 +18,15 @@ import numpy as np
 from . import models
 from .core_stats import GdpParam, gdp_epsilon_of_delta
 from .data import (
-    CategoricalColumn,
     Dataset,
+    EncodedMatrix,
     NumericColumn,
     Schema,
-    decode_row,
+    decode,
     encode,
     encode_record,
 )
-from .dpsgd import BugMode, DpSgdConfig, claimed_privacy, noisy_batch_update
+from .dpsgd import BugMode, DpSgdConfig, _stream, claimed_privacy, noisy_batch_update
 from .models import ModelSpec
 from .seeds import derive_seed
 
@@ -134,13 +134,12 @@ def fit_marginal(ds: Dataset, spec: MarginalSynthSpec) -> GenerativeArtifact:
         raise ValueError("cannot fit a marginal synthesizer on an empty dataset")
     rng = np.random.default_rng(spec.seed)
     probs: list[np.ndarray] = []
-    for ci, col in enumerate(ds.schema.columns):
-        vals = np.array([r[ci] for r in ds.rows])
+    for col, vals in zip(ds.schema.columns, ds.columns):
         if isinstance(col, NumericColumn):
             counts, _ = np.histogram(vals, bins=spec.bins, range=(col.lo, col.hi))
             counts = counts.astype(np.float64)
         else:
-            counts = np.bincount(vals.astype(int), minlength=len(col.levels)).astype(np.float64)
+            counts = np.bincount(vals, minlength=len(col.levels)).astype(np.float64)
         noisy = counts + rng.normal(0.0, spec.noise_std, size=counts.size)
         noisy = np.maximum(noisy, 0.0)
         total = noisy.sum()
@@ -170,14 +169,7 @@ def _sample_marginal(art: GenerativeArtifact, n: int, rng: np.random.Generator) 
             columns_out.append(col.lo + (idx + jitter) * width)
         else:
             columns_out.append(idx)
-    rows = tuple(
-        tuple(
-            float(columns_out[c][i]) if isinstance(cols[c], NumericColumn) else int(columns_out[c][i])
-            for c in range(len(cols))
-        )
-        for i in range(n)
-    )
-    return Dataset(schema=art.schema, rows=rows, provenance="synthetic:marginal")
+    return Dataset(art.schema, tuple(columns_out), "synthetic:marginal")
 
 
 def marginal_epsilon(schema: Schema, noise_std: float, delta: float) -> float:
@@ -240,18 +232,14 @@ def fit_gan(ds: Dataset, spec: GanSpec) -> GenerativeArtifact:
 
     for step in range(n_steps):
         # ---- discriminator ----
-        srng = np.random.Generator(np.random.Philox(
-            key=np.array([derive_seed(spec.seed, "sample") % 2**64, 0], dtype=np.uint64),
-            counter=step))
+        srng = _stream(derive_seed(spec.seed, "sample"), 0, step)
         mask = srng.random(n) < cfg.sample_rate
         idx = np.nonzero(mask)[0]
         real_labels = np.ones(len(idx), dtype=int)
         disc_params, _ = noisy_batch_update(
             disc_spec, disc_params, x_real[idx], real_labels, idx, cfg, n, step
         )
-        lrng = np.random.Generator(np.random.Philox(
-            key=np.array([derive_seed(spec.seed, "latent") % 2**64, _TAG_LATENT], dtype=np.uint64),
-            counter=step))
+        lrng = _stream(derive_seed(spec.seed, "latent"), _TAG_LATENT, step)
         z = lrng.standard_normal((fake_batch, spec.latent_dim))
         x_fake = models.forward_logits(gen_spec, gen_params, z)
         fake_grads = models.batch_per_sample_gradients(
@@ -285,9 +273,8 @@ def _sample_gan(art: GenerativeArtifact, n: int, rng: np.random.Generator) -> Da
     gen_params = art.state["gen_params"]
     z = rng.standard_normal((n, art.state["latent_dim"]))
     out = models.forward_logits(gen_spec, gen_params, z) if n else np.zeros((0, gen_spec.num_classes))
-    out = np.clip(out, 0.0, 1.0)
-    rows = tuple(decode_row(art.schema, out[i]) for i in range(n))
-    return Dataset(schema=art.schema, rows=rows, provenance="synthetic:gan")
+    # categorical spans are clipped too, so outputs above 1 tie in the argmax
+    return decode(EncodedMatrix(np.clip(out, 0.0, 1.0), art.schema), "synthetic:gan")
 
 
 def sample(artifact: GenerativeArtifact, n: int, seed: int) -> Dataset:
@@ -306,7 +293,7 @@ def disc_loss(artifact: GenerativeArtifact, record) -> float:
     """Discriminator cross-entropy at the record, treated as a real sample."""
     if artifact.kind != "gan":
         raise ValueError("discriminator loss requires a gan artifact")
-    x = encode_record(artifact.schema, artifact.schema.validate_record(record))
+    x = encode_record(artifact.schema, record)
     return models.per_example_loss(
         artifact.state["disc_spec"], artifact.state["disc_params"], x, 1
     )

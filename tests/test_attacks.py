@@ -177,7 +177,7 @@ def test_dcr_target_present_max_score(cat4_schema):
 
 def test_dcr_empty_dataset_errors(cat4_schema):
     fb = synth_bundle(
-        [Dataset(cat4_schema, ()), Dataset.from_rows(cat4_schema, [(0, 0, 0, 0)])],
+        [Dataset.from_rows(cat4_schema, []), Dataset.from_rows(cat4_schema, [(0, 0, 0, 0)])],
         [1, 0], (0, 0, 0, 0), cat4_schema)
     with pytest.raises(ValueError, match="empty"):
         attack_dcr(fb)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from privaudit.cli import main
+from privaudit.cli import _pick_target, main
 from privaudit.data import CategoricalColumn, Dataset, NumericColumn, Schema
 
 
@@ -92,6 +92,14 @@ def test_train_bug_mode_voids_guarantee(workspace):
     assert "claimed" not in acct
 
 
+def test_train_marginal_zero_noise_voids_guarantee(workspace):
+    cfg = base_config(workspace, trainer={"kind": "marginal", "noise_std": 0.0})
+    assert main(["train", "--config", write_config(workspace, cfg)]) == 0
+    acct = json.loads((workspace / "results" / "accountant.json").read_text())
+    assert acct["no_valid_guarantee"] is True
+    assert "claimed" not in acct
+
+
 def test_synthesize_marginal(workspace):
     cfg = base_config(workspace, trainer={"kind": "marginal", "noise_std": 1.0},
                       synthesize={"n_samples": 40})
@@ -170,6 +178,25 @@ def test_attack_generative(workspace):
     assert (workspace / "results" / "attack_groundhog.json").exists()
 
 
+def test_attack_target_duplicated_in_data(tmp_path):
+    # 60 rows over 8 distinct records: the selected target has several copies
+    sch = Schema(tuple(CategoricalColumn(n, ("a", "b")) for n in ("p", "q", "y")))
+    rng = np.random.default_rng(4)
+    ds = Dataset.from_rows(sch, [tuple(rng.integers(2, size=3)) for _ in range(60)])
+    (tmp_path / "schema.json").write_text(json.dumps(sch.to_json_dict()))
+    ds.to_csv(tmp_path / "data.csv")
+    cfg = base_config(tmp_path)
+    cfg["attack"] = {"attacks": ["loss_threshold"], "t_runs": 8,
+                     "target": {"strategy": "random"}}
+    assert main(["attack", "--config", write_config(tmp_path, cfg)]) == 0
+    assert (tmp_path / "results" / "attack_loss_threshold.json").exists()
+
+    target, pool = _pick_target(cfg, ds)
+    copies = int(ds.matches(target).sum())
+    assert copies > 1
+    assert len(pool) == len(ds) - copies and not pool.matches(target).any()
+
+
 # ---------------------------------------------------------------------------
 # audit
 
@@ -236,3 +263,14 @@ def test_report_merges_attack_and_audit(workspace, capsys):
     assert doc["audits"][0]["status"] == "pass"
     txt = (workspace / "results" / "summary.txt").read_text()
     assert "lira" in txt and "step_mechanism" in txt
+
+
+def test_report_low_fpr_point_is_smallest_target_fpr(tmp_path):
+    def op(name, target_fpr, eps):
+        return {"name": name, "target_fpr": target_fpr, "eps_point": eps, "eps_lower": eps}
+    doc = {"attack": "lira", "auc": 0.5, "operating_points": [
+        op("fpr<=0.01", 0.01, 3.0), op("fpr<=0.1", 0.1, 2.0), op("median", None, 1.0)]}
+    (tmp_path / "attack_lira.json").write_text(json.dumps(doc))
+    assert main(["report", "--out", str(tmp_path)]) == 0
+    row = json.loads((tmp_path / "summary.json").read_text())["attacks"][0]
+    assert row["eps_point"] == 3.0 and row["eps_lower"] == 3.0

@@ -90,7 +90,7 @@ def test_resampled_dataset_fingerprints(pool, target, trainer):
 
 
 def test_fingerprint_order_invariant(pool):
-    rev = Dataset(schema=pool.schema, rows=tuple(reversed(pool.rows)))
+    rev = Dataset.from_rows(pool.schema, reversed(pool.rows))
     assert dataset_fingerprint(pool) == dataset_fingerprint(rev)
 
 

@@ -62,7 +62,7 @@ def test_marginal_noiseless_matches_empirical(mixed_ds):
 
 def test_marginal_empty_dataset_errors(mixed_schema):
     with pytest.raises(ValueError, match="empty"):
-        fit_marginal(Dataset(mixed_schema, ()), MarginalSynthSpec())
+        fit_marginal(Dataset.from_rows(mixed_schema, []), MarginalSynthSpec())
 
 
 def test_marginal_degenerate_after_clamping():
