@@ -293,23 +293,14 @@ def attack_disc_loss(fb: FeatureBundle) -> ScoredRuns:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _counts_at(bits: np.ndarray, scores: np.ndarray, threshold: float) -> ConfusionCounts:
-    pred = scores >= threshold
-    return ConfusionCounts(
-        tp=int(np.sum(pred & (bits == 1))),
-        fp=int(np.sum(pred & (bits == 0))),
-        tn=int(np.sum(~pred & (bits == 0))),
-        fn=int(np.sum(~pred & (bits == 1))),
-    )
-
-
-def _rates(c: ConfusionCounts) -> tuple[float, float]:
-    fpr = c.fp / (c.fp + c.tn)
-    tpr = c.tp / (c.tp + c.fn)
-    return fpr, tpr
-
-
 DEFAULT_OPERATING_POINTS = ("median", 0.1, 0.01)
+
+
+def _counts_from_top(group: np.ndarray, n_groups: int) -> np.ndarray:
+    """Runs scored at or above each threshold of the descending sweep: entry
+    0 is the +inf threshold, entry k the k-th largest distinct score."""
+    per_group = np.bincount(group, minlength=n_groups)[::-1]
+    return np.concatenate(([0], np.cumsum(per_group)))
 
 
 def evaluate(
@@ -324,39 +315,43 @@ def evaluate(
     median) or a target false-positive rate; for a target rate the smallest
     threshold whose realized fpr stays at or below it is chosen, which
     maximizes tpr subject to the fpr budget.
+
+    The thresholds are the distinct scores in descending order. Each run is
+    mapped to its score's group once; cumulative per-class counts over the
+    groups then give the confusion table at every threshold, so the sweep
+    costs one sort rather than a recount per threshold.
     """
     bits, scores = scored.bits, scored.scores
 
-    thresholds = np.unique(scores)[::-1]  # descending: fpr grows along sweep
-    roc = [(math.inf, 0.0, 0.0)]
-    for t in thresholds:
-        c = _counts_at(bits, scores, float(t))
-        fpr, tpr = _rates(c)
-        roc.append((float(t), fpr, tpr))
-
-    fprs = np.array([p[1] for p in roc])
-    tprs = np.array([p[2] for p in roc])
+    distinct = np.unique(scores)
+    group = np.searchsorted(distinct, scores)
+    tp = _counts_from_top(group[bits == 1], len(distinct))
+    fp = _counts_from_top(group[bits == 0], len(distinct))
+    n_pos, n_neg = int(tp[-1]), int(fp[-1])
+    thresholds = [math.inf] + distinct[::-1].tolist()
+    fprs, tprs = fp / n_neg, tp / n_pos  # fpr is non-decreasing along the sweep
+    roc = tuple(zip(thresholds, fprs.tolist(), tprs.tolist()))
     auc = float(np.trapezoid(tprs, fprs))
 
     ops = []
     for op in operating_points:
         if op == "median":
             thr = float(np.median(scores))
+            k = len(distinct) - int(np.searchsorted(distinct, thr))
             name, target = "median", None
         else:
             target = float(op)
-            # fpr is non-decreasing along the descending-threshold sweep
-            ok = [p for p in roc[1:] if p[1] <= target]
-            thr = min(p[0] for p in ok) if ok else math.inf
+            k = max(int(np.searchsorted(fprs, target, side="right")) - 1, 0)
+            thr = thresholds[k]
             name = f"fpr<={target:g}"
-        c = _counts_at(bits, scores, thr)
-        fpr, tpr = _rates(c)
+        c = ConfusionCounts(tp=int(tp[k]), fp=int(fp[k]),
+                            tn=n_neg - int(fp[k]), fn=n_pos - int(tp[k]))
         ops.append(OperatingPoint(
             name=name,
             threshold=thr,
             counts=c,
-            fpr=fpr,
-            tpr=tpr,
+            fpr=roc[k][1],
+            tpr=roc[k][2],
             eps_point=effective_epsilon_point(error_rates(c), delta),
             eps_lower=effective_epsilon_lower_bound(c, delta, confidence),
             target_fpr=target,
@@ -368,7 +363,7 @@ def evaluate(
         delta=delta,
         confidence=confidence,
         auc=auc,
-        roc=tuple(roc),
+        roc=roc,
         operating_points=tuple(ops),
         n_runs=len(bits),
     )

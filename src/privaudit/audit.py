@@ -28,7 +28,7 @@ from .attacks import (
 )
 from .core_stats import PrivacyParams, gdp_epsilon_of_delta, subsampled_gdp_mu
 from .data import CategoricalColumn, Dataset, NumericColumn, Schema
-from .dpsgd import DpSgdConfig, noisy_aggregate
+from .dpsgd import DpSgdConfig, clip_and_sum, privatize
 from .seeds import derive_seed
 from .shadow import (
     FIXED_DATASET,
@@ -211,14 +211,17 @@ def audit_step_mechanism(
     bits = _stratified_bits(trials, derive_seed(master_seed, "bits"))
     cfg = replace(config, seed=derive_seed(master_seed, "mechanism"))
 
-    stats = np.empty(trials)
-    for t in range(trials):
-        if bits[t]:
-            raw = np.vstack([base_gradients, canary_grad])
-        else:
-            raw = base_gradients
-        update, _, _, _ = noisy_aggregate(raw, raw.shape[0], cfg, n_total, step=t)
-        stats[t] = float(update @ direction)
+    # the two neighbouring batches differ only in the canary row, so each is
+    # clipped and summed once; trial t privatizes its batch's sum at step t
+    grad_sums = np.stack([
+        clip_and_sum(base_gradients, cfg)[0],
+        clip_and_sum(np.vstack([base_gradients, canary_grad]), cfg)[0],
+    ])
+    update, _ = privatize(grad_sums[bits], n_total + bits, cfg, n_total,
+                          step=np.arange(trials))
+    # an explicit row-wise product and sum: each trial's statistic is reduced
+    # in the same order whatever the trial count
+    stats = (update * direction).sum(axis=1)
 
     scored = ScoredRuns(bits=bits, scores=stats, attack="step_mechanism")
     report = evaluate(scored, delta, confidence, operating_points=("median", 0.01))

@@ -90,7 +90,33 @@ def _record_from_json(schema: Schema, values, path: str):
     return _build(path, convert)
 
 
+def _check_keys(doc, allowed, path: str) -> None:
+    """A mistyped key would otherwise fall back to a default silently."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: must be an object")
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ConfigError(f"{path}: unknown key {', '.join(map(repr, unknown))}")
+
+
+DPSGD_KEYS = ("clip_norm", "noise_multiplier", "sample_rate", "steps",
+              "learning_rate", "bug_mode")
+TRAINER_KEYS = {
+    "predictive": ("kind", "label_column", "dpsgd", "model_kind", "hidden_dim",
+                   "init_scale", "observability"),
+    "marginal": ("kind", "noise_std", "bins"),
+    "gan": ("kind", "dpsgd", "latent_dim", "gen_hidden", "disc_hidden",
+            "gen_lr", "steps"),
+}
+AUDIT_KEYS = {
+    "step_mechanism": ("mode", "trials", "audit_delta", "slack"),
+    "end_to_end": ("mode", "t_runs", "canary", "slack"),
+}
+
+
 def _dpsgd_config(doc: dict, path: str) -> DpSgdConfig:
+    _check_keys(doc, DPSGD_KEYS, path)
+
     def build():
         return DpSgdConfig(
             clip_norm=doc["clip_norm"],
@@ -107,7 +133,10 @@ def build_trainer(cfg: dict, schema: Schema):
     doc = cfg.get("trainer")
     if doc is None:
         raise ConfigError("trainer: missing")
-    kind = doc.get("kind")
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if not isinstance(kind, str) or kind not in TRAINER_KEYS:
+        raise ConfigError(f"trainer.kind: expected predictive/marginal/gan, got {kind!r}")
+    _check_keys(doc, TRAINER_KEYS[kind], "trainer")
     if kind == "predictive":
         dp = _dpsgd_config(doc.get("dpsgd", {}), "trainer.dpsgd")
         return _build("trainer", lambda: PredictiveTrainer(
@@ -122,19 +151,17 @@ def build_trainer(cfg: dict, schema: Schema):
         spec = _build("trainer", lambda: MarginalSynthSpec(
             noise_std=doc.get("noise_std", 0.0), bins=doc.get("bins", 10)))
         return MarginalTrainer(spec, schema=schema)
-    if kind == "gan":
-        dp = _dpsgd_config(doc.get("dpsgd", {}), "trainer.dpsgd")
-        spec = _build("trainer", lambda: gan_spec_for_schema(
-            schema,
-            latent_dim=doc.get("latent_dim", 4),
-            gen_hidden=doc.get("gen_hidden", 16),
-            disc_hidden=doc.get("disc_hidden", 16),
-            disc_config=dp,
-            gen_lr=doc.get("gen_lr", 0.05),
-            steps=doc.get("steps"),
-        ))
-        return GanTrainer(spec)
-    raise ConfigError(f"trainer.kind: expected predictive/marginal/gan, got {kind!r}")
+    dp = _dpsgd_config(doc.get("dpsgd", {}), "trainer.dpsgd")
+    spec = _build("trainer", lambda: gan_spec_for_schema(
+        schema,
+        latent_dim=doc.get("latent_dim", 4),
+        gen_hidden=doc.get("gen_hidden", 16),
+        disc_hidden=doc.get("disc_hidden", 16),
+        disc_config=dp,
+        gen_lr=doc.get("gen_lr", 0.05),
+        steps=doc.get("steps"),
+    ))
+    return GanTrainer(spec)
 
 
 def _threat_model(cfg: dict) -> ThreatModel:
@@ -330,7 +357,10 @@ def cmd_attack(cfg: dict, args) -> int:
 
 def cmd_audit(cfg: dict, args) -> int:
     adoc = cfg.get("audit", {})
-    mode = adoc.get("mode", "end_to_end")
+    mode = adoc.get("mode", "end_to_end") if isinstance(adoc, dict) else None
+    if not isinstance(mode, str) or mode not in AUDIT_KEYS:
+        raise ConfigError(f"audit.mode: expected step_mechanism or end_to_end, got {mode!r}")
+    _check_keys(adoc, AUDIT_KEYS[mode], "audit")
     seed = int(cfg.get("master_seed", 0))
     confidence = float(cfg.get("confidence", 0.95))
     slack = float(adoc.get("slack", 0.0))
@@ -350,7 +380,7 @@ def cmd_audit(cfg: dict, args) -> int:
             slack=slack,
         ))
         out = _out_dir(cfg, args)
-    elif mode == "end_to_end":
+    else:
         ds = _load_data(cfg)
         trainer = build_trainer(cfg, ds.schema)
         out = _out_dir(cfg, args)
@@ -370,8 +400,6 @@ def cmd_audit(cfg: dict, args) -> int:
             workers=args.workers,
             slack=slack,
         ))
-    else:
-        raise ConfigError(f"audit.mode: expected step_mechanism or end_to_end, got {mode!r}")
 
     audit_mod.save_verdict(out / "audit.json", verdict)
     _write_sidecar(out, "audit")

@@ -29,6 +29,8 @@ __all__ = [
     "TrainedArtifact",
     "NoValidGuaranteeError",
     "clip_per_sample",
+    "clip_and_sum",
+    "privatize",
     "noisy_aggregate",
     "noisy_batch_update",
     "train",
@@ -124,6 +126,64 @@ def _clip_rows(grads: np.ndarray, clip_norm: float) -> np.ndarray:
     return grads * factors[:, None]
 
 
+def clip_and_sum(raw: np.ndarray, config: DpSgdConfig) -> tuple[np.ndarray, float]:
+    """The deterministic half of a DP-SGD aggregation.
+
+    Sums the per-sample clipped gradients and returns (grad_sum,
+    max_sample_norm). NO_PER_SAMPLE_CLIPPING clips the sum instead, so one
+    oversized sample can move it arbitrarily far.
+    """
+    raw = np.asarray(raw, dtype=np.float64)
+    c = config.clip_norm
+    if config.bug_mode == BugMode.NO_PER_SAMPLE_CLIPPING:
+        grad_sum = clip_per_sample(raw.sum(axis=0), c)
+        max_sample_norm = float(np.linalg.norm(raw, axis=1).max()) if len(raw) else 0.0
+    else:
+        clipped = _clip_rows(raw, c)
+        grad_sum = clipped.sum(axis=0)
+        max_sample_norm = float(np.linalg.norm(clipped, axis=1).max()) if len(clipped) else 0.0
+    return grad_sum, max_sample_norm
+
+
+def privatize(
+    grad_sum: np.ndarray,
+    n_realized,
+    config: DpSgdConfig,
+    n_total: int,
+    step,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The randomized half of a DP-SGD aggregation: returns (update, noise).
+
+    Correct mode adds Gaussian noise with per-coordinate std sigma*C to the
+    clipped sum and divides by the EXPECTED batch size p*N. Normalizing the
+    noise by the realized size instead would break the sensitivity argument,
+    which is exactly what NOISE_NOT_SCALED_TO_BATCH simulates.
+
+    grad_sum may carry a leading trial axis, shape (K, dim), with n_realized
+    and step of shape (K,); row k then gets the noise the unbatched call
+    would draw at step[k], so each row is independent of K.
+    """
+    grad_sum = np.asarray(grad_sum, dtype=np.float64)
+    std = config.noise_multiplier * config.clip_norm
+    mode = config.bug_mode
+
+    noise = np.zeros(grad_sum.shape)
+    rows = noise.reshape(-1, noise.shape[-1])  # a view: one row per trial
+    if mode == BugMode.STATIC_NOISE:
+        rows[:] = _stream(config.seed, _TAG_NOISE, 0).normal(0.0, std, size=rows.shape[1])
+    elif mode != BugMode.NO_NOISE:
+        for row, counter in zip(rows, np.ravel(step).tolist(), strict=True):
+            row[:] = _stream(config.seed, _TAG_NOISE, counter).normal(0.0, std, size=row.size)
+
+    expected_batch = config.sample_rate * n_total
+    if mode == BugMode.NOISE_NOT_SCALED_TO_BATCH:
+        realized = np.maximum(n_realized, 1)
+        update = grad_sum / expected_batch + noise / np.expand_dims(realized, -1)
+    else:
+        update = (grad_sum + noise) / expected_batch
+    return update, noise
+
+
 def noisy_aggregate(
     raw: np.ndarray,
     n_realized: int,
@@ -134,40 +194,12 @@ def noisy_aggregate(
     """The privatized aggregation at the heart of a DP-SGD step.
 
     Takes raw per-sample gradients and returns (update, grad_sum, noise,
-    max_sample_norm). Correct mode: sum of per-sample clipped gradients plus
-    Gaussian noise with per-coordinate std sigma*C, divided by the EXPECTED
-    batch size p*N. Normalizing the noise by the realized size instead would
-    break the sensitivity argument, which is exactly what
-    NOISE_NOT_SCALED_TO_BATCH simulates. The audit module drives this function
-    directly with adversarial gradients so every bug mode is exercised through
-    the same code path the trainer uses.
+    max_sample_norm): clip_and_sum followed by privatize. The audit module
+    drives those two halves directly with adversarial gradients, so every bug
+    mode is exercised through the same code path the trainer uses.
     """
-    raw = np.asarray(raw, dtype=np.float64)
-    dim = raw.shape[1]
-    c = config.clip_norm
-    mode = config.bug_mode
-
-    if mode == BugMode.NO_PER_SAMPLE_CLIPPING:
-        grad_sum = clip_per_sample(raw.sum(axis=0), c)
-        max_sample_norm = float(np.linalg.norm(raw, axis=1).max()) if len(raw) else 0.0
-    else:
-        clipped = _clip_rows(raw, c)
-        grad_sum = clipped.sum(axis=0)
-        max_sample_norm = float(np.linalg.norm(clipped, axis=1).max()) if len(clipped) else 0.0
-
-    if mode == BugMode.NO_NOISE:
-        noise = np.zeros(dim)
-    else:
-        counter = 0 if mode == BugMode.STATIC_NOISE else step
-        rng = _stream(config.seed, _TAG_NOISE, counter)
-        noise = rng.normal(0.0, config.noise_multiplier * c, size=dim)
-
-    expected_batch = config.sample_rate * n_total
-    if mode == BugMode.NOISE_NOT_SCALED_TO_BATCH:
-        realized = max(n_realized, 1)
-        update = grad_sum / expected_batch + noise / realized
-    else:
-        update = (grad_sum + noise) / expected_batch
+    grad_sum, max_sample_norm = clip_and_sum(raw, config)
+    update, noise = privatize(grad_sum, n_realized, config, n_total, step)
     return update, grad_sum, noise, max_sample_norm
 
 

@@ -92,6 +92,11 @@ class GanSpec:
         if self.gen_lr <= 0:
             raise ValueError("gen_lr must be > 0")
 
+    @property
+    def n_steps(self) -> int:
+        """Alternating steps fit_gan runs, each one DP-SGD discriminator step."""
+        return self.disc_config.steps if self.steps is None else self.steps
+
 
 def gan_spec_for_schema(
     schema: Schema,
@@ -228,9 +233,7 @@ def fit_gan(ds: Dataset, spec: GanSpec) -> GenerativeArtifact:
     gen_params = models.init_params(gen_spec)
     disc_params = models.init_params(disc_spec)
     fake_batch = max(1, round(cfg.sample_rate * n))
-    n_steps = cfg.steps if spec.steps is None else spec.steps
-
-    for step in range(n_steps):
+    for step in range(spec.n_steps):
         # ---- discriminator ----
         srng = _stream(derive_seed(spec.seed, "sample"), 0, step)
         mask = srng.random(n) < cfg.sample_rate
@@ -327,7 +330,12 @@ class GanTrainer:
         return fit_gan(ds, replace(self.spec, seed=derive_seed(seed, "gan")))
 
     def claimed_epsilon(self, n: int, delta: float) -> float:
-        cfg = replace(self.spec.disc_config, bug_mode=BugMode.NONE)
+        """Accountant claim over the discriminator steps fit_gan runs; with no
+        step the released generator never sees the data."""
+        if self.spec.n_steps == 0:
+            return 0.0
+        cfg = replace(self.spec.disc_config, bug_mode=BugMode.NONE,
+                      steps=self.spec.n_steps)
         return claimed_privacy(cfg, n, delta).epsilon
 
 

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from privaudit.attacks import (
     AttackReport,
     GroundhogConfig,
+    OperatingPoint,
     ScoredRuns,
     attack_dcr,
     attack_disc_loss,
@@ -20,6 +22,14 @@ from privaudit.attacks import (
     report_to_json_dict,
     save_report,
     save_roc_csv,
+)
+from privaudit.core_stats import (
+    ConfusionCounts,
+    GdpParam,
+    effective_epsilon_lower_bound,
+    effective_epsilon_point,
+    error_rates,
+    gdp_epsilon_of_delta,
 )
 from privaudit.data import CategoricalColumn, Dataset, NumericColumn, Schema
 from privaudit.shadow import FeatureBundle
@@ -314,6 +324,120 @@ def test_evaluate_operating_point_respects_fpr_budget():
         # no lower threshold would have stayed within the budget
         lower = [p for p in rep.roc if p[0] < op.threshold]
         assert all(p[1] > op.target_fpr for p in lower)
+
+
+def _reference_evaluate(scored, delta, confidence, operating_points):
+    """Per-threshold recount: at each distinct score, count the runs scored at
+    or above it. O(n^2), kept as the oracle for evaluate's cumulative counts."""
+    bits, scores = scored.bits, scored.scores
+
+    def counts_at(thr):
+        pred = scores >= thr
+        return ConfusionCounts(
+            tp=int(np.sum(pred & (bits == 1))), fp=int(np.sum(pred & (bits == 0))),
+            tn=int(np.sum(~pred & (bits == 0))), fn=int(np.sum(~pred & (bits == 1))))
+
+    def rates(c):
+        return c.fp / (c.fp + c.tn), c.tp / (c.tp + c.fn)
+
+    roc = [(math.inf, 0.0, 0.0)]
+    for t in np.unique(scores)[::-1]:
+        roc.append((float(t), *rates(counts_at(float(t)))))
+    auc = float(np.trapezoid([p[2] for p in roc], [p[1] for p in roc]))
+    ops = []
+    for op in operating_points:
+        if op == "median":
+            thr, name, target = float(np.median(scores)), "median", None
+        else:
+            target = float(op)
+            ok = [p for p in roc[1:] if p[1] <= target]
+            thr = min(p[0] for p in ok) if ok else math.inf
+            name = f"fpr<={target:g}"
+        c = counts_at(thr)
+        fpr, tpr = rates(c)
+        ops.append(OperatingPoint(
+            name=name, threshold=thr, counts=c, fpr=fpr, tpr=tpr,
+            eps_point=effective_epsilon_point(error_rates(c), delta),
+            eps_lower=effective_epsilon_lower_bound(c, delta, confidence),
+            target_fpr=target))
+    return AttackReport(attack=scored.attack, threat_model=None, delta=delta,
+                        confidence=confidence, auc=auc, roc=tuple(roc),
+                        operating_points=tuple(ops), n_runs=len(bits))
+
+
+# signed zeros, extreme magnitudes and subnormals, drawn from a small pool so
+# that ties are common
+_SPECIAL_SCORES = (-0.0, 0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, 1e-300,
+                   1e300, -1e300, 1.7976931348623157e308)
+
+
+@st.composite
+def _scored_runs(draw):
+    n = draw(st.integers(2, 60))
+    value = st.one_of(st.sampled_from(_SPECIAL_SCORES),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    pool = draw(st.lists(value, min_size=1, max_size=n))
+    scores = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    n_pos = draw(st.integers(1, n - 1))  # unbalanced classes included
+    bits = draw(st.permutations([1] * n_pos + [0] * (n - n_pos)))
+    return ScoredRuns(bits=np.array(bits), scores=np.array(scores), attack="x")
+
+
+def _bits_of(values) -> bytes:
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # median of ~1e308
+@settings(max_examples=200, deadline=None)
+@given(scored=_scored_runs(),
+       ops=st.lists(st.one_of(st.just("median"), st.floats(-0.1, 1.1)),
+                    min_size=1, max_size=4))
+@example(scored=ScoredRuns(bits=np.array([1, 0, 1, 0]),
+                           scores=np.array([-0.0, 0.0, 0.0, -0.0]), attack="x"),
+         ops=["median", 0.5, 0.0])
+@example(scored=ScoredRuns(bits=np.array([0, 1, 0]),
+                           scores=np.array([0.0, -0.0, 1.0]), attack="x"),
+         ops=["median", 0.01])
+@example(scored=ScoredRuns(bits=np.array([1, 0]), scores=np.array([3.0, 3.0]),
+                           attack="x"),
+         ops=["median", 0.1, 0.01])
+def test_evaluate_matches_per_threshold_recount(scored, ops):
+    got = evaluate(scored, 1e-3, 0.95, operating_points=tuple(ops))
+    ref = _reference_evaluate(scored, 1e-3, 0.95, tuple(ops))
+    # bit-equal, signed zeros included: the representative threshold of a
+    # -0.0/0.0 tie is whichever np.unique keeps
+    assert _bits_of(got.roc) == _bits_of(ref.roc)
+    assert _bits_of([got.auc]) == _bits_of([ref.auc])
+    assert len(got.operating_points) == len(ref.operating_points)
+    for g, r in zip(got.operating_points, ref.operating_points):
+        assert (g.name, g.counts, g.target_fpr) == (r.name, r.counts, r.target_fpr)
+        assert (_bits_of([g.threshold, g.fpr, g.tpr, g.eps_point, g.eps_lower])
+                == _bits_of([r.threshold, r.fpr, r.tpr, r.eps_point, r.eps_lower]))
+    assert json.dumps(report_to_json_dict(got)) == json.dumps(report_to_json_dict(ref))
+
+
+def test_evaluate_low_fpr_bound_covers_exact_gdp_curve():
+    """Monte Carlo coverage: scores from an exact mu-GDP pair (out ~ N(0,1),
+    in ~ N(mu,1)) have true eps(delta) = gdp_epsilon_of_delta(mu, delta), so a
+    valid lower bound may exceed it in at most 1 - confidence of repetitions."""
+    rng = np.random.default_rng(20241)
+    confidence, delta, n, reps = 0.95, 0.01, 1000, 300
+    bits = np.repeat([0, 1], n)
+    for mu in (0.5, 1.0, 3.0):
+        eps_true = gdp_epsilon_of_delta(GdpParam(mu), delta)
+        lower = np.empty(reps)
+        for r in range(reps):
+            scores = rng.standard_normal(2 * n) + mu * bits
+            rep = evaluate(ScoredRuns(bits=bits, scores=scores, attack="gdp"),
+                           delta, confidence)
+            op = min((op for op in rep.operating_points if op.target_fpr is not None),
+                     key=lambda op: op.target_fpr)
+            lower[r] = op.eps_lower
+        exceed = float(np.mean(lower > eps_true))
+        # half the allowed rate: a bound that is only just valid fails here
+        assert exceed <= (1.0 - confidence) / 2, (mu, exceed)
+    # the bound is not vacuous: a strong signal yields a clearly positive bound
+    assert np.median(lower) > 2.0
 
 
 # ---------------------------------------------------------------------------

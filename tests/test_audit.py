@@ -1,9 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from privaudit import audit as audit_mod
 from privaudit.audit import (
     AffineCost,
     CanarySpec,
@@ -18,7 +20,8 @@ from privaudit.audit import (
 )
 from privaudit.core_stats import GdpParam, gdp_epsilon_of_delta
 from privaudit.data import CategoricalColumn, Dataset, NumericColumn, Schema
-from privaudit.dpsgd import BugMode, DpSgdConfig, PredictiveTrainer
+from privaudit.dpsgd import BugMode, DpSgdConfig, PredictiveTrainer, noisy_aggregate
+from privaudit.seeds import derive_seed
 from privaudit.synthesizers import MarginalSynthSpec, MarginalTrainer
 
 
@@ -124,6 +127,47 @@ def test_step_audit_deterministic():
     assert a.measured_lower_bound == b.measured_lower_bound
     assert a.operating_point == b.operating_point
     assert verdict_to_json_dict(a) == verdict_to_json_dict(b)
+
+
+@pytest.mark.parametrize("bug", list(BugMode))
+def test_step_audit_batched_statistics_match_per_trial_loop(bug, monkeypatch):
+    """Every trial's statistic equals one noisy_aggregate call on that trial's
+    own batch, and does not depend on how many trials run alongside it."""
+    rng = np.random.default_rng(5)
+    dim, n_base, scale, seed = 6, 40, 7.0, 11
+    direction = rng.normal(size=dim)
+    direction /= np.linalg.norm(direction)  # a unit canary off every axis
+    base = rng.normal(size=(n_base, dim)) * rng.uniform(0.1, 5.0, size=(n_base, 1))
+    cfg = step_config(bug_mode=bug, sample_rate=0.25)
+    canary = CanarySpec(kind="gradient_canary", direction=direction)
+
+    scored_runs = []
+    evaluate = audit_mod.evaluate
+
+    def capture(scored, *args, **kwargs):
+        scored_runs.append(scored)
+        return evaluate(scored, *args, **kwargs)
+
+    monkeypatch.setattr(audit_mod, "evaluate", capture)
+    for trials in (100, 257):
+        audit_step_mechanism(cfg, canary, trials=trials, base_gradients=base,
+                             canary_scale=scale, master_seed=seed)
+
+    # reference: the per-trial loop, one full aggregation per trial
+    mech = replace(cfg, seed=derive_seed(seed, "mechanism"))
+    with_canary = np.vstack([base, scale * cfg.clip_norm * direction])
+
+    def statistic(bit, t):
+        raw = with_canary if bit else base
+        update, _, _, _ = noisy_aggregate(raw, len(raw), mech, n_base, step=t)
+        return (update * direction).sum()
+
+    for scored in scored_runs:
+        ref = np.array([statistic(b, t) for t, b in enumerate(scored.bits)])
+        assert scored.scores.tobytes() == ref.tobytes()
+    short, long = scored_runs
+    same = short.bits == long.bits[:100]
+    assert short.scores[same].tobytes() == long.scores[:100][same].tobytes()
 
 
 def test_step_audit_preconditions():

@@ -243,6 +243,77 @@ def test_audit_bad_mode(workspace, capsys):
     assert "audit.mode" in capsys.readouterr().err
 
 
+def test_audit_gan_zero_steps_claims_zero(workspace):
+    cfg = base_config(workspace)
+    cfg["trainer"] = {"kind": "gan", "steps": 0, "dpsgd": cfg["trainer"]["dpsgd"]}
+    cfg["audit"] = {"mode": "end_to_end", "t_runs": 20}
+    path = write_config(workspace, cfg)
+    assert main(["audit", "--config", path]) == 0
+    doc = json.loads((workspace / "results" / "audit.json").read_text())
+    assert doc["claimed"]["epsilon"] == 0.0 and doc["status"] == "pass"
+    assert main(["train", "--config", path]) == 0
+    acct = json.loads((workspace / "results" / "accountant.json").read_text())
+    assert acct["claimed"]["epsilon"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# config keys
+
+DPSGD_ALL_KEYS = {"clip_norm": 1.0, "noise_multiplier": 1.0, "sample_rate": 0.2,
+                  "steps": 2, "learning_rate": 0.5, "bug_mode": "none"}
+
+
+@pytest.mark.parametrize("trainer", [
+    {"kind": "predictive", "label_column": "y", "dpsgd": DPSGD_ALL_KEYS,
+     "model_kind": "mlp", "hidden_dim": 4, "init_scale": 0.1,
+     "observability": "white_box"},
+    {"kind": "marginal", "noise_std": 1.0, "bins": 5},
+    {"kind": "gan", "dpsgd": DPSGD_ALL_KEYS, "latent_dim": 2, "gen_hidden": 4,
+     "disc_hidden": 4, "gen_lr": 0.05, "steps": 2},
+])
+def test_every_documented_trainer_key_accepted(workspace, trainer):
+    cfg = base_config(workspace, trainer=trainer)
+    assert main(["train", "--config", write_config(workspace, cfg)]) == 0
+
+
+def test_every_documented_audit_key_accepted(workspace):
+    cfg = base_config(workspace)
+    cfg["audit"] = {"mode": "step_mechanism", "trials": 200, "audit_delta": 0.1,
+                    "slack": 0.0}
+    assert main(["audit", "--config", write_config(workspace, cfg)]) == 0
+    cfg["audit"] = {"mode": "end_to_end", "t_runs": 20, "canary": [1.0, "b"],
+                    "slack": 0.5}
+    assert main(["audit", "--config", write_config(workspace, cfg)]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("command, section, key, message", [
+    ("train", "trainer", "hiden_dim", "trainer: unknown key 'hiden_dim'"),
+    ("train", "trainer", "steps", "trainer: unknown key 'steps'"),
+    ("train", "dpsgd", "noise_multipler", "trainer.dpsgd: unknown key 'noise_multipler'"),
+    ("audit", "audit", "trails", "audit: unknown key 'trails'"),
+    ("audit", "audit", "t_runs", "audit: unknown key 't_runs'"),
+])
+def test_unknown_config_key_exits_3(workspace, capsys, command, section, key, message):
+    cfg = base_config(workspace)
+    cfg["audit"] = {"mode": "step_mechanism", "trials": 200}
+    doc = {"trainer": cfg["trainer"], "dpsgd": cfg["trainer"]["dpsgd"],
+           "audit": cfg["audit"]}[section]
+    doc[key] = 1
+    assert main([command, "--config", write_config(workspace, cfg)]) == 3
+    assert message in capsys.readouterr().err
+    assert not (workspace / "results").exists()
+
+
+def test_unknown_key_in_generative_trainer_exits_3(workspace, capsys):
+    for trainer in ({"kind": "marginal", "noise_sd": 1.0},
+                    {"kind": "gan", "dpsgd": DPSGD_ALL_KEYS, "hidden_dim": 4}):
+        cfg = base_config(workspace, trainer=trainer)
+        assert main(["train", "--config", write_config(workspace, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "trainer: unknown key 'noise_sd'" in err
+    assert "trainer: unknown key 'hidden_dim'" in err
+
+
 # ---------------------------------------------------------------------------
 # report
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -8,7 +10,7 @@ from privaudit.data import (
     NumericColumn,
     Schema,
 )
-from privaudit.dpsgd import BugMode, DpSgdConfig
+from privaudit.dpsgd import BugMode, DpSgdConfig, claimed_privacy
 from privaudit.synthesizers import (
     DegenerateMarginalError,
     GanTrainer,
@@ -208,6 +210,29 @@ def test_gan_trainer_claim(mixed_schema):
     tr = GanTrainer(spec)
     # claim computed as if the bug were absent
     assert tr.claimed_epsilon(100, 1e-3) > 0.0
+
+
+def test_gan_claim_counts_the_steps_fit_gan_runs(mixed_schema):
+    # fit_gan runs GanSpec.steps when it is set, each one DP-SGD step of the
+    # discriminator, so the claim composes that many steps
+    disc = small_gan_spec(mixed_schema, steps=5).disc_config
+    n, delta = 500, 1 / 500
+    claims = {}
+    for steps in (None, 1, 5, 1000):
+        spec = gan_spec_for_schema(mixed_schema, latent_dim=2, gen_hidden=8,
+                                   disc_hidden=8, disc_config=disc, steps=steps)
+        claims[steps] = GanTrainer(spec).claimed_epsilon(n, delta)
+        ran = replace(disc, steps=spec.n_steps)
+        assert claims[steps] == claimed_privacy(ran, n, delta).epsilon
+    assert claims[None] == claims[5]
+    assert claims[1] < claims[5] < claims[1000]
+
+
+def test_gan_zero_steps_claims_zero(mixed_schema):
+    # no discriminator step: the released generator is its data-free init
+    spec = small_gan_spec(mixed_schema, steps=0)
+    assert spec.n_steps == 0
+    assert GanTrainer(spec).claimed_epsilon(500, 1 / 500) == 0.0
 
 
 # ---------------------------------------------------------------------------
