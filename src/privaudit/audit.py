@@ -281,6 +281,7 @@ def audit_end_to_end(
     strongest applicable attack (LiRA on prediction losses for predictive
     trainers, max of DCR and groundhog for generative ones) at the low-FPR
     operating point, and is compared against the trainer's claimed epsilon.
+    ``workers`` is accepted and has no effect: shadow runs are serial.
     """
     if t_runs < 20:
         raise ValueError("t_runs must be >= 20")

@@ -11,6 +11,7 @@ Exit codes: 0 success or audit pass, 1 audit fail, 2 audit inconclusive,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -99,6 +100,13 @@ def _check_keys(doc, allowed, path: str) -> None:
         raise ConfigError(f"{path}: unknown key {', '.join(map(repr, unknown))}")
 
 
+TOP_KEYS = ("schema_version", "schema", "dataset", "master_seed", "out", "delta",
+            "confidence", "trainer", "threat_model", "attack", "audit",
+            "synthesize")
+ATTACK_KEYS = ("attacks", "t_runs", "n_samples", "target")
+TARGET_KEYS = ("strategy", "record")
+THREAT_MODEL_KEYS = tuple(f.name for f in dataclasses.fields(ThreatModel))
+SYNTHESIZE_KEYS = ("n_samples",)
 DPSGD_KEYS = ("clip_norm", "noise_multiplier", "sample_rate", "steps",
               "learning_rate", "bug_mode")
 TRAINER_KEYS = {
@@ -166,11 +174,8 @@ def build_trainer(cfg: dict, schema: Schema):
 
 def _threat_model(cfg: dict) -> ThreatModel:
     doc = cfg.get("threat_model", {})
-    return _build("threat_model", lambda: ThreatModel(
-        model_access=doc.get("model_access", "black_box_query"),
-        data_knowledge=doc.get("data_knowledge", "fixed_dataset"),
-        architecture_known=doc.get("architecture_known", True),
-    ))
+    _check_keys(doc, THREAT_MODEL_KEYS, "threat_model")
+    return _build("threat_model", lambda: ThreatModel(**doc))
 
 
 def _delta(cfg: dict, n: int) -> float:
@@ -245,13 +250,15 @@ def cmd_train(cfg: dict, args) -> int:
 
 
 def cmd_synthesize(cfg: dict, args) -> int:
+    sdoc = cfg.get("synthesize", {})
+    _check_keys(sdoc, SYNTHESIZE_KEYS, "synthesize")
     ds = _load_data(cfg)
     trainer = build_trainer(cfg, ds.schema)
     if trainer.kind != "generative":
         raise ConfigError("trainer.kind: synthesize requires marginal or gan")
     out = _out_dir(cfg, args)
     seed = int(cfg.get("master_seed", 0))
-    n = int(cfg.get("synthesize", {}).get("n_samples", len(ds)))
+    n = int(sdoc.get("n_samples", len(ds)))
 
     art = trainer.fit(ds, seed)
     syn = sample(art, n, seed)
@@ -303,7 +310,7 @@ def _pick_target(cfg: dict, ds: Dataset):
     """Return (target record, pool). Every copy of a selected in-data target
     is removed from the pool; an explicit record must be absent from the data
     already."""
-    doc = cfg.get("attack", {}).get("target", {"strategy": "marginal_outlier"})
+    doc = cfg.get("attack", {}).get("target", {})
     seed = int(cfg.get("master_seed", 0))
     if "record" in doc:
         return _record_from_json(ds.schema, doc["record"], "attack.target.record"), ds
@@ -314,10 +321,12 @@ def _pick_target(cfg: dict, ds: Dataset):
 
 
 def cmd_attack(cfg: dict, args) -> int:
+    adoc = cfg.get("attack", {})
+    _check_keys(adoc, ATTACK_KEYS, "attack")
+    _check_keys(adoc.get("target", {}), TARGET_KEYS, "attack.target")
     ds = _load_data(cfg)
     trainer = build_trainer(cfg, ds.schema)
     tm = _threat_model(cfg)
-    adoc = cfg.get("attack", {})
     names = adoc.get("attacks")
     if not names:
         raise ConfigError("attack.attacks: missing or empty")
@@ -338,8 +347,7 @@ def cmd_attack(cfg: dict, args) -> int:
     target, pool = _pick_target(cfg, ds)
     delta = _delta(cfg, len(ds))
     confidence = float(cfg.get("confidence", 0.95))
-    coll = run_shadow_experiment(target, pool, trainer, tm, t_runs, seed,
-                                 workers=args.workers)
+    coll = run_shadow_experiment(target, pool, trainer, tm, t_runs, seed)
     bundles = {}
     for name in names:
         mode = ATTACK_FEATURES[name]
@@ -367,7 +375,10 @@ def cmd_audit(cfg: dict, args) -> int:
 
     if mode == "step_mechanism":
         # dataset-free: audits the configured update mechanism directly
-        doc = cfg.get("trainer", {}).get("dpsgd")
+        tdoc = cfg.get("trainer", {})
+        if not isinstance(tdoc, dict):
+            raise ConfigError("trainer: must be an object")
+        doc = tdoc.get("dpsgd")
         if doc is None:
             raise ConfigError("trainer.dpsgd: missing (required for step audit)")
         dp = _dpsgd_config(doc, "trainer.dpsgd")
@@ -397,7 +408,6 @@ def cmd_audit(cfg: dict, args) -> int:
             delta=cfg.get("delta"),
             confidence=confidence,
             master_seed=seed,
-            workers=args.workers,
             slack=slack,
         ))
 
@@ -492,7 +502,8 @@ def _make_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="experiment config JSON",
                         required=name != "report")
-        sp.add_argument("--workers", type=int, default=1)
+        sp.add_argument("--workers", type=int, default=1,
+                        help="accepted and has no effect: shadow runs are serial")
         sp.add_argument("--dry-run", action="store_true", dest="dry_run")
         sp.add_argument("--out", help="output directory (overrides config)")
     return p
@@ -516,6 +527,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config) if args.config else None
         if args.command != "report" and cfg is None:
             raise ConfigError("config: missing")
+        if cfg is not None:
+            _check_keys(cfg, TOP_KEYS, "config")
         if args.workers < 1:
             raise ConfigError("workers: must be >= 1")
         return COMMANDS[args.command](cfg, args)

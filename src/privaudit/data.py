@@ -2,8 +2,7 @@
 
 Schema-typed ingestion into columnar datasets, canonical whole-column
 [0,1]/one-hot encoding, neighboring-dataset construction, and target-record
-selection. Datasets are immutable after
-construction and safe to share across concurrent shadow runs.
+selection. Datasets are immutable after construction.
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """Differentiable predictive models with exact analytic gradients.
 
 Logistic regression and a one-hidden-layer tanh MLP over a flat float64
-parameter vector. Everything is a pure function of (spec, params, input),
-so evaluation is safe to run concurrently across shadow runs.
+parameter vector. Everything is a pure function of (spec, params, input).
 """
 
 from __future__ import annotations

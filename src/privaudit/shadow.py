@@ -2,15 +2,14 @@
 
 Repeatedly trains target-in/target-out artifacts under controlled randomness
 and hands labeled material to the attacks. Runs are independent and execute
-concurrently up to a worker bound; the collection is ordered by run index and
-bit-identical regardless of scheduling.
+one after another in the calling thread; the collection is ordered by run
+index and each run depends only on the master seed and its index.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +117,7 @@ def run_shadow_experiment(
     Per run t: s_t = derive_seed(master_seed, t); the baseline training set is
     the pool itself (fixed_dataset) or a half-size subsample drawn from s_t
     (resampled_dataset); the target is appended iff b_t = 1; training uses s_t.
+    ``workers`` is accepted and has no effect: runs execute serially.
     """
     if t_runs < 2:
         raise ValueError("need at least 2 shadow runs")
@@ -149,16 +149,10 @@ def run_shadow_experiment(
             fingerprint=dataset_fingerprint(ds),
         )
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            runs = list(ex.map(one_run, range(t_runs)))
-    else:
-        runs = [one_run(t) for t in range(t_runs)]
-
     return ShadowCollection(
         target=target,
         threat_model=tm,
-        runs=tuple(runs),
+        runs=tuple(one_run(t) for t in range(t_runs)),
         master_seed=master_seed,
         trainer=trainer,
     )

@@ -286,19 +286,58 @@ def test_every_documented_audit_key_accepted(workspace):
     assert main(["audit", "--config", write_config(workspace, cfg)]) in (0, 1, 2)
 
 
+@pytest.mark.parametrize("target", [{"strategy": "random"}, {"record": [0.25, "a"]}])
+def test_every_documented_attack_key_accepted(workspace, target):
+    # every top-level key, and every key of attack, attack.target and threat_model
+    cfg = base_config(
+        workspace, delta=0.01, confidence=0.9,
+        threat_model={"model_access": "white_box", "data_knowledge": "resampled_dataset",
+                      "architecture_known": True},
+        attack={"attacks": ["lira"], "t_runs": 8, "n_samples": 10, "target": target},
+        audit={"mode": "step_mechanism"}, synthesize={"n_samples": 5})
+    assert main(["attack", "--config", write_config(workspace, cfg)]) == 0
+
+
 @pytest.mark.parametrize("command, section, key, message", [
     ("train", "trainer", "hiden_dim", "trainer: unknown key 'hiden_dim'"),
     ("train", "trainer", "steps", "trainer: unknown key 'steps'"),
     ("train", "dpsgd", "noise_multipler", "trainer.dpsgd: unknown key 'noise_multipler'"),
     ("audit", "audit", "trails", "audit: unknown key 'trails'"),
     ("audit", "audit", "t_runs", "audit: unknown key 't_runs'"),
+    ("audit", "config", "master_sed", "config: unknown key 'master_sed'"),
+    ("train", "config", "seed", "config: unknown key 'seed'"),
+    ("attack", "attack", "t_run", "attack: unknown key 't_run'"),
+    # a typo must not reach the dry run, which would estimate the default t_runs
+    ("attack --dry-run", "attack", "t_run", "attack: unknown key 't_run'"),
+    ("attack", "target", "recrod", "attack.target: unknown key 'recrod'"),
+    ("attack", "threat_model", "model_acess", "threat_model: unknown key 'model_acess'"),
+    ("synthesize", "synthesize", "n_sample", "synthesize: unknown key 'n_sample'"),
 ])
 def test_unknown_config_key_exits_3(workspace, capsys, command, section, key, message):
-    cfg = base_config(workspace)
+    cfg = base_config(workspace, threat_model={}, synthesize={})
     cfg["audit"] = {"mode": "step_mechanism", "trials": 200}
-    doc = {"trainer": cfg["trainer"], "dpsgd": cfg["trainer"]["dpsgd"],
-           "audit": cfg["audit"]}[section]
+    cfg["attack"] = {"attacks": ["lira"], "t_runs": 24, "target": {"strategy": "random"}}
+    doc = {"config": cfg, "trainer": cfg["trainer"], "dpsgd": cfg["trainer"]["dpsgd"],
+           "audit": cfg["audit"], "attack": cfg["attack"],
+           "target": cfg["attack"]["target"], "threat_model": cfg["threat_model"],
+           "synthesize": cfg["synthesize"]}[section]
     doc[key] = 1
+    assert main([*command.split(), "--config", write_config(workspace, cfg)]) == 3
+    assert message in capsys.readouterr().err
+    assert not (workspace / "results").exists()
+
+
+@pytest.mark.parametrize("command, over, message", [
+    ("audit", {"trainer": 5, "audit": {"mode": "step_mechanism"}}, "trainer: must be an object"),
+    ("attack", {"attack": ["dcr"]}, "attack: must be an object"),
+    ("attack", {"attack": {"attacks": ["lira"], "target": "random"}},
+     "attack.target: must be an object"),
+    ("attack", {"threat_model": "white_box", "attack": {"attacks": ["lira"]}},
+     "threat_model: must be an object"),
+    ("synthesize", {"synthesize": 40}, "synthesize: must be an object"),
+])
+def test_non_object_config_block_exits_3(workspace, capsys, command, over, message):
+    cfg = base_config(workspace, **over)
     assert main([command, "--config", write_config(workspace, cfg)]) == 3
     assert message in capsys.readouterr().err
     assert not (workspace / "results").exists()

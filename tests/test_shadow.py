@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -117,6 +118,18 @@ def test_worker_count_invariance(pool, target, trainer):
         assert ra.index == rb.index
         assert ra.fingerprint == rb.fingerprint
         assert np.array_equal(ra.artifact.params, rb.artifact.params)
+
+
+def test_every_run_trains_in_the_calling_thread(pool, target, trainer):
+    fit_threads = []
+
+    class RecordingTrainer:
+        def fit(self, ds, seed):
+            fit_threads.append(threading.get_ident())
+            return trainer.fit(ds, seed)
+
+    run_shadow_experiment(target, pool, RecordingTrainer(), ThreatModel(), 6, 3, workers=4)
+    assert fit_threads == [threading.get_ident()] * 6
 
 
 def test_pred_loss_features(pool, target, trainer):
