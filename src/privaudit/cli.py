@@ -11,7 +11,6 @@ Exit codes: 0 success or audit pass, 1 audit fail, 2 audit inconclusive,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -21,6 +20,7 @@ import numpy as np
 
 from . import attacks as attacks_mod
 from . import audit as audit_mod
+from .core_stats import confidence_level
 from .data import (
     CategoricalColumn,
     DataError,
@@ -32,13 +32,20 @@ from .data import (
 )
 from .dpsgd import BugMode, DpSgdConfig, NoValidGuaranteeError, PredictiveTrainer
 from .models import save_params
-from .shadow import ThreatModel, query_features, run_shadow_experiment
+from .shadow import (
+    ThreatModel,
+    query_features,
+    query_sample_count,
+    run_shadow_experiment,
+    shadow_run_count,
+)
 from .synthesizers import (
     GanTrainer,
     MarginalSynthSpec,
     MarginalTrainer,
     gan_spec_for_schema,
     sample,
+    sample_count,
     save_artifact,
 )
 
@@ -49,9 +56,9 @@ class ConfigError(Exception):
     """Configuration problem, annotated with the offending field path."""
 
 
-def _build(path: str, fn):
+def _build(path: str, fn, *args):
     try:
-        return fn()
+        return fn(*args)
     except (ValueError, KeyError, TypeError, SchemaError, DataError) as e:
         detail = str(e) or type(e).__name__
         raise ConfigError(f"{path}: {detail}") from e
@@ -91,50 +98,55 @@ def _record_from_json(schema: Schema, values, path: str):
     return _build(path, convert)
 
 
-def _check_keys(doc, allowed, path: str) -> None:
-    """A mistyped key would otherwise fall back to a default silently."""
+def _as_is(value):
+    return value
+
+
+# One table per config block: every accepted key and the conversion applied to
+# its value. A key's default lives only in the signature of the function the
+# block configures, so a block passes on just the keys it was given.
+CONFIG = {**dict.fromkeys(("schema_version", "schema", "dataset", "out", "trainer",
+                           "threat_model", "attack", "audit", "synthesize"), _as_is),
+          "master_seed": int, "delta": float, "confidence": confidence_level}
+ATTACK = {"attacks": _as_is, "t_runs": shadow_run_count,
+          "n_samples": query_sample_count, "target": _as_is}
+TARGET = dict.fromkeys(("strategy", "record"), _as_is)
+THREAT_MODEL = dict.fromkeys(("model_access", "data_knowledge", "architecture_known"),
+                             _as_is)
+SYNTHESIZE = {"n_samples": sample_count}
+DPSGD = {**dict.fromkeys(("clip_norm", "noise_multiplier", "sample_rate", "steps",
+                          "learning_rate"), _as_is), "bug_mode": BugMode}
+TRAINER = {
+    "predictive": dict.fromkeys(("kind", "label_column", "dpsgd", "model_kind",
+                                 "hidden_dim", "init_scale", "observability"), _as_is),
+    "marginal": dict.fromkeys(("kind", "noise_std", "bins"), _as_is),
+    "gan": dict.fromkeys(("kind", "dpsgd", "latent_dim", "gen_hidden", "disc_hidden",
+                          "gen_lr", "steps"), _as_is),
+}
+AUDIT = {
+    "step_mechanism": {"mode": _as_is, "trials": int, "audit_delta": float, "slack": float},
+    "end_to_end": {"mode": _as_is, "t_runs": int, "canary": _as_is, "slack": float},
+}
+
+
+def _read_block(doc, table: dict, path: str) -> dict:
+    """The keys the block sets, each converted by its table entry. An unknown
+    key would otherwise fall back to a default silently."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: must be an object")
-    unknown = sorted(set(doc) - set(allowed))
+    unknown = sorted(set(doc) - set(table))
     if unknown:
         raise ConfigError(f"{path}: unknown key {', '.join(map(repr, unknown))}")
+    return {k: _build(f"{path}.{k}", table[k], v) for k, v in doc.items()}
 
 
-TOP_KEYS = ("schema_version", "schema", "dataset", "master_seed", "out", "delta",
-            "confidence", "trainer", "threat_model", "attack", "audit",
-            "synthesize")
-ATTACK_KEYS = ("attacks", "t_runs", "n_samples", "target")
-TARGET_KEYS = ("strategy", "record")
-THREAT_MODEL_KEYS = tuple(f.name for f in dataclasses.fields(ThreatModel))
-SYNTHESIZE_KEYS = ("n_samples",)
-DPSGD_KEYS = ("clip_norm", "noise_multiplier", "sample_rate", "steps",
-              "learning_rate", "bug_mode")
-TRAINER_KEYS = {
-    "predictive": ("kind", "label_column", "dpsgd", "model_kind", "hidden_dim",
-                   "init_scale", "observability"),
-    "marginal": ("kind", "noise_std", "bins"),
-    "gan": ("kind", "dpsgd", "latent_dim", "gen_hidden", "disc_hidden",
-            "gen_lr", "steps"),
-}
-AUDIT_KEYS = {
-    "step_mechanism": ("mode", "trials", "audit_delta", "slack"),
-    "end_to_end": ("mode", "t_runs", "canary", "slack"),
-}
+def _given(doc: dict, *keys) -> dict:
+    return {k: doc[k] for k in keys if k in doc}
 
 
-def _dpsgd_config(doc: dict, path: str) -> DpSgdConfig:
-    _check_keys(doc, DPSGD_KEYS, path)
-
-    def build():
-        return DpSgdConfig(
-            clip_norm=doc["clip_norm"],
-            noise_multiplier=doc["noise_multiplier"],
-            sample_rate=doc["sample_rate"],
-            steps=doc["steps"],
-            learning_rate=doc["learning_rate"],
-            bug_mode=BugMode(doc.get("bug_mode", "none")),
-        )
-    return _build(path, build)
+def _dpsgd_config(doc) -> DpSgdConfig:
+    kw = _read_block(doc, DPSGD, "trainer.dpsgd")
+    return _build("trainer.dpsgd", lambda: DpSgdConfig(**kw))
 
 
 def build_trainer(cfg: dict, schema: Schema):
@@ -142,40 +154,27 @@ def build_trainer(cfg: dict, schema: Schema):
     if doc is None:
         raise ConfigError("trainer: missing")
     kind = doc.get("kind") if isinstance(doc, dict) else None
-    if not isinstance(kind, str) or kind not in TRAINER_KEYS:
+    if not isinstance(kind, str) or kind not in TRAINER:
         raise ConfigError(f"trainer.kind: expected predictive/marginal/gan, got {kind!r}")
-    _check_keys(doc, TRAINER_KEYS[kind], "trainer")
-    if kind == "predictive":
-        dp = _dpsgd_config(doc.get("dpsgd", {}), "trainer.dpsgd")
-        return _build("trainer", lambda: PredictiveTrainer(
-            label_column=doc["label_column"],
-            config=dp,
-            model_kind=doc.get("model_kind", "logistic_regression"),
-            hidden_dim=doc.get("hidden_dim", 0),
-            init_scale=doc.get("init_scale", 0.1),
-            observability=doc.get("observability", "black_box"),
-        ))
+    kw = _read_block(doc, TRAINER[kind], "trainer")
+    del kw["kind"]
     if kind == "marginal":
-        spec = _build("trainer", lambda: MarginalSynthSpec(
-            noise_std=doc.get("noise_std", 0.0), bins=doc.get("bins", 10)))
-        return MarginalTrainer(spec, schema=schema)
-    dp = _dpsgd_config(doc.get("dpsgd", {}), "trainer.dpsgd")
-    spec = _build("trainer", lambda: gan_spec_for_schema(
-        schema,
-        latent_dim=doc.get("latent_dim", 4),
-        gen_hidden=doc.get("gen_hidden", 16),
-        disc_hidden=doc.get("disc_hidden", 16),
-        disc_config=dp,
-        gen_lr=doc.get("gen_lr", 0.05),
-        steps=doc.get("steps"),
-    ))
-    return GanTrainer(spec)
+        return MarginalTrainer(_build("trainer", lambda: MarginalSynthSpec(**kw)),
+                               schema=schema)
+    dp = _dpsgd_config(kw.pop("dpsgd", {}))
+    if kind == "predictive":
+        def predictive():
+            trainer = PredictiveTrainer(config=dp, **kw)
+            trainer.model_spec(schema, 0)  # rejects a label column the schema cannot serve
+            return trainer
+        return _build("trainer", predictive)
+    return GanTrainer(_build("trainer", lambda: gan_spec_for_schema(
+        schema, disc_config=dp, **kw)))
 
 
 def _threat_model(cfg: dict) -> ThreatModel:
-    doc = cfg.get("threat_model", {})
-    _check_keys(doc, THREAT_MODEL_KEYS, "threat_model")
-    return _build("threat_model", lambda: ThreatModel(**doc))
+    kw = _read_block(cfg.get("threat_model", {}), THREAT_MODEL, "threat_model")
+    return _build("threat_model", lambda: ThreatModel(**kw))
 
 
 def _delta(cfg: dict, n: int) -> float:
@@ -185,7 +184,7 @@ def _delta(cfg: dict, n: int) -> float:
         return 1.0 / n
     if not (0.0 < d < 1.0):
         raise ConfigError(f"delta: must be in (0, 1), got {d}")
-    return float(d)
+    return d
 
 
 def _out_dir(cfg: dict, args) -> Path:
@@ -236,9 +235,8 @@ def cmd_train(cfg: dict, args) -> int:
     trainer = build_trainer(cfg, ds.schema)
     out = _out_dir(cfg, args)
     delta = _delta(cfg, len(ds))
-    seed = int(cfg.get("master_seed", 0))
 
-    art = trainer.fit(ds, seed)
+    art = trainer.fit(ds, cfg["master_seed"])
     if trainer.kind == "predictive":
         save_params(out / "model.params", art.spec, art.params)
     else:
@@ -250,15 +248,14 @@ def cmd_train(cfg: dict, args) -> int:
 
 
 def cmd_synthesize(cfg: dict, args) -> int:
-    sdoc = cfg.get("synthesize", {})
-    _check_keys(sdoc, SYNTHESIZE_KEYS, "synthesize")
+    kw = _read_block(cfg.get("synthesize", {}), SYNTHESIZE, "synthesize")
     ds = _load_data(cfg)
     trainer = build_trainer(cfg, ds.schema)
     if trainer.kind != "generative":
         raise ConfigError("trainer.kind: synthesize requires marginal or gan")
     out = _out_dir(cfg, args)
-    seed = int(cfg.get("master_seed", 0))
-    n = int(sdoc.get("n_samples", len(ds)))
+    seed = cfg["master_seed"]
+    n = kw.get("n_samples", len(ds))
 
     art = trainer.fit(ds, seed)
     syn = sample(art, n, seed)
@@ -291,6 +288,10 @@ ATTACK_FNS = {
 def _check_attack_compat(names, trainer, tm: ThreatModel) -> None:
     """Reject incompatible attack/trainer/threat-model combinations before
     any training starts."""
+    if not names:
+        raise ConfigError("attack.attacks: missing or empty")
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ConfigError(f"attack.attacks: must be a list of attack names, got {names!r}")
     for name in names:
         if name not in ATTACK_FNS:
             raise ConfigError(f"attack.attacks: unknown attack {name!r}")
@@ -311,7 +312,7 @@ def _pick_target(cfg: dict, ds: Dataset):
     is removed from the pool; an explicit record must be absent from the data
     already."""
     doc = cfg.get("attack", {}).get("target", {})
-    seed = int(cfg.get("master_seed", 0))
+    seed = cfg["master_seed"]
     if "record" in doc:
         return _record_from_json(ds.schema, doc["record"], "attack.target.record"), ds
     strategy = doc.get("strategy", "marginal_outlier")
@@ -321,19 +322,14 @@ def _pick_target(cfg: dict, ds: Dataset):
 
 
 def cmd_attack(cfg: dict, args) -> int:
-    adoc = cfg.get("attack", {})
-    _check_keys(adoc, ATTACK_KEYS, "attack")
-    _check_keys(adoc.get("target", {}), TARGET_KEYS, "attack.target")
+    kw = _read_block(cfg.get("attack", {}), ATTACK, "attack")
+    _read_block(kw.get("target", {}), TARGET, "attack.target")
     ds = _load_data(cfg)
     trainer = build_trainer(cfg, ds.schema)
     tm = _threat_model(cfg)
-    names = adoc.get("attacks")
-    if not names:
-        raise ConfigError("attack.attacks: missing or empty")
+    names = kw.get("attacks")
     _check_attack_compat(names, trainer, tm)
-
-    t_runs = int(adoc.get("t_runs", 64))
-    seed = int(cfg.get("master_seed", 0))
+    t_runs = kw.get("t_runs", 64)
 
     if args.dry_run:
         est = audit_mod.estimate_mia_cost(
@@ -346,16 +342,14 @@ def cmd_attack(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
     target, pool = _pick_target(cfg, ds)
     delta = _delta(cfg, len(ds))
-    confidence = float(cfg.get("confidence", 0.95))
-    coll = run_shadow_experiment(target, pool, trainer, tm, t_runs, seed)
+    coll = run_shadow_experiment(target, pool, trainer, tm, t_runs, cfg["master_seed"])
     bundles = {}
     for name in names:
         mode = ATTACK_FEATURES[name]
         if mode not in bundles:
-            qc = {"n_samples": int(adoc.get("n_samples", 100))}
-            bundles[mode] = query_features(coll, mode, qc)
+            bundles[mode] = query_features(coll, mode, _given(kw, "n_samples"))
         scored = ATTACK_FNS[name](bundles[mode])
-        report = attacks_mod.evaluate(scored, delta, confidence)
+        report = attacks_mod.evaluate(scored, delta, **_given(cfg, "confidence"))
         attacks_mod.save_report(out / f"attack_{name}.json", report)
         attacks_mod.save_roc_csv(out / f"attack_{name}_roc.csv", report)
         print(f"{name}: auc={report.auc:.3f} -> {out / f'attack_{name}.json'}")
@@ -366,12 +360,11 @@ def cmd_attack(cfg: dict, args) -> int:
 def cmd_audit(cfg: dict, args) -> int:
     adoc = cfg.get("audit", {})
     mode = adoc.get("mode", "end_to_end") if isinstance(adoc, dict) else None
-    if not isinstance(mode, str) or mode not in AUDIT_KEYS:
+    if not isinstance(mode, str) or mode not in AUDIT:
         raise ConfigError(f"audit.mode: expected step_mechanism or end_to_end, got {mode!r}")
-    _check_keys(adoc, AUDIT_KEYS[mode], "audit")
-    seed = int(cfg.get("master_seed", 0))
-    confidence = float(cfg.get("confidence", 0.95))
-    slack = float(adoc.get("slack", 0.0))
+    kw = _read_block(adoc, AUDIT[mode], "audit")
+    kw.pop("mode", None)
+    kw.update(_given(cfg, "confidence"), master_seed=cfg["master_seed"])
 
     if mode == "step_mechanism":
         # dataset-free: audits the configured update mechanism directly
@@ -381,35 +374,23 @@ def cmd_audit(cfg: dict, args) -> int:
         doc = tdoc.get("dpsgd")
         if doc is None:
             raise ConfigError("trainer.dpsgd: missing (required for step audit)")
-        dp = _dpsgd_config(doc, "trainer.dpsgd")
-        verdict = _build("audit", lambda: audit_mod.audit_step_mechanism(
-            dp,
-            trials=int(adoc.get("trials", 1000)),
-            delta=float(adoc.get("audit_delta", 0.1)),
-            confidence=confidence,
-            master_seed=seed,
-            slack=slack,
-        ))
+        dp = _dpsgd_config(doc)
+        if "audit_delta" in kw:
+            kw["delta"] = kw.pop("audit_delta")
+        verdict = _build("audit", lambda: audit_mod.audit_step_mechanism(dp, **kw))
         out = _out_dir(cfg, args)
     else:
         ds = _load_data(cfg)
         trainer = build_trainer(cfg, ds.schema)
         out = _out_dir(cfg, args)
-        if "canary" in adoc:
+        if "canary" in kw:
             canary = audit_mod.CanarySpec(
                 kind="record_canary",
-                record=_record_from_json(ds.schema, adoc["canary"],
-                                         "audit.canary"))
+                record=_record_from_json(ds.schema, kw.pop("canary"), "audit.canary"))
         else:
             canary = audit_mod.default_record_canary(ds.schema, ds)
         verdict = _build("audit", lambda: audit_mod.audit_end_to_end(
-            trainer, ds, canary,
-            t_runs=int(adoc.get("t_runs", 100)),
-            delta=cfg.get("delta"),
-            confidence=confidence,
-            master_seed=seed,
-            slack=slack,
-        ))
+            trainer, ds, canary, **_given(cfg, "delta"), **kw))
 
     audit_mod.save_verdict(out / "audit.json", verdict)
     _write_sidecar(out, "audit")
@@ -528,7 +509,7 @@ def main(argv=None) -> int:
         if args.command != "report" and cfg is None:
             raise ConfigError("config: missing")
         if cfg is not None:
-            _check_keys(cfg, TOP_KEYS, "config")
+            cfg = {"master_seed": 0, **_read_block(cfg, CONFIG, "config")}
         if args.workers < 1:
             raise ConfigError("workers: must be >= 1")
         return COMMANDS[args.command](cfg, args)

@@ -19,6 +19,7 @@ __all__ = [
     "GdpParam",
     "ConfidenceInterval",
     "UNBOUNDED",
+    "confidence_level",
     "error_rates",
     "effective_epsilon_point",
     "accuracy_bound",
@@ -107,8 +108,15 @@ class ConfidenceInterval:
     def __post_init__(self):
         if not (0.0 <= self.lo <= self.hi <= 1.0):
             raise ValueError(f"need 0 <= lo <= hi <= 1, got [{self.lo}, {self.hi}]")
-        if not (0.0 < self.confidence < 1.0):
-            raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
+        confidence_level(self.confidence)
+
+
+def confidence_level(value) -> float:
+    """value as a confidence level: a float strictly between 0 and 1."""
+    confidence = float(value)
+    if not (0.0 < confidence < 1.0):
+        raise ValueError(f"confidence must be in (0, 1), got {value}")
+    return confidence
 
 
 def error_rates(c: ConfusionCounts) -> ErrorRates:
@@ -166,8 +174,7 @@ def clopper_pearson(successes: int, trials: int, confidence: float) -> Confidenc
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not (0 <= successes <= trials):
         raise ValueError(f"need 0 <= successes <= trials, got {successes}/{trials}")
-    if not (0.0 < confidence < 1.0):
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    confidence_level(confidence)
     half = (1.0 - confidence) / 2.0
     lo = 0.0 if successes == 0 else float(_beta.ppf(half, successes, trials - successes + 1))
     hi = 1.0 if successes == trials else float(_beta.ppf(1.0 - half, successes + 1, trials - successes))
@@ -197,8 +204,7 @@ def effective_epsilon_lower_bound(
     then plugs the upper limits into the point formula. Conservative by
     construction: never exceeds the point estimate.
     """
-    if not (0.0 < confidence < 1.0):
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    confidence_level(confidence)
     # Trigger the degenerate-counts check up front.
     error_rates(c)
     budget = (1.0 - confidence) / 2.0

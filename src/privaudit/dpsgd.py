@@ -9,7 +9,6 @@ audit module uses them as positive controls.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -37,8 +36,6 @@ __all__ = [
     "claimed_privacy",
     "features_and_labels",
     "PredictiveTrainer",
-    "save_trace",
-    "load_trace",
 ]
 
 # stream tags for the counter-based Philox noise/sampling streams
@@ -233,6 +230,11 @@ def noisy_batch_update(
     return new_params, trace
 
 
+def _check_observability(observability: str) -> None:
+    if observability not in ("black_box", "white_box"):
+        raise ValueError(f"unknown observability {observability!r}")
+
+
 def train(
     spec: ModelSpec,
     x: np.ndarray,
@@ -247,8 +249,7 @@ def train(
     Seed-deterministic end to end: the Poisson batch draws and the noise come
     from counter-based streams keyed by (config.seed, step).
     """
-    if observability not in ("black_box", "white_box"):
-        raise ValueError(f"unknown observability {observability!r}")
+    _check_observability(observability)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=int)
     n = x.shape[0]
@@ -328,6 +329,9 @@ class PredictiveTrainer:
 
     kind = "predictive"
 
+    def __post_init__(self):
+        _check_observability(self.observability)
+
     def model_spec(self, schema: Schema, seed: int) -> ModelSpec:
         col = schema.column(self.label_column)
         if not isinstance(col, CategoricalColumn):
@@ -365,42 +369,3 @@ class PredictiveTrainer:
         one = Dataset.from_rows(artifact.meta["schema"], [record])
         x, y = features_and_labels(one, self.label_column)
         return models.per_example_loss(artifact.spec, artifact.params, x[0], int(y[0]))
-
-
-# ---------------------------------------------------------------------------
-# trace serialization: JSON index header line, then per-step little-endian
-# float64 arrays [grad_sum, noise, params_after]
-
-def save_trace(path, trace: TrainingTrace) -> None:
-    n_steps = len(trace.steps)
-    dim = trace.steps[0].grad_sum.size if n_steps else 0
-    header = {
-        "steps": n_steps,
-        "n_params": dim,
-        "arrays": ["grad_sum", "noise", "params_after"],
-        "indices": [st.indices.tolist() for st in trace.steps],
-        "max_sample_norms": [st.max_sample_norm for st in trace.steps],
-    }
-    with open(path, "wb") as f:
-        f.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        for st in trace.steps:
-            for arr in (st.grad_sum, st.noise, st.params_after):
-                f.write(np.asarray(arr, dtype="<f8").tobytes())
-
-
-def load_trace(path) -> TrainingTrace:
-    with open(path, "rb") as f:
-        header = json.loads(f.readline().decode("utf-8"))
-        dim = header["n_params"]
-        steps = []
-        for t in range(header["steps"]):
-            arrs = [np.frombuffer(f.read(8 * dim), dtype="<f8").astype(np.float64)
-                    for _ in range(3)]
-            steps.append(StepTrace(
-                indices=np.array(header["indices"][t], dtype=np.int64),
-                grad_sum=arrs[0],
-                noise=arrs[1],
-                params_after=arrs[2],
-                max_sample_norm=header["max_sample_norms"][t],
-            ))
-    return TrainingTrace(tuple(steps))

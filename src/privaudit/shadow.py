@@ -9,7 +9,6 @@ index and each run depends only on the master seed and its index.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,8 @@ __all__ = [
     "run_shadow_experiment",
     "query_features",
     "dataset_fingerprint",
-    "save_collection",
+    "shadow_run_count",
+    "query_sample_count",
 ]
 
 BLACK_BOX = "black_box_query"
@@ -90,6 +90,23 @@ def dataset_fingerprint(ds: Dataset) -> str:
     return hashlib.sha256(np.sort(row_keys(ds)).tobytes()).hexdigest()
 
 
+def shadow_run_count(value) -> int:
+    """value as a number of shadow runs: an int of at least 2."""
+    t_runs = int(value)
+    if t_runs < 2:
+        raise ValueError(f"need at least 2 shadow runs, got {value}")
+    return t_runs
+
+
+def query_sample_count(value) -> int:
+    """value as the rows of one synth_dataset query: an int of at least 1,
+    since a query of no rows leaves the attack nothing to score."""
+    n = int(value)
+    if n < 1:
+        raise ValueError(f"n_samples must be >= 1, got {value}")
+    return n
+
+
 def _stratified_bits(n: int, seed: int) -> np.ndarray:
     """Exactly floor(n/2) ones, shuffled deterministically.
 
@@ -119,8 +136,7 @@ def run_shadow_experiment(
     (resampled_dataset); the target is appended iff b_t = 1; training uses s_t.
     ``workers`` is accepted and has no effect: runs execute serially.
     """
-    if t_runs < 2:
-        raise ValueError("need at least 2 shadow runs")
+    shadow_run_count(t_runs)
     target = pool.schema.validate_record(target)
     if pool.matches(target).any():
         raise ValueError("target record must not be present in the pool")
@@ -178,7 +194,7 @@ def query_features(collection: ShadowCollection, mode: str, query_config: dict |
     elif mode == "synth_dataset":
         if getattr(trainer, "kind", None) != "generative":
             raise ValueError("synth_dataset requires a generative trainer")
-        n = int(qc.get("n_samples", 100))
+        n = query_sample_count(qc.get("n_samples", 100))
         feats = tuple(
             sample(r.artifact, n, derive_seed(collection.master_seed, "query", r.index))
             for r in collection.runs
@@ -202,43 +218,3 @@ def query_features(collection: ShadowCollection, mode: str, query_config: dict |
         schema=schema,
         threat_model=collection.threat_model,
     )
-
-
-# ---------------------------------------------------------------------------
-# persistence: manifest + per-run artifact files
-
-def save_collection(dirpath, collection: ShadowCollection) -> None:
-    from pathlib import Path
-
-    from .dpsgd import TrainedArtifact, save_trace
-    from .models import save_params
-    from .synthesizers import GenerativeArtifact, save_artifact
-
-    d = Path(dirpath)
-    d.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "schema_version": 1,
-        "master_seed": collection.master_seed,
-        "threat_model": {
-            "model_access": collection.threat_model.model_access,
-            "data_knowledge": collection.threat_model.data_knowledge,
-            "architecture_known": collection.threat_model.architecture_known,
-        },
-        "target": list(collection.target),
-        "runs": [],
-    }
-    for r in collection.runs:
-        entry = {"index": r.index, "bit": r.bit, "seed": r.seed,
-                 "fingerprint": r.fingerprint}
-        art = r.artifact
-        if isinstance(art, TrainedArtifact):
-            entry["artifact"] = f"run_{r.index:05d}.params"
-            save_params(d / entry["artifact"], art.spec, art.params)
-            if art.trace is not None:
-                entry["trace"] = f"run_{r.index:05d}.trace"
-                save_trace(d / entry["trace"], art.trace)
-        elif isinstance(art, GenerativeArtifact):
-            entry["artifact"] = f"run_{r.index:05d}.gen"
-            save_artifact(d / entry["artifact"], art)
-        manifest["runs"].append(entry)
-    (d / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))

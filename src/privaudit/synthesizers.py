@@ -38,6 +38,7 @@ __all__ = [
     "fit_marginal",
     "fit_gan",
     "sample",
+    "sample_count",
     "disc_loss",
     "gan_spec_for_schema",
     "calibrate_marginal_noise",
@@ -280,10 +281,17 @@ def _sample_gan(art: GenerativeArtifact, n: int, rng: np.random.Generator) -> Da
     return decode(EncodedMatrix(np.clip(out, 0.0, 1.0), art.schema), "synthetic:gan")
 
 
+def sample_count(value) -> int:
+    """value as a number of synthetic rows to draw: an int >= 0."""
+    n = int(value)
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {value}")
+    return n
+
+
 def sample(artifact: GenerativeArtifact, n: int, seed: int) -> Dataset:
     """Draw n schema-valid synthetic records, deterministic given seed."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    sample_count(n)
     rng = np.random.default_rng(seed)
     if artifact.kind == "marginal":
         return _sample_marginal(artifact, n, rng)

@@ -343,6 +343,38 @@ def test_non_object_config_block_exits_3(workspace, capsys, command, over, messa
     assert not (workspace / "results").exists()
 
 
+@pytest.mark.parametrize("command, section, key, value, message", [
+    ("audit", "config", "master_seed", "x", "config.master_seed: invalid literal"),
+    ("attack", "config", "confidence", "x", "config.confidence: could not convert"),
+    ("attack", "attack", "t_runs", "x", "attack.t_runs: invalid literal"),
+    ("attack", "attack", "n_samples", "x", "attack.n_samples: invalid literal"),
+    ("audit", "audit", "trials", "x", "audit.trials: invalid literal"),
+    ("audit", "audit", "audit_delta", "x", "audit.audit_delta: could not convert"),
+    ("audit", "audit", "slack", "x", "audit.slack: could not convert"),
+    ("synthesize", "synthesize", "n_samples", "x", "synthesize.n_samples: invalid literal"),
+    ("attack", "attack", "attacks", 5, "attack.attacks: must be a list of attack names"),
+    ("attack", "attack", "attacks", "lira", "attack.attacks: must be a list of attack names"),
+    ("train", "config", "delta", "x", "config.delta: could not convert"),
+    ("attack", "config", "confidence", 1.5, "config.confidence: confidence must be in (0, 1)"),
+    ("attack", "attack", "t_runs", 1, "attack.t_runs: need at least 2 shadow runs"),
+    ("attack", "attack", "n_samples", 0, "attack.n_samples: n_samples must be >= 1"),
+    ("attack", "attack", "n_samples", -1, "attack.n_samples: n_samples must be >= 1"),
+    ("synthesize", "synthesize", "n_samples", -1, "synthesize.n_samples: n must be >= 0"),
+    ("train", "trainer", "observability", "grey", "trainer: unknown observability 'grey'"),
+    ("train", "trainer", "label_column", "x", "trainer: label column 'x' must be categorical"),
+])
+def test_bad_config_value_exits_3(workspace, capsys, command, section, key, value, message):
+    cfg = base_config(workspace, synthesize={})
+    cfg["audit"] = {"mode": "step_mechanism", "trials": 200}
+    cfg["attack"] = {"attacks": ["lira"], "t_runs": 8}
+    if command == "synthesize":
+        cfg["trainer"] = {"kind": "marginal", "noise_std": 1.0}
+    (cfg if section == "config" else cfg[section])[key] = value
+    assert main([command, "--config", write_config(workspace, cfg)]) == 3
+    assert message in capsys.readouterr().err
+    assert not (workspace / "results").exists()
+
+
 def test_unknown_key_in_generative_trainer_exits_3(workspace, capsys):
     for trainer in ({"kind": "marginal", "noise_sd": 1.0},
                     {"kind": "gan", "dpsgd": DPSGD_ALL_KEYS, "hidden_dim": 4}):

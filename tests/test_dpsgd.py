@@ -14,9 +14,7 @@ from privaudit.dpsgd import (
     claimed_privacy,
     clip_per_sample,
     features_and_labels,
-    load_trace,
     noisy_batch_update,
-    save_trace,
     train,
 )
 from privaudit.models import LOGISTIC, ModelSpec, init_params
@@ -283,21 +281,3 @@ def test_predictive_trainer_fit_and_loss(labeled_ds):
     art2 = trainer.fit(labeled_ds, seed=42)
     assert np.array_equal(art.params, art2.params)
 
-
-# ---------------------------------------------------------------------------
-# trace serialization
-
-def test_trace_roundtrip(tmp_path, toy_xy):
-    x, y = toy_xy
-    spec = ModelSpec(LOGISTIC, input_dim=3, num_classes=2, seed=4)
-    art = train(spec, x, y, cfg(steps=3), observability="white_box")
-    p = tmp_path / "trace.bin"
-    save_trace(p, art.trace)
-    back = load_trace(p)
-    assert len(back.steps) == 3
-    for a, b in zip(art.trace.steps, back.steps):
-        assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.grad_sum, b.grad_sum)
-        assert np.array_equal(a.noise, b.noise)
-        assert np.array_equal(a.params_after, b.params_after)
-        assert a.max_sample_norm == b.max_sample_norm

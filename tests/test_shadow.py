@@ -1,4 +1,3 @@
-import json
 import threading
 
 import numpy as np
@@ -6,7 +5,6 @@ import pytest
 
 from privaudit.data import CategoricalColumn, Dataset, NumericColumn, Schema
 from privaudit.dpsgd import DpSgdConfig, PredictiveTrainer
-from privaudit.models import load_params
 from privaudit.shadow import (
     FIXED_DATASET,
     RESAMPLED_DATASET,
@@ -16,7 +14,6 @@ from privaudit.shadow import (
     dataset_fingerprint,
     query_features,
     run_shadow_experiment,
-    save_collection,
 )
 from privaudit.synthesizers import MarginalSynthSpec, MarginalTrainer
 
@@ -173,15 +170,3 @@ def test_unknown_mode(pool, target, trainer):
     with pytest.raises(ValueError, match="mode"):
         query_features(coll, "telepathy")
 
-
-def test_save_collection(pool, target, trainer, tmp_path):
-    coll = run_shadow_experiment(target, pool, trainer, ThreatModel(), 4, 11)
-    save_collection(tmp_path / "shadows", coll)
-    doc = json.loads((tmp_path / "shadows" / "manifest.json").read_text())
-    assert doc["schema_version"] == 1
-    assert doc["master_seed"] == 11
-    assert len(doc["runs"]) == 4
-    for entry, run in zip(doc["runs"], coll.runs):
-        assert entry["bit"] == run.bit
-        spec, params = load_params(tmp_path / "shadows" / entry["artifact"])
-        assert np.array_equal(params, run.artifact.params)
