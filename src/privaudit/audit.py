@@ -47,6 +47,7 @@ __all__ = [
     "default_record_canary",
     "audit_step_mechanism",
     "audit_end_to_end",
+    "audit_run_count",
     "estimate_mia_cost",
     "verdict_to_json_dict",
     "save_verdict",
@@ -264,6 +265,14 @@ def _generative_scores(fb) -> ScoredRuns:
     )
 
 
+def audit_run_count(value) -> int:
+    """value as the shadow runs of an end-to-end audit: an int of at least 20."""
+    t_runs = int(value)
+    if t_runs < 20:
+        raise ValueError(f"t_runs must be >= 20, got {value}")
+    return t_runs
+
+
 def audit_end_to_end(
     trainer,
     pool: Dataset,
@@ -283,8 +292,7 @@ def audit_end_to_end(
     operating point, and is compared against the trainer's claimed epsilon.
     ``workers`` is accepted and has no effect: shadow runs are serial.
     """
-    if t_runs < 20:
-        raise ValueError("t_runs must be >= 20")
+    audit_run_count(t_runs)
     if canary.kind != RECORD_CANARY:
         raise ValueError("audit_end_to_end requires a record canary")
     n = len(pool) + 1

@@ -102,12 +102,20 @@ def _as_is(value):
     return value
 
 
+def _delta_value(value) -> float:
+    """value as a privacy delta: a float strictly between 0 and 1."""
+    delta = float(value)
+    if not (0.0 < delta < 1.0):
+        raise ValueError(f"delta must be in (0, 1), got {value}")
+    return delta
+
+
 # One table per config block: every accepted key and the conversion applied to
 # its value. A key's default lives only in the signature of the function the
 # block configures, so a block passes on just the keys it was given.
 CONFIG = {**dict.fromkeys(("schema_version", "schema", "dataset", "out", "trainer",
                            "threat_model", "attack", "audit", "synthesize"), _as_is),
-          "master_seed": int, "delta": float, "confidence": confidence_level}
+          "master_seed": int, "delta": _delta_value, "confidence": confidence_level}
 ATTACK = {"attacks": _as_is, "t_runs": shadow_run_count,
           "n_samples": query_sample_count, "target": _as_is}
 TARGET = dict.fromkeys(("strategy", "record"), _as_is)
@@ -125,7 +133,8 @@ TRAINER = {
 }
 AUDIT = {
     "step_mechanism": {"mode": _as_is, "trials": int, "audit_delta": float, "slack": float},
-    "end_to_end": {"mode": _as_is, "t_runs": int, "canary": _as_is, "slack": float},
+    "end_to_end": {"mode": _as_is, "t_runs": audit_mod.audit_run_count, "canary": _as_is,
+                   "slack": float},
 }
 
 
@@ -179,12 +188,7 @@ def _threat_model(cfg: dict) -> ThreatModel:
 
 def _delta(cfg: dict, n: int) -> float:
     # convention: delta defaults to 1/N
-    d = cfg.get("delta")
-    if d is None:
-        return 1.0 / n
-    if not (0.0 < d < 1.0):
-        raise ConfigError(f"delta: must be in (0, 1), got {d}")
-    return d
+    return cfg.get("delta", 1.0 / n)
 
 
 def _out_dir(cfg: dict, args) -> Path:
@@ -308,16 +312,17 @@ def _check_attack_compat(names, trainer, tm: ThreatModel) -> None:
 
 
 def _pick_target(cfg: dict, ds: Dataset):
-    """Return (target record, pool). Every copy of a selected in-data target
-    is removed from the pool; an explicit record must be absent from the data
-    already."""
+    """Return (target record, pool). The target is an explicit record or one
+    picked from the data by a strategy; either way every copy of it is
+    removed from the pool."""
     doc = cfg.get("attack", {}).get("target", {})
     seed = cfg["master_seed"]
     if "record" in doc:
-        return _record_from_json(ds.schema, doc["record"], "attack.target.record"), ds
-    strategy = doc.get("strategy", "marginal_outlier")
-    target = _build("attack.target.strategy",
-                    lambda: select_targets(ds, strategy, 1, seed)[0])
+        target = _record_from_json(ds.schema, doc["record"], "attack.target.record")
+    else:
+        strategy = doc.get("strategy", "marginal_outlier")
+        target = _build("attack.target.strategy",
+                        lambda: select_targets(ds, strategy, 1, seed)[0])
     return target, ds.take(np.flatnonzero(~ds.matches(target)))
 
 
@@ -382,13 +387,13 @@ def cmd_audit(cfg: dict, args) -> int:
     else:
         ds = _load_data(cfg)
         trainer = build_trainer(cfg, ds.schema)
-        out = _out_dir(cfg, args)
         if "canary" in kw:
             canary = audit_mod.CanarySpec(
                 kind="record_canary",
                 record=_record_from_json(ds.schema, kw.pop("canary"), "audit.canary"))
         else:
             canary = audit_mod.default_record_canary(ds.schema, ds)
+        out = _out_dir(cfg, args)
         verdict = _build("audit", lambda: audit_mod.audit_end_to_end(
             trainer, ds, canary, **_given(cfg, "delta"), **kw))
 

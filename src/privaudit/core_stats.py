@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.stats import beta as _beta
+from scipy.special import betaincinv
 
 __all__ = [
     "PrivacyParams",
@@ -176,8 +176,8 @@ def clopper_pearson(successes: int, trials: int, confidence: float) -> Confidenc
         raise ValueError(f"need 0 <= successes <= trials, got {successes}/{trials}")
     confidence_level(confidence)
     half = (1.0 - confidence) / 2.0
-    lo = 0.0 if successes == 0 else float(_beta.ppf(half, successes, trials - successes + 1))
-    hi = 1.0 if successes == trials else float(_beta.ppf(1.0 - half, successes + 1, trials - successes))
+    lo = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, half))
+    hi = 1.0 if successes == trials else float(betaincinv(successes + 1, trials - successes, 1.0 - half))
     return ConfidenceInterval(lo=lo, hi=hi, confidence=confidence)
 
 
@@ -191,7 +191,7 @@ def clopper_pearson_upper(successes: int, trials: int, error_budget: float) -> f
         raise ValueError(f"error_budget must be in (0, 1), got {error_budget}")
     if successes == trials:
         return 1.0
-    return float(_beta.ppf(1.0 - error_budget, successes + 1, trials - successes))
+    return float(betaincinv(successes + 1, trials - successes, 1.0 - error_budget))
 
 
 def effective_epsilon_lower_bound(

@@ -9,6 +9,7 @@ audit module uses them as positive controls.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -33,6 +34,7 @@ __all__ = [
     "noisy_aggregate",
     "noisy_batch_update",
     "train",
+    "train_lockstep",
     "claimed_privacy",
     "features_and_labels",
     "PredictiveTrainer",
@@ -102,9 +104,38 @@ class TrainedArtifact:
     meta: dict = field(default_factory=dict)
 
 
+class _Philox(threading.local):
+    """One Philox generator per thread, with a state template to re-seat it."""
+
+    def __init__(self):
+        self.bits = np.random.Philox(0)
+        self.gen = np.random.Generator(self.bits)
+        self.counter = np.zeros(4, dtype=np.uint64)
+        self.key = np.zeros(2, dtype=np.uint64)
+        self.state = {"bit_generator": "Philox",
+                      "state": {"counter": self.counter, "key": self.key},
+                      "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                      "has_uint32": 0, "uinteger": 0}
+
+
+_philox = _Philox()
+
+
 def _stream(seed: int, tag: int, counter: int) -> np.random.Generator:
-    key = np.array([seed % 2**64, tag], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    """The counter-based Philox stream keyed (seed, tag), at the counter.
+
+    Its draws equal those of a fresh ``Philox(key=[seed, tag], counter=counter)``:
+    the thread's one bit generator is re-seated to that state, with an empty
+    buffer, which costs a fraction of building one. The generator is shared,
+    so draw from it before the next _stream call and never hold it across
+    another stream's draw.
+    """
+    p = _philox
+    p.counter[0] = counter
+    p.key[0] = seed % 2**64
+    p.key[1] = tag
+    p.bits.state = p.state
+    return p.gen
 
 
 def clip_per_sample(grad: np.ndarray, clip_norm: float) -> np.ndarray:
@@ -117,37 +148,62 @@ def clip_per_sample(grad: np.ndarray, clip_norm: float) -> np.ndarray:
     return np.asarray(grad, dtype=np.float64) * (clip_norm / norm)
 
 
-def _clip_rows(grads: np.ndarray, clip_norm: float) -> np.ndarray:
-    norms = np.linalg.norm(grads, axis=1)
-    factors = np.minimum(1.0, clip_norm / np.maximum(norms, 1e-300))
-    return grads * factors[:, None]
+def _row_norms(rows: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
+    """np.linalg.norm(rows, axis=-1), the same reduction bit for bit, with
+    the squares written into the given buffer when there is one."""
+    return np.sqrt(np.add.reduce(np.multiply(rows, rows, out=squares), axis=-1))
 
 
-def clip_and_sum(raw: np.ndarray, config: DpSgdConfig) -> tuple[np.ndarray, float]:
+def _weighted_row_sum(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(rows * weights[..., None]).sum(axis=-2), bit for bit, without the
+    product array. For each column einsum adds the weighted rows in row
+    order, as that sum does; over a single column it would take a SIMD dot
+    product instead, so that case keeps the sum."""
+    if rows.shape[-1] < 2:
+        return (rows * weights[..., None]).sum(axis=-2)
+    return np.einsum("...bp,...b->...p", rows, weights)
+
+
+def clip_and_sum(raw: np.ndarray, config: DpSgdConfig, max_norm: bool = True):
     """The deterministic half of a DP-SGD aggregation.
 
     Sums the per-sample clipped gradients and returns (grad_sum,
     max_sample_norm). NO_PER_SAMPLE_CLIPPING clips the sum instead, so one
-    oversized sample can move it arbitrarily far.
+    oversized sample can move it arbitrarily far. With max_norm False the
+    pass over the clipped rows' norms is skipped and max_sample_norm is None.
+
+    raw may carry a leading run axis, shape (K, B, dim), with zero rows after
+    each run's batch; a zero row adds nothing to a sum or a maximum norm, so
+    grad_sum is (K, dim) and max_sample_norm (K,), each run's row as the
+    unbatched call on its own rows gives it.
     """
     raw = np.asarray(raw, dtype=np.float64)
     c = config.clip_norm
     if config.bug_mode == BugMode.NO_PER_SAMPLE_CLIPPING:
-        grad_sum = clip_per_sample(raw.sum(axis=0), c)
-        max_sample_norm = float(np.linalg.norm(raw, axis=1).max()) if len(raw) else 0.0
+        sums = raw.sum(axis=-2)
+        grad_sum = np.reshape([clip_per_sample(g, c) for g in sums.reshape(-1, sums.shape[-1])],
+                              sums.shape)
+        norms = _row_norms(raw) if max_norm else None
     else:
-        clipped = _clip_rows(raw, c)
-        grad_sum = clipped.sum(axis=0)
-        max_sample_norm = float(np.linalg.norm(clipped, axis=1).max()) if len(clipped) else 0.0
-    return grad_sum, max_sample_norm
+        buffer = np.empty_like(raw)  # the squares, then the clipped rows and theirs
+        factors = np.minimum(1.0, c / np.maximum(_row_norms(raw, buffer), 1e-300))
+        grad_sum = _weighted_row_sum(raw, factors)
+        norms = None
+        if max_norm:
+            norms = _row_norms(np.multiply(raw, factors[..., None], out=buffer), buffer)
+    if norms is None:
+        return grad_sum, None
+    max_sample_norm = norms.max(axis=-1, initial=0.0)
+    return grad_sum, (float(max_sample_norm) if raw.ndim == 2 else max_sample_norm)
 
 
 def privatize(
     grad_sum: np.ndarray,
     n_realized,
     config: DpSgdConfig,
-    n_total: int,
+    n_total,
     step,
+    seed=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The randomized half of a DP-SGD aggregation: returns (update, noise).
 
@@ -156,23 +212,26 @@ def privatize(
     noise by the realized size instead would break the sensitivity argument,
     which is exactly what NOISE_NOT_SCALED_TO_BATCH simulates.
 
-    grad_sum may carry a leading trial axis, shape (K, dim), with n_realized
-    and step of shape (K,); row k then gets the noise the unbatched call
-    would draw at step[k], so each row is independent of K.
+    grad_sum may carry a leading axis, shape (K, dim), of audit trials or
+    lockstep runs; n_realized, n_total, step and seed (config.seed when None)
+    are then scalars or of shape (K,). Row k gets the noise the unbatched call
+    would draw with seed[k] at step[k], so each row is independent of K.
     """
     grad_sum = np.asarray(grad_sum, dtype=np.float64)
     std = config.noise_multiplier * config.clip_norm
     mode = config.bug_mode
 
     noise = np.zeros(grad_sum.shape)
-    rows = noise.reshape(-1, noise.shape[-1])  # a view: one row per trial
-    if mode == BugMode.STATIC_NOISE:
-        rows[:] = _stream(config.seed, _TAG_NOISE, 0).normal(0.0, std, size=rows.shape[1])
-    elif mode != BugMode.NO_NOISE:
-        for row, counter in zip(rows, np.ravel(step).tolist(), strict=True):
-            row[:] = _stream(config.seed, _TAG_NOISE, counter).normal(0.0, std, size=row.size)
+    rows = noise.reshape(-1, noise.shape[-1])  # a view: one row per trial or run
+    if mode != BugMode.NO_NOISE:
+        if mode == BugMode.STATIC_NOISE:
+            step = 0  # every step replays step 0's draw
+        seeds = [config.seed] * len(rows) if seed is None else [int(s) for s in seed]
+        counters = np.broadcast_to(step, len(rows)).tolist()
+        for row, s, counter in zip(rows, seeds, counters, strict=True):
+            row[:] = _stream(s, _TAG_NOISE, counter).normal(0.0, std, size=row.size)
 
-    expected_batch = config.sample_rate * n_total
+    expected_batch = np.expand_dims(config.sample_rate * np.asarray(n_total, dtype=np.float64), -1)
     if mode == BugMode.NOISE_NOT_SCALED_TO_BATCH:
         realized = np.maximum(n_realized, 1)
         update = grad_sum / expected_batch + noise / np.expand_dims(realized, -1)
@@ -183,21 +242,38 @@ def privatize(
 
 def noisy_aggregate(
     raw: np.ndarray,
-    n_realized: int,
+    n_realized,
     config: DpSgdConfig,
-    n_total: int,
-    step: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    n_total,
+    step,
+    seed=None,
+    max_norm: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | np.ndarray | None]:
     """The privatized aggregation at the heart of a DP-SGD step.
 
     Takes raw per-sample gradients and returns (update, grad_sum, noise,
-    max_sample_norm): clip_and_sum followed by privatize. The audit module
-    drives those two halves directly with adversarial gradients, so every bug
-    mode is exercised through the same code path the trainer uses.
+    max_sample_norm): clip_and_sum followed by privatize, each with an
+    optional leading run axis. The audit module drives those two halves
+    directly with adversarial gradients, so every bug mode is exercised
+    through the same code path the trainer uses.
     """
-    grad_sum, max_sample_norm = clip_and_sum(raw, config)
-    update, noise = privatize(grad_sum, n_realized, config, n_total, step)
+    grad_sum, max_sample_norm = clip_and_sum(raw, config, max_norm)
+    update, noise = privatize(grad_sum, n_realized, config, n_total, step, seed)
     return update, grad_sum, noise, max_sample_norm
+
+
+def _update(spec, params, x, y, sizes, config, n_total, step, seeds, max_norm=True):
+    """One DP-SGD step of K runs in lockstep: params (K, P), x (K, B, d) and
+    y (K, B), padded after each run's sizes[k] rows. Returns (new params,
+    grad_sum, noise, max_sample_norm), each with the run axis."""
+    if x.shape[1] > 0:
+        raw = models.batch_per_sample_gradients(spec, params, x, y, sizes)
+    else:
+        raw = np.zeros((len(params), 0, params.shape[-1]))
+    update, grad_sum, noise, max_sample_norm = noisy_aggregate(
+        raw, sizes, config, n_total, step, seeds, max_norm
+    )
+    return params - config.learning_rate * update, grad_sum, noise, max_sample_norm
 
 
 def noisy_batch_update(
@@ -211,28 +287,31 @@ def noisy_batch_update(
     step: int,
 ) -> tuple[np.ndarray, StepTrace]:
     """One DP-SGD step on an already-sampled batch."""
-    if len(indices) > 0:
-        raw = models.batch_per_sample_gradients(spec, params, batch_x, batch_y)
-    else:
-        raw = np.zeros((0, params.size))
-
-    update, grad_sum, noise, max_sample_norm = noisy_aggregate(
-        raw, len(indices), config, n_total, step
+    new_params, grad_sum, noise, max_sample_norm = _update(
+        spec, params[None], np.asarray(batch_x, dtype=np.float64)[None],
+        np.asarray(batch_y, dtype=int)[None], [len(indices)], config,
+        [n_total], step, [config.seed],
     )
-    new_params = params - config.learning_rate * update
     trace = StepTrace(
         indices=np.asarray(indices, dtype=np.int64),
-        grad_sum=grad_sum,
-        noise=noise,
-        params_after=new_params,
-        max_sample_norm=max_sample_norm,
+        grad_sum=grad_sum[0],
+        noise=noise[0],
+        params_after=new_params[0],
+        max_sample_norm=float(max_sample_norm[0]),
     )
-    return new_params, trace
+    return new_params[0], trace
 
 
 def _check_observability(observability: str) -> None:
     if observability not in ("black_box", "white_box"):
         raise ValueError(f"unknown observability {observability!r}")
+
+
+# Runs trained in lockstep share each step's zero-padded (runs, batch,
+# params) gradient block. One block takes as many runs as fit this many
+# expected sampled rows per step: larger blocks outgrow the caches, so the
+# memory-bound step gains nothing per run and peak memory grows with the runs.
+_BLOCK_ROWS = 384
 
 
 def train(
@@ -244,39 +323,83 @@ def train(
     delta: float | None = None,
     meta: dict | None = None,
 ) -> TrainedArtifact:
-    """Run T steps of DP-SGD over the encoded dataset (x, y).
+    """Run T steps of DP-SGD over the encoded dataset (x, y): the one-run
+    case of train_lockstep."""
+    return train_lockstep([spec], x, y, [np.arange(len(x))], [config],
+                          observability, delta, meta)[0]
 
-    Seed-deterministic end to end: the Poisson batch draws and the noise come
-    from counter-based streams keyed by (config.seed, step).
+
+def train_lockstep(
+    specs: list[ModelSpec],
+    x: np.ndarray,
+    y: np.ndarray,
+    run_rows: list[np.ndarray],
+    configs: list[DpSgdConfig],
+    observability: str = "black_box",
+    delta: float | None = None,
+    meta: dict | None = None,
+) -> list[TrainedArtifact]:
+    """Train run k on the rows run_rows[k] of (x, y) with specs[k] and
+    configs[k], the runs stepping together in blocks.
+
+    The specs and the configs may differ only in their seeds. Seed-
+    deterministic end to end: run k's Poisson batch draws and noise come from
+    counter-based streams keyed by (configs[k].seed, step), and its artifact
+    is bit for bit the one it gets when trained alone.
     """
     _check_observability(observability)
+    if (len({replace(s, seed=0) for s in specs}) > 1
+            or len({replace(c, seed=0) for c in configs}) > 1):
+        raise ValueError("lockstep runs may differ only in their seeds")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=int)
-    n = x.shape[0]
-    params = models.init_params(spec)
-    steps: list[StepTrace] = []
+    config = configs[0]
+    white_box = observability == "white_box"
+    largest = max(len(r) for r in run_rows) * config.sample_rate
+    block = max(1, int(_BLOCK_ROWS // max(largest, 1.0)))
+
+    out = []
+    for start in range(0, len(specs), block):
+        runs = slice(start, start + block)
+        params, traces = _train_block(specs[runs], x, y, run_rows[runs], configs[runs], white_box)
+        for k, (spec, rows, cfg) in enumerate(zip(specs[runs], run_rows[runs], configs[runs])):
+            privacy = None
+            if cfg.bug_mode == BugMode.NONE and cfg.noise_multiplier > 0 and delta is not None:
+                privacy = claimed_privacy(cfg, len(rows), delta)
+            out.append(TrainedArtifact(
+                kind="predictive",
+                spec=spec,
+                params=params[k].copy(),
+                trace=TrainingTrace(tuple(traces[k])) if white_box else None,
+                privacy=privacy,
+                meta=dict(meta or {}),
+            ))
+    return out
+
+
+def _train_block(specs, x, y, run_rows, configs, white_box):
+    """T lockstep steps of a block of runs: returns the (K, P) final params
+    and, with white_box, each run's step traces."""
+    config = configs[0]
+    seeds = [c.seed for c in configs]
+    n_total = [len(r) for r in run_rows]
+    params = np.stack([models.init_params(s) for s in specs])
+    traces = [[] for _ in specs]
     for step in range(config.steps):
-        srng = _stream(config.seed, _TAG_SAMPLE, step)
-        mask = srng.random(n) < config.sample_rate
-        idx = np.nonzero(mask)[0]
-        params, st = noisy_batch_update(
-            spec, params, x[idx], y[idx], idx, config, n, step
+        idx = [np.flatnonzero(_stream(s, _TAG_SAMPLE, step).random(n) < config.sample_rate)
+               for s, n in zip(seeds, n_total)]
+        sizes = [len(i) for i in idx]
+        rows = np.zeros((len(idx), max(sizes)), dtype=np.intp)
+        for k, (r, i) in enumerate(zip(run_rows, idx)):
+            rows[k, : len(i)] = r[i]
+        params, grad_sum, noise, max_norm = _update(
+            specs[0], params, x[rows], y[rows], sizes, config, n_total, step, seeds, white_box
         )
-        if observability == "white_box":
-            steps.append(st)
-
-    privacy = None
-    if config.bug_mode == BugMode.NONE and config.noise_multiplier > 0 and delta is not None:
-        privacy = claimed_privacy(config, n, delta)
-
-    return TrainedArtifact(
-        kind="predictive",
-        spec=spec,
-        params=params,
-        trace=TrainingTrace(tuple(steps)) if observability == "white_box" else None,
-        privacy=privacy,
-        meta=dict(meta or {}),
-    )
+        if white_box:
+            for k, t in enumerate(traces):
+                t.append(StepTrace(indices=idx[k], grad_sum=grad_sum[k], noise=noise[k],
+                                   params_after=params[k], max_sample_norm=float(max_norm[k])))
+    return params, traces
 
 
 def claimed_privacy(config: DpSgdConfig, n: int, delta: float) -> PrivacyParams:
@@ -349,16 +472,19 @@ class PredictiveTrainer:
         )
 
     def fit(self, ds: Dataset, seed: int) -> TrainedArtifact:
-        spec = self.model_spec(ds.schema, seed)
-        cfg = replace(self.config, seed=derive_seed(seed, "dpsgd"))
-        x, y = features_and_labels(ds, self.label_column)
-        art = train(
-            spec, x, y, cfg,
+        return self.fit_runs(ds, [np.arange(len(ds))], [seed])[0]
+
+    def fit_runs(self, data: Dataset, run_rows, seeds) -> list[TrainedArtifact]:
+        """One artifact per run, trained in lockstep from one encoding of
+        data: run k equals fit(data.take(run_rows[k]), seeds[k])."""
+        x, y = features_and_labels(data, self.label_column)
+        return train_lockstep(
+            [self.model_spec(data.schema, s) for s in seeds], x, y, list(run_rows),
+            [replace(self.config, seed=derive_seed(s, "dpsgd")) for s in seeds],
             observability=self.observability,
             delta=self.delta,
-            meta={"label_column": self.label_column, "schema": ds.schema},
+            meta={"label_column": self.label_column, "schema": data.schema},
         )
-        return art
 
     def claimed_epsilon(self, n: int, delta: float) -> float:
         """Accountant claim, computed as if any configured bug were absent."""

@@ -61,16 +61,18 @@ def n_params(spec: ModelSpec) -> int:
 
 
 def _unpack(spec: ModelSpec, params: np.ndarray):
+    """Weight views of a parameter vector, or of a (K, P) stack of them."""
     d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
+    lead = params.shape[:-1]
     if spec.kind == LOGISTIC:
-        w = params[: c * d].reshape(c, d)
-        b = params[c * d : c * d + c]
+        w = params[..., : c * d].reshape(lead + (c, d))
+        b = params[..., c * d : c * d + c]
         return w, b
     at = 0
-    w1 = params[at : at + h * d].reshape(h, d); at += h * d
-    b1 = params[at : at + h]; at += h
-    w2 = params[at : at + c * h].reshape(c, h); at += c * h
-    b2 = params[at : at + c]
+    w1 = params[..., at : at + h * d].reshape(lead + (h, d)); at += h * d
+    b1 = params[..., at : at + h]; at += h
+    w2 = params[..., at : at + c * h].reshape(lead + (c, h)); at += c * h
+    b2 = params[..., at : at + c]
     return w1, b1, w2, b2
 
 
@@ -84,19 +86,36 @@ def _check_input(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
-    if x.shape[1] != spec.input_dim:
-        raise ValueError(f"input width {x.shape[1]} != input_dim {spec.input_dim}")
+    if x.shape[-1] != spec.input_dim:
+        raise ValueError(f"input width {x.shape[-1]} != input_dim {spec.input_dim}")
     return x
 
 
-def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray):
+def _matmul(a: np.ndarray, b: np.ndarray, sizes) -> np.ndarray:
+    """a @ b; with a leading run axis, run k's product over its first sizes[k]
+    rows only, and zero rows after them.
+
+    BLAS rounds a row's dot products differently with the number of rows it
+    is handed (one row goes through gemv, and wide inner dimensions are
+    blocked by row count), so each run is multiplied over exactly the rows an
+    unbatched call would get, and its values do not depend on the block.
+    """
+    if sizes is None:
+        return a @ b
+    out = np.zeros(a.shape[:-1] + b.shape[-1:])
+    for k, m in enumerate(sizes):
+        np.matmul(a[k, :m], b[k], out=out[k, :m])
+    return out
+
+
+def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray, sizes=None):
     x = _check_input(spec, x)
     if spec.kind == LOGISTIC:
         w, b = _unpack(spec, params)
-        return x @ w.T + b, (x, None)
+        return _matmul(x, np.swapaxes(w, -1, -2), sizes) + b[..., None, :], (x, None)
     w1, b1, w2, b2 = _unpack(spec, params)
-    hidden = np.tanh(x @ w1.T + b1)
-    return hidden @ w2.T + b2, (x, hidden)
+    hidden = np.tanh(_matmul(x, np.swapaxes(w1, -1, -2), sizes) + b1[..., None, :])
+    return _matmul(hidden, np.swapaxes(w2, -1, -2), sizes) + b2[..., None, :], (x, hidden)
 
 
 def forward_logits(spec: ModelSpec, params: np.ndarray, x) -> np.ndarray:
@@ -106,9 +125,9 @@ def forward_logits(spec: ModelSpec, params: np.ndarray, x) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def predict(spec: ModelSpec, params: np.ndarray, x) -> np.ndarray:
@@ -131,33 +150,54 @@ def per_example_loss(spec: ModelSpec, params: np.ndarray, x, label: int) -> floa
     return float(batch_losses(spec, params, np.asarray(x)[None, :], [label])[0])
 
 
-def _backward(spec: ModelSpec, params: np.ndarray, cache, d_logits: np.ndarray):
-    """Per-sample parameter and input gradients given d(loss)/d(logits)."""
+def _outer(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """Per-row outer products of a and b, written into out's last axis."""
+    np.einsum("...i,...j->...ij", a, b, out=out.reshape(a.shape + b.shape[-1:]))
+
+
+def _backward(spec: ModelSpec, params: np.ndarray, cache, d_logits: np.ndarray, sizes=None):
+    """Per-sample parameter gradients given d(loss)/d(logits), and the
+    gradient at the first layer's output, which _input_gradients maps back
+    to the input."""
     x, hidden = cache
-    n = x.shape[0]
+    d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
+    grads = np.empty(x.shape[:-1] + (params.shape[-1],))
     if spec.kind == LOGISTIC:
-        w, _ = _unpack(spec, params)
-        gw = np.einsum("nc,nd->ncd", d_logits, x).reshape(n, -1)
-        grads = np.concatenate([gw, d_logits], axis=1)
-        d_input = d_logits @ w
-        return grads, d_input
-    w1, _, w2, _ = _unpack(spec, params)
-    d_hidden = d_logits @ w2
-    d_act = d_hidden * (1.0 - hidden * hidden)
-    gw1 = np.einsum("nh,nd->nhd", d_act, x).reshape(n, -1)
-    gw2 = np.einsum("nc,nh->nch", d_logits, hidden).reshape(n, -1)
-    grads = np.concatenate([gw1, d_act, gw2, d_logits], axis=1)
-    d_input = d_act @ w1
-    return grads, d_input
+        _outer(d_logits, x, grads[..., : c * d])
+        grads[..., c * d :] = d_logits
+        return grads, d_logits
+    _, _, w2, _ = _unpack(spec, params)
+    d_act = _matmul(d_logits, w2, sizes) * (1.0 - hidden * hidden)
+    at = h * d
+    _outer(d_act, x, grads[..., :at])
+    grads[..., at : at + h] = d_act
+    at += h
+    _outer(d_logits, hidden, grads[..., at : at + c * h])
+    grads[..., at + c * h :] = d_logits
+    return grads, d_act
 
 
-def batch_per_sample_gradients(spec: ModelSpec, params: np.ndarray, x, labels) -> np.ndarray:
-    """Exact gradients of each per-example loss, shape (n, n_params)."""
-    z, cache = _forward(spec, params, x)
+def _input_gradients(spec: ModelSpec, params: np.ndarray, d_first: np.ndarray) -> np.ndarray:
+    return d_first @ _unpack(spec, params)[0]
+
+
+def batch_per_sample_gradients(spec: ModelSpec, params: np.ndarray, x, labels,
+                               sizes=None) -> np.ndarray:
+    """Exact gradients of each per-example loss, shape (n, n_params).
+
+    With a leading run axis, params is (K, n_params), x is (K, B, input_dim),
+    labels is (K, B), and run k's batch is its first sizes[k] rows; the
+    result is (K, B, n_params) with zero rows after each run's batch. Every
+    run's rows equal, bit for bit, those of the unbatched call on its batch.
+    """
+    z, cache = _forward(spec, params, x, sizes)
     labels = np.asarray(labels, dtype=int)
     d_logits = _softmax(z)
-    d_logits[np.arange(z.shape[0]), labels] -= 1.0
-    grads, _ = _backward(spec, params, cache, d_logits)
+    d_logits[(*np.indices(labels.shape, sparse=True), labels)] -= 1.0
+    if sizes is not None:
+        # a padding row with no loss gradient has a zero parameter gradient
+        d_logits[np.arange(d_logits.shape[1]) >= np.asarray(sizes)[:, None]] = 0.0
+    grads, _ = _backward(spec, params, cache, d_logits, sizes)
     return grads
 
 
@@ -170,8 +210,8 @@ def input_gradient(spec: ModelSpec, params: np.ndarray, x, label: int) -> np.nda
     z, cache = _forward(spec, params, np.asarray(x)[None, :])
     d_logits = _softmax(z)
     d_logits[0, int(label)] -= 1.0
-    _, d_input = _backward(spec, params, cache, d_logits)
-    return d_input[0]
+    _, d_first = _backward(spec, params, cache, d_logits)
+    return _input_gradients(spec, params, d_first)[0]
 
 
 def backprop_logits(spec: ModelSpec, params: np.ndarray, x, d_logits) -> tuple[np.ndarray, np.ndarray]:
@@ -182,7 +222,8 @@ def backprop_logits(spec: ModelSpec, params: np.ndarray, x, d_logits) -> tuple[n
     e.g. a generator network inside a GAN.
     """
     _, cache = _forward(spec, params, x)
-    return _backward(spec, params, cache, np.asarray(d_logits, dtype=np.float64))
+    grads, d_first = _backward(spec, params, cache, np.asarray(d_logits, dtype=np.float64))
+    return grads, _input_gradients(spec, params, d_first)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Repeatedly trains target-in/target-out artifacts under controlled randomness
 and hands labeled material to the attacks. Runs are independent and execute
-one after another in the calling thread; the collection is ordered by run
-index and each run depends only on the master seed and its index.
+in the calling thread, the predictive ones in lockstep; the collection is
+ordered by run index and each run depends only on the master seed and its
+index.
 """
 
 from __future__ import annotations
@@ -87,7 +88,11 @@ class FeatureBundle:
 
 def dataset_fingerprint(ds: Dataset) -> str:
     """Hash of the row multiset; invariant under row order."""
-    return hashlib.sha256(np.sort(row_keys(ds)).tobytes()).hexdigest()
+    return _fingerprint(np.sort(row_keys(ds)))
+
+
+def _fingerprint(sorted_keys: np.ndarray) -> str:
+    return hashlib.sha256(sorted_keys.tobytes()).hexdigest()
 
 
 def shadow_run_count(value) -> int:
@@ -134,7 +139,11 @@ def run_shadow_experiment(
     Per run t: s_t = derive_seed(master_seed, t); the baseline training set is
     the pool itself (fixed_dataset) or a half-size subsample drawn from s_t
     (resampled_dataset); the target is appended iff b_t = 1; training uses s_t.
-    ``workers`` is accepted and has no effect: runs execute serially.
+    A trainer with ``fit_runs(data, run_rows, seeds)`` gets every run's rows
+    of pool-plus-target and seed in one call (the predictive trainer steps
+    them in lockstep); any other trainer is fit run by run. Either way run t
+    depends only on master_seed and t.
+    ``workers`` is accepted and has no effect: runs execute in this thread.
     """
     shadow_run_count(t_runs)
     target = pool.schema.validate_record(target)
@@ -145,30 +154,46 @@ def run_shadow_experiment(
     with_target = pool.with_record(target)
 
     bits = _stratified_bits(t_runs, derive_seed(master_seed, "bits"))
-
-    def one_run(t: int) -> ShadowRun:
-        s_t = derive_seed(master_seed, t)
+    seeds = [derive_seed(master_seed, t) for t in range(t_runs)]
+    run_rows = []
+    for t, s_t in enumerate(seeds):
         if tm.data_knowledge == RESAMPLED_DATASET:
             rng = np.random.default_rng(derive_seed(s_t, "subsample"))
             idx = np.sort(rng.choice(n, size=n // 2, replace=False))
         else:
             idx = np.arange(n)
-        if bits[t]:
-            idx = np.append(idx, n)
-        ds = with_target.take(idx)
-        artifact = trainer.fit(ds, s_t)
-        return ShadowRun(
+        run_rows.append(np.append(idx, n) if bits[t] else idx)
+
+    # a run's rows are distinct, so its sorted keys are the sorted keys of all
+    # rows filtered to its own: one sort serves every run's fingerprint
+    keys = row_keys(with_target)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+
+    def fingerprint(rows):
+        member = np.zeros(n + 1, dtype=bool)
+        member[rows] = True
+        return _fingerprint(sorted_keys[member[order]])
+
+    fit_runs = getattr(trainer, "fit_runs", None)
+    if fit_runs is not None:
+        artifacts = fit_runs(with_target, run_rows, seeds)
+    else:
+        artifacts = [trainer.fit(with_target.take(r), s) for r, s in zip(run_rows, seeds)]
+    runs = tuple(
+        ShadowRun(
             index=t,
             bit=int(bits[t]),
-            artifact=artifact,
-            seed=s_t,
-            fingerprint=dataset_fingerprint(ds),
+            artifact=artifacts[t],
+            seed=seeds[t],
+            fingerprint=fingerprint(run_rows[t]),
         )
-
+        for t in range(t_runs)
+    )
     return ShadowCollection(
         target=target,
         threat_model=tm,
-        runs=tuple(one_run(t) for t in range(t_runs)),
+        runs=runs,
         master_seed=master_seed,
         trainer=trainer,
     )

@@ -243,8 +243,8 @@ def fit_gan(ds: Dataset, spec: GanSpec) -> GenerativeArtifact:
         disc_params, _ = noisy_batch_update(
             disc_spec, disc_params, x_real[idx], real_labels, idx, cfg, n, step
         )
-        lrng = _stream(derive_seed(spec.seed, "latent"), _TAG_LATENT, step)
-        z = lrng.standard_normal((fake_batch, spec.latent_dim))
+        z, z2 = _stream(derive_seed(spec.seed, "latent"), _TAG_LATENT, step).standard_normal(
+            (2, fake_batch, spec.latent_dim))
         x_fake = models.forward_logits(gen_spec, gen_params, z)
         fake_grads = models.batch_per_sample_gradients(
             disc_spec, disc_params, x_fake, np.zeros(fake_batch, dtype=int)
@@ -252,7 +252,6 @@ def fit_gan(ds: Dataset, spec: GanSpec) -> GenerativeArtifact:
         disc_params = disc_params - cfg.learning_rate * fake_grads.mean(axis=0)
 
         # ---- generator (non-saturating: make fakes look real) ----
-        z2 = lrng.standard_normal((fake_batch, spec.latent_dim))
         x_fake2 = models.forward_logits(gen_spec, gen_params, z2)
         d_logits = models.predict(disc_spec, disc_params, x_fake2)
         d_logits[:, 1] -= 1.0  # d(CE vs "real") / d(disc logits)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from privaudit.cli import _pick_target, main
-from privaudit.data import CategoricalColumn, Dataset, NumericColumn, Schema
+from privaudit.data import CategoricalColumn, Dataset, NumericColumn, Schema, load_csv
 
 
 @pytest.fixture
@@ -197,6 +197,20 @@ def test_attack_target_duplicated_in_data(tmp_path):
     assert len(pool) == len(ds) - copies and not pool.matches(target).any()
 
 
+def test_attack_explicit_target_in_data_leaves_the_pool(workspace):
+    data = load_csv(workspace / "data.csv", Schema.from_json_file(workspace / "schema.json"))
+    x, y = data.rows[0]
+    cfg = base_config(workspace)
+    cfg["attack"] = {"attacks": ["loss_threshold"], "t_runs": 8,
+                     "target": {"record": [x, ("a", "b")[y]]}}
+    assert main(["attack", "--config", write_config(workspace, cfg)]) == 0
+    assert (workspace / "results" / "attack_loss_threshold.json").exists()
+
+    target, pool = _pick_target(cfg, data)
+    assert target == data.rows[0]
+    assert len(pool) == len(data) - 1 and not pool.matches(target).any()
+
+
 # ---------------------------------------------------------------------------
 # audit
 
@@ -234,6 +248,17 @@ def test_audit_deterministic(workspace):
     blob = (workspace / "results" / "audit.json").read_bytes()
     assert main(["audit", "--config", path]) == 0
     assert (workspace / "results" / "audit.json").read_bytes() == blob
+
+
+@pytest.mark.parametrize("over, message", [
+    ({"audit": {"mode": "end_to_end", "t_runs": 10}}, "audit.t_runs: t_runs must be >= 20"),
+    ({"audit": {"mode": "end_to_end"}, "delta": 2.0}, "config.delta: delta must be in (0, 1)"),
+])
+def test_audit_end_to_end_bad_value_exits_3_before_output(workspace, capsys, over, message):
+    cfg = base_config(workspace, **over)
+    assert main(["audit", "--config", write_config(workspace, cfg)]) == 3
+    assert message in capsys.readouterr().err
+    assert not (workspace / "results").exists()
 
 
 def test_audit_bad_mode(workspace, capsys):

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -370,3 +372,11 @@ def test_subsampled_mu_taylor_limit():
 def test_subsampled_mu_sigma_zero_errors():
     with pytest.raises(ValueError):
         subsampled_gdp_mu(0.0, 0.5, 10)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of a cold start; betaincinv gives the same quantiles
+    code = "import sys, privaudit.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -3,10 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from privaudit.core_stats import GdpParam, gdp_delta_of_epsilon
 from privaudit.data import CategoricalColumn, Dataset, NumericColumn, Schema
 from privaudit.dpsgd import (
+    _TAG_NOISE,
+    _TAG_SAMPLE,
     BugMode,
     DpSgdConfig,
     NoValidGuaranteeError,
@@ -16,6 +19,9 @@ from privaudit.dpsgd import (
     features_and_labels,
     noisy_batch_update,
     train,
+    train_lockstep,
+    _stream,
+    _weighted_row_sum,
 )
 from privaudit.models import LOGISTIC, ModelSpec, init_params
 
@@ -36,6 +42,50 @@ def toy_xy():
 
 
 # ---------------------------------------------------------------------------
+# counter-based streams
+
+def fresh_stream(seed, tag, counter):
+    key = np.array([seed % 2**64, tag], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def draw(gen, kind, size):
+    if kind == "uint32":  # half-word draws leave a buffered uint32 behind on odd sizes
+        return gen.integers(0, 2**32, size=size, dtype=np.uint32)
+    return getattr(gen, kind)(size=size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), tag=st.integers(0, 2**64 - 1),
+       counter=st.integers(0, 2**64 - 1), size=st.integers(0, 40).map(lambda k: 2 * k + 1),
+       kind=st.sampled_from(["random", "normal", "uint32"]))
+def test_stream_draws_equal_a_fresh_philox(seed, tag, counter, size, kind):
+    assert np.array_equal(draw(_stream(seed, tag, counter), kind, size),
+                          draw(fresh_stream(seed, tag, counter), kind, size))
+
+
+def test_interleaved_streams_do_not_corrupt_each_other():
+    # each call re-seats the shared generator; a stream left mid-block or with
+    # a buffered half word must not leak into the next one
+    calls = [(1, _TAG_NOISE, 0, "uint32", 3), (2, _TAG_SAMPLE, 5, "random", 7),
+             (1, _TAG_NOISE, 0, "normal", 5), (2**64 - 1, _TAG_NOISE, 1, "uint32", 1),
+             (2, _TAG_SAMPLE, 5, "random", 7), (1, _TAG_NOISE, 0, "uint32", 3)]
+    for seed, tag, counter, kind, size in calls:
+        assert np.array_equal(draw(_stream(seed, tag, counter), kind, size),
+                              draw(fresh_stream(seed, tag, counter), kind, size))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the step sits in Philox counter word 0, which advances once per 4-draw block, "
+    "so step s+1's stream is step s's shifted by four draws"))
+def test_consecutive_step_streams_share_no_values():
+    for tag in (_TAG_NOISE, _TAG_SAMPLE):
+        a = _stream(7, tag, 0).normal(size=12)
+        b = _stream(7, tag, 1).normal(size=12)
+        assert not np.isin(b, a).any()
+
+
+# ---------------------------------------------------------------------------
 # clipping
 
 def test_clip_large_gradient():
@@ -52,6 +102,18 @@ def test_clip_small_gradient_unchanged():
 
 def test_clip_zero_vector():
     assert np.all(clip_per_sample(np.zeros(4), 1.0) == 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lead=st.integers(0, 3), rows=st.integers(0, 130), cols=st.integers(1, 260),
+       seed=st.integers(0, 2**32 - 1))
+def test_weighted_row_sum_equals_the_sum_of_weighted_rows(lead, rows, cols, seed):
+    # clip_and_sum's grad_sum skips the clipped-rows array; its bits must not move
+    rng = np.random.default_rng(seed)
+    shape = (lead,) * (lead > 0) + (rows, cols)
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6)
+    w = np.minimum(1.0, 2 * rng.random(shape[:-1]))
+    assert _weighted_row_sum(x, w).tobytes() == (x * w[..., None]).sum(axis=-2).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +245,16 @@ def test_traced_clipped_norms_bounded(toy_xy):
     art = train(spec, x, y, cfg(clip_norm=c, steps=20), observability="white_box")
     for st in art.trace.steps:
         assert st.max_sample_norm <= c + 1e-9
+
+
+def test_lockstep_runs_may_differ_only_in_seeds(toy_xy):
+    x, y = toy_xy
+    spec = ModelSpec(LOGISTIC, input_dim=3, num_classes=2, seed=4)
+    rows = [np.arange(40), np.arange(20)]
+    arts = train_lockstep([spec, replace(spec, seed=5)], x, y, rows, [cfg(), cfg(seed=8)])
+    assert [a.spec.seed for a in arts] == [4, 5]
+    with pytest.raises(ValueError, match="only in their seeds"):
+        train_lockstep([spec, spec], x, y, rows, [cfg(), cfg(steps=6)])
 
 
 def test_poisson_inclusion_frequency():

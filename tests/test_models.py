@@ -169,6 +169,25 @@ def test_batch_gradients_match_single():
         assert batch[i] == pytest.approx(single, abs=1e-12)
 
 
+@pytest.mark.parametrize("kind", [LOGISTIC, MLP])
+def test_run_axis_gradients_equal_unbatched_bit_for_bit(kind):
+    # inner widths past 32 and one-row batches take BLAS paths whose rounding
+    # depends on the row count, so each run must see only its own rows
+    rng = np.random.default_rng(8)
+    spec = ModelSpec(kind, input_dim=37, num_classes=3, hidden_dim=34 if kind == MLP else 0)
+    sizes = [5, 1, 0, 9, 2]
+    k, b = len(sizes), max(sizes)
+    params = rng.normal(size=(k, n_params(spec)))
+    x = rng.normal(size=(k, b, spec.input_dim))
+    y = rng.integers(0, 3, size=(k, b))
+    stacked = batch_per_sample_gradients(spec, params, x, y, sizes)
+    assert stacked.shape == (k, b, n_params(spec))
+    for run, m in enumerate(sizes):
+        alone = batch_per_sample_gradients(spec, params[run], x[run, :m], y[run, :m])
+        assert stacked[run, :m].tobytes() == alone.tobytes()
+        assert np.all(stacked[run, m:] == 0.0)
+
+
 def test_input_gradient_finite_difference():
     rng = np.random.default_rng(21)
     spec = ModelSpec(MLP, input_dim=3, hidden_dim=4, num_classes=2, seed=2)

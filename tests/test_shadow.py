@@ -2,9 +2,11 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from privaudit import dpsgd
 from privaudit.data import CategoricalColumn, Dataset, NumericColumn, Schema
-from privaudit.dpsgd import DpSgdConfig, PredictiveTrainer
+from privaudit.dpsgd import BugMode, DpSgdConfig, PredictiveTrainer
 from privaudit.shadow import (
     FIXED_DATASET,
     RESAMPLED_DATASET,
@@ -170,3 +172,73 @@ def test_unknown_mode(pool, target, trainer):
     with pytest.raises(ValueError, match="mode"):
         query_features(coll, "telepathy")
 
+
+
+# ---------------------------------------------------------------------------
+# lockstep training
+
+# 35 feature columns and 34 hidden units: inner widths past 32, where BLAS
+# rounding depends on the row count; 10% sampling of 15 or 16 rows gives
+# empty and one-row batches
+WIDE = Schema((
+    NumericColumn("x", 0.0, 1.0),
+    CategoricalColumn("c", tuple(f"l{i}" for i in range(34))),
+    CategoricalColumn("y", ("a", "b", "c")),
+))
+
+
+class FitEachRun:
+    """A trainer without fit_runs: the harness fits it one run at a time."""
+
+    def __init__(self, trainer):
+        self.trainer = trainer
+        self.fingerprints = []
+
+    def fit(self, ds, seed):
+        self.fingerprints.append(dataset_fingerprint(ds))
+        return self.trainer.fit(ds, seed)
+
+
+def run_bytes(run):
+    art = run.artifact
+    steps = [(st.indices.tobytes(), st.grad_sum.tobytes(), st.noise.tobytes(),
+              st.params_after.tobytes(), st.max_sample_norm) for st in art.trace.steps]
+    return run.fingerprint, art.params.tobytes(), steps
+
+
+@pytest.mark.parametrize("bug", list(BugMode))
+@pytest.mark.parametrize("model_kind, hidden_dim", [("logistic_regression", 0), ("mlp", 34)])
+@settings(max_examples=3, deadline=None)
+@given(master_seed=st.integers(0, 2**32))
+def test_run_bit_equal_alone_and_at_every_block_size(bug, model_kind, hidden_dim, master_seed):
+    rng = np.random.default_rng(master_seed)
+    # few distinct records, so the pool and each run's rows repeat some
+    pool = Dataset.from_rows(WIDE, [(float(rng.integers(2)) / 2, int(rng.integers(3)),
+                                     int(rng.integers(3))) for _ in range(30)])
+    cfg = DpSgdConfig(clip_norm=0.5, noise_multiplier=1.0, sample_rate=0.1, steps=4,
+                      learning_rate=0.5, bug_mode=bug)
+    trainer = PredictiveTrainer(label_column="y", config=cfg, model_kind=model_kind,
+                                hidden_dim=hidden_dim, observability="white_box")
+    target, t_runs = (0.5, 3, 1), 7
+    blocks = []
+    train_block = dpsgd._train_block
+
+    def spy(specs, *args):
+        blocks.append(len(specs))
+        return train_block(specs, *args)
+
+    for knowledge, largest in ((FIXED_DATASET, 31), (RESAMPLED_DATASET, 16)):
+        tm = ThreatModel(data_knowledge=knowledge)
+        each = FitEachRun(trainer)
+        alone = run_shadow_experiment(target, pool, each, tm, t_runs, master_seed)
+        assert [r.fingerprint for r in alone.runs] == each.fingerprints
+        want = [run_bytes(r) for r in alone.runs]
+        for block, sizes in ((1, [1] * 7), (3, [3, 3, 1]), (t_runs, [7])):
+            blocks.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                # a block takes _BLOCK_ROWS // (largest run's expected batch) runs
+                mp.setattr(dpsgd, "_train_block", spy)
+                mp.setattr(dpsgd, "_BLOCK_ROWS", (block + 0.5) * largest * cfg.sample_rate)
+                coll = run_shadow_experiment(target, pool, trainer, tm, t_runs, master_seed)
+            assert blocks == sizes
+            assert [run_bytes(r) for r in coll.runs] == want
