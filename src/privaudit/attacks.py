@@ -42,6 +42,7 @@ __all__ = [
     "report_to_json_dict",
     "save_report",
     "save_roc_csv",
+    "write_json",
 ]
 
 
@@ -412,15 +413,89 @@ def report_to_json_dict(report: AttackReport) -> dict:
     }
 
 
-def save_report(path, report: AttackReport) -> None:
+# A table's rows are encoded and written this many at a time, so a long ROC
+# never exists as one string.
+_TABLE_CHUNK_ROWS = 2048
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+# json.dumps puts this item separator between list items. The encoder escapes
+# NUL inside strings, so a raw NUL in its output is always a separator.
+_NUL_SEPARATORS = (",\x00", ": ")
+
+
+def _is_table(rows) -> bool:
+    """rows is a list of non-empty lists of scalars, as an ROC is."""
+    return ({type(r) for r in rows} <= {list, tuple} and all(rows)
+            and {type(v) for r in rows for v in r} <= _SCALARS)
+
+
+def _iter_table(rows, level: int):
+    row_indent = "\n" + "  " * (level + 1)
+    item_indent = row_indent + "  "
+    between_rows = row_indent + "]," + row_indent + "[" + item_indent
+    sep = "[" + row_indent
+    for i in range(0, len(rows), _TABLE_CHUNK_ROWS):
+        text = json.dumps(rows[i:i + _TABLE_CHUNK_ROWS], separators=_NUL_SEPARATORS)
+        # a scalar never ends in "]", so "],NUL[" is always a break between rows
+        body = text[2:-2].replace("],\x00[", between_rows).replace("\x00", item_indent)
+        yield sep + "[" + item_indent + body + row_indent + "]"
+        sep = "," + row_indent
+    yield "\n" + "  " * level + "]"
+
+
+def _iter_json(o, level: int):
+    """The text of json.dumps(o, sort_keys=True, indent=2), nested `level`
+    deep. Dicts and mixed lists recurse here; scalar lists and tables go to
+    json.dumps whole, which runs the C encoder when there is no indent."""
+    if o is None or isinstance(o, (str, int, float)):
+        yield json.dumps(o)
+        return
+    indent = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level
+    if isinstance(o, dict):
+        if not o:
+            yield "{}"
+            return
+        if not all(isinstance(k, str) for k in o):
+            raise TypeError("write_json: every key must be a str")
+        sep = "{" + indent
+        for k in sorted(o):
+            yield sep + json.dumps(k) + ": "
+            yield from _iter_json(o[k], level + 1)
+            sep = "," + indent
+        yield close + "}"
+        return
+    if not isinstance(o, (list, tuple)):
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    if not o:
+        yield "[]"
+    elif {type(v) for v in o} <= _SCALARS:
+        text = json.dumps(o, separators=_NUL_SEPARATORS)
+        yield "[" + indent + text[1:-1].replace("\x00", indent) + close + "]"
+    elif _is_table(o):
+        yield from _iter_table(o, level)
+    else:
+        sep = "[" + indent
+        for v in o:
+            yield sep
+            yield from _iter_json(v, level + 1)
+            sep = "," + indent
+        yield close + "]"
+
+
+def write_json(path, doc) -> None:
+    """Write doc to path as the bytes of json.dumps(doc, sort_keys=True,
+    indent=2) + "\n": the one format of every JSON report. Keys must be str."""
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(report_to_json_dict(report), f, sort_keys=True, indent=2)
+        f.writelines(_iter_json(doc, 0))
         f.write("\n")
+
+
+def save_report(path, report: AttackReport) -> None:
+    write_json(path, report_to_json_dict(report))
 
 
 def save_roc_csv(path, report: AttackReport) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(["threshold", "fpr", "tpr"])
-        for t, fpr, tpr in report.roc:
-            w.writerow([t, fpr, tpr])
+        w.writerows(report.roc)

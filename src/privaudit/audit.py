@@ -10,7 +10,6 @@ configurations get caught.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +24,7 @@ from .attacks import (
     attack_lira,
     evaluate,
     report_to_json_dict,
+    write_json,
 )
 from .core_stats import PrivacyParams, gdp_epsilon_of_delta, subsampled_gdp_mu
 from .data import CategoricalColumn, Dataset, NumericColumn, Schema
@@ -48,6 +48,7 @@ __all__ = [
     "audit_step_mechanism",
     "audit_end_to_end",
     "audit_run_count",
+    "end_to_end_claim",
     "estimate_mia_cost",
     "verdict_to_json_dict",
     "save_verdict",
@@ -273,6 +274,17 @@ def audit_run_count(value) -> int:
     return t_runs
 
 
+def end_to_end_claim(trainer, pool_size: int, delta: float | None = None) -> PrivacyParams:
+    """The claim an end-to-end audit tests: the trainer's epsilon at delta
+    for the pool plus the canary, N = pool_size + 1 records, with delta 1/N
+    by default. Raises when the configuration has no valid guarantee, so
+    callers ask for it before training anything."""
+    n = pool_size + 1
+    if delta is None:
+        delta = 1.0 / n
+    return PrivacyParams(epsilon=trainer.claimed_epsilon(n, delta), delta=delta)
+
+
 def audit_end_to_end(
     trainer,
     pool: Dataset,
@@ -295,9 +307,7 @@ def audit_end_to_end(
     audit_run_count(t_runs)
     if canary.kind != RECORD_CANARY:
         raise ValueError("audit_end_to_end requires a record canary")
-    n = len(pool) + 1
-    if delta is None:
-        delta = 1.0 / n
+    claimed = end_to_end_claim(trainer, len(pool), delta)
 
     tm = ThreatModel(data_knowledge=FIXED_DATASET)
     coll = run_shadow_experiment(
@@ -309,9 +319,8 @@ def audit_end_to_end(
         fb = query_features(coll, "synth_dataset", {"n_samples": 100})
         scored = _generative_scores(fb)
 
-    report = evaluate(scored, delta, confidence, operating_points=("median", 0.01))
+    report = evaluate(scored, claimed.delta, confidence, operating_points=("median", 0.01))
     op = _low_fpr_op(report)
-    claimed = PrivacyParams(epsilon=trainer.claimed_epsilon(n, delta), delta=delta)
     provenance = {
         "trainer_kind": trainer.kind,
         "attack": scored.attack,
@@ -392,9 +401,7 @@ def verdict_to_json_dict(v: AuditVerdict) -> dict:
 
 
 def save_verdict(path, v: AuditVerdict) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(verdict_to_json_dict(v), f, sort_keys=True, indent=2)
-        f.write("\n")
+    write_json(path, verdict_to_json_dict(v))
 
 
 def exit_code(v: AuditVerdict) -> int:

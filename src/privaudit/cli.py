@@ -59,7 +59,8 @@ class ConfigError(Exception):
 def _build(path: str, fn, *args):
     try:
         return fn(*args)
-    except (ValueError, KeyError, TypeError, SchemaError, DataError) as e:
+    except (ValueError, KeyError, TypeError, SchemaError, DataError,
+            NoValidGuaranteeError) as e:
         detail = str(e) or type(e).__name__
         raise ConfigError(f"{path}: {detail}") from e
 
@@ -200,12 +201,8 @@ def _out_dir(cfg: dict, args) -> Path:
     return p
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
 def _write_sidecar(out: Path, command: str) -> None:
-    _write_json(out / "run_info.json", {
+    attacks_mod.write_json(out / "run_info.json", {
         "schema_version": 1,
         "command": command,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -245,7 +242,7 @@ def cmd_train(cfg: dict, args) -> int:
         save_params(out / "model.params", art.spec, art.params)
     else:
         save_artifact(out / "synthesizer.gen", art)
-    _write_json(out / "accountant.json", _accountant_doc(trainer, len(ds), delta))
+    attacks_mod.write_json(out / "accountant.json", _accountant_doc(trainer, len(ds), delta))
     _write_sidecar(out, "train")
     print(f"trained {trainer.kind} artifact -> {out}")
     return 0
@@ -265,8 +262,8 @@ def cmd_synthesize(cfg: dict, args) -> int:
     syn = sample(art, n, seed)
     syn.to_csv(out / "synthetic.csv")
     save_artifact(out / "synthesizer.gen", art)
-    _write_json(out / "accountant.json",
-                _accountant_doc(trainer, len(ds), _delta(cfg, len(ds))))
+    attacks_mod.write_json(out / "accountant.json",
+                           _accountant_doc(trainer, len(ds), _delta(cfg, len(ds))))
     _write_sidecar(out, "synthesize")
     print(f"wrote {n} synthetic rows -> {out / 'synthetic.csv'}")
     return 0
@@ -393,6 +390,9 @@ def cmd_audit(cfg: dict, args) -> int:
                 record=_record_from_json(ds.schema, kw.pop("canary"), "audit.canary"))
         else:
             canary = audit_mod.default_record_canary(ds.schema, ds)
+        # a configuration without a valid claim fails before any directory or training
+        _build("audit", lambda: audit_mod.end_to_end_claim(
+            trainer, len(ds), **_given(cfg, "delta")))
         out = _out_dir(cfg, args)
         verdict = _build("audit", lambda: audit_mod.audit_end_to_end(
             trainer, ds, canary, **_given(cfg, "delta"), **kw))
@@ -453,7 +453,7 @@ def cmd_report(cfg: dict | None, args) -> int:
             "status": doc.get("status"),
         })
 
-    _write_json(out / "summary.json", summary)
+    attacks_mod.write_json(out / "summary.json", summary)
     lines = [f"{'source':<24}{'auc':>8}{'eps_point':>12}{'eps_lower':>12}{'claimed':>10}"]
     for row in summary["attacks"]:
         lines.append(f"{row['attack']:<24}{row['auc']:>8.3f}"

@@ -28,7 +28,6 @@ __all__ = [
     "effective_epsilon_lower_bound",
     "gdp_delta_of_epsilon",
     "gdp_epsilon_of_delta",
-    "gdp_compose",
     "subsampled_gdp_mu",
 ]
 
@@ -259,11 +258,6 @@ def gdp_epsilon_of_delta(g: GdpParam, delta: float) -> float:
         else:
             hi = mid
     return hi
-
-
-def gdp_compose(mus: list[GdpParam]) -> GdpParam:
-    """Root-sum-square composition of mu-GDP mechanisms."""
-    return GdpParam(mu=math.sqrt(sum(g.mu * g.mu for g in mus)))
 
 
 def subsampled_gdp_mu(

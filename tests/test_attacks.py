@@ -1,10 +1,12 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from privaudit import attacks
 from privaudit.attacks import (
     AttackReport,
     GroundhogConfig,
@@ -22,6 +24,7 @@ from privaudit.attacks import (
     report_to_json_dict,
     save_report,
     save_roc_csv,
+    write_json,
 )
 from privaudit.core_stats import (
     ConfusionCounts,
@@ -458,3 +461,41 @@ def test_report_json_and_csv(tmp_path):
     lines = (tmp_path / "r.csv").read_text().strip().splitlines()
     assert lines[0] == "threshold,fpr,tpr"
     assert len(lines) == 1 + len(rep.roc)
+
+
+def _stdlib_bytes(doc) -> bytes:
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+
+
+_JSON_TEXT = st.text() | st.sampled_from(["", "\x00", "a\x00b", "],\x00[", "], [", "]", '"]'])
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-10**20, 10**20)
+                 | st.floats(allow_nan=True, allow_infinity=True) | _JSON_TEXT)
+_ROWS = st.lists(_JSON_SCALARS, max_size=4) | st.lists(_JSON_SCALARS, max_size=4).map(tuple)
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS | st.lists(_ROWS, max_size=12),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+    max_leaves=30)
+
+
+@given(doc=_JSON_DOCS, chunk_rows=st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_write_json_bytes_equal_stdlib_indent_2(tmp_path_factory, doc, chunk_rows):
+    # small chunks put many chunk boundaries inside hypothesis-sized tables
+    path = tmp_path_factory.mktemp("wj") / "doc.json"
+    with mock.patch.object(attacks, "_TABLE_CHUNK_ROWS", chunk_rows):
+        write_json(path, doc)
+    assert path.read_bytes() == _stdlib_bytes(doc)
+
+
+def test_write_json_table_longer_than_a_chunk(tmp_path):
+    n = 2 * attacks._TABLE_CHUNK_ROWS + 3
+    roc = [["unbounded", 0.0, 0.0]] + [[1.0 / (i + 1), i / n, (i % 7) / 7] for i in range(n)]
+    doc = {"roc": roc, "ragged": [[i] * (1 + i % 3) for i in range(n)], "n": n}
+    write_json(tmp_path / "t.json", doc)
+    assert (tmp_path / "t.json").read_bytes() == _stdlib_bytes(doc)
+
+
+def test_write_json_rejects_non_str_keys(tmp_path):
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "k.json", {"a": {1: 2}})

@@ -261,6 +261,30 @@ def test_audit_end_to_end_bad_value_exits_3_before_output(workspace, capsys, ove
     assert not (workspace / "results").exists()
 
 
+ZERO_NOISE_DPSGD = {"clip_norm": 1.0, "noise_multiplier": 0.0, "sample_rate": 0.2,
+                    "steps": 3, "learning_rate": 0.5}
+
+
+@pytest.mark.parametrize("trainer, message", [
+    ({"kind": "predictive", "label_column": "y", "dpsgd": ZERO_NOISE_DPSGD},
+     "audit: no valid guarantee exists without noise"),
+    ({"kind": "gan", "dpsgd": ZERO_NOISE_DPSGD, "steps": 2},
+     "audit: no valid guarantee exists without noise"),
+    ({"kind": "marginal", "noise_std": 0.0}, "audit: noise_std must be > 0"),
+])
+def test_audit_end_to_end_without_a_claim_exits_3_before_training(
+        workspace, capsys, monkeypatch, trainer, message):
+    def no_training(*args, **kw):
+        raise AssertionError("run_shadow_experiment called")
+    monkeypatch.setattr("privaudit.audit.run_shadow_experiment", no_training)
+    monkeypatch.setattr("privaudit.cli.run_shadow_experiment", no_training)
+    cfg = base_config(workspace, trainer=trainer)
+    cfg["audit"] = {"mode": "end_to_end", "t_runs": 20}
+    assert main(["audit", "--config", write_config(workspace, cfg)]) == 3
+    assert message in capsys.readouterr().err
+    assert not (workspace / "results").exists()
+
+
 def test_audit_bad_mode(workspace, capsys):
     cfg = base_config(workspace)
     cfg["audit"] = {"mode": "vibes"}
@@ -412,6 +436,49 @@ def test_unknown_key_in_generative_trainer_exits_3(workspace, capsys):
 
 # ---------------------------------------------------------------------------
 # report
+
+def _assert_stdlib_indent_2(out):
+    """Every JSON file in out has the bytes of json.dumps(sort_keys=True,
+    indent=2) plus a newline."""
+    names = sorted(p.name for p in out.glob("*.json"))
+    for name in names:
+        raw = (out / name).read_bytes()
+        assert raw == (json.dumps(json.loads(raw), sort_keys=True, indent=2) + "\n").encode(), name
+    return names
+
+
+@pytest.mark.parametrize("trainer, attacks", [
+    ({"kind": "predictive", "label_column": "y", "model_kind": "mlp", "hidden_dim": 4,
+      "dpsgd": DPSGD_ALL_KEYS}, ["loss_threshold", "lira"]),
+    ({"kind": "marginal", "noise_std": 1.0}, ["dcr", "groundhog"]),
+    ({"kind": "gan", "dpsgd": DPSGD_ALL_KEYS, "steps": 2}, ["dcr", "groundhog"]),
+])
+def test_every_json_output_round_trips_through_stdlib(workspace, trainer, attacks):
+    cfg = base_config(workspace, trainer=trainer, synthesize={"n_samples": 20})
+    cfg["attack"] = {"attacks": attacks, "t_runs": 20, "n_samples": 30}
+    cfg["audit"] = {"mode": "end_to_end", "t_runs": 20}
+    path = write_config(workspace, cfg)
+    commands = ["train", "attack", "audit", "report"]
+    if trainer["kind"] != "predictive":
+        commands.insert(1, "synthesize")
+    for command in commands:
+        assert main([command, "--config", path]) in (0, 1, 2), command
+    names = _assert_stdlib_indent_2(workspace / "results")
+    assert names == sorted(["accountant.json", "audit.json", "run_info.json", "summary.json",
+                            *(f"attack_{a}.json" for a in attacks)])
+
+
+def test_step_audit_json_round_trips_through_stdlib(workspace):
+    cfg = audit_config(workspace)
+    cfg["audit"]["trials"] = 20000
+    path = write_config(workspace, cfg)
+    assert main(["audit", "--config", path]) == 0
+    assert main(["report", "--config", path]) == 0
+    out = workspace / "results"
+    assert _assert_stdlib_indent_2(out) == ["audit.json", "run_info.json", "summary.json"]
+    # the ROC spans several of the writer's chunks
+    assert len(json.loads((out / "audit.json").read_text())["report"]["roc"]) > 10000
+
 
 def test_report_empty_dir(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == 0

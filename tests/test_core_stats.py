@@ -18,7 +18,6 @@ from privaudit.core_stats import (
     effective_epsilon_lower_bound,
     effective_epsilon_point,
     error_rates,
-    gdp_compose,
     gdp_delta_of_epsilon,
     gdp_epsilon_of_delta,
     subsampled_gdp_mu,
@@ -336,13 +335,6 @@ def test_gdp_epsilon_inversion_roundtrip():
     for delta in [0.1, 1e-3, 1e-5]:
         eps = gdp_epsilon_of_delta(g, delta)
         assert gdp_delta_of_epsilon(g, eps) == pytest.approx(delta, rel=1e-6)
-
-
-def test_gdp_compose_pythagorean():
-    assert gdp_compose([GdpParam(3.0), GdpParam(4.0)]).mu == pytest.approx(5.0)
-    assert gdp_compose([GdpParam(2.5)]).mu == pytest.approx(2.5)
-    assert gdp_compose([GdpParam(1.0)] * 4).mu == pytest.approx(2.0)
-    assert gdp_compose([]).mu == 0.0
 
 
 # ---------------------------------------------------------------------------
