@@ -184,12 +184,10 @@ def min_gower_distance(schema: Schema, target, ds: Dataset) -> float:
     return float(acc.min()) / len(schema.columns)
 
 
-def attack_dcr(fb: FeatureBundle, metric: str = "gower") -> ScoredRuns:
+def attack_dcr(fb: FeatureBundle) -> ScoredRuns:
     """Distance to closest record: score = -min distance from target to the
     run's synthetic dataset."""
     _require_mode(fb, "synth_dataset", "attack_dcr")
-    if metric != "gower":
-        raise ValueError(f"unknown metric {metric!r}")
     schema = fb.schema
     scores = np.array(
         [-min_gower_distance(schema, fb.target, ds) for ds in fb.features]

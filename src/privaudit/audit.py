@@ -10,6 +10,7 @@ configurations get caught.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,9 +27,9 @@ from .attacks import (
     report_to_json_dict,
     write_json,
 )
-from .core_stats import PrivacyParams, gdp_epsilon_of_delta, subsampled_gdp_mu
-from .data import CategoricalColumn, Dataset, NumericColumn, Schema
-from .dpsgd import DpSgdConfig, clip_and_sum, privatize
+from .core_stats import PrivacyParams
+from .data import Dataset, NumericColumn, Record, Schema
+from .dpsgd import BugMode, DpSgdConfig, claimed_privacy, clip_and_sum, privatize
 from .seeds import derive_seed
 from .shadow import (
     FIXED_DATASET,
@@ -39,15 +40,14 @@ from .shadow import (
 )
 
 __all__ = [
-    "CanarySpec",
     "AuditVerdict",
     "AffineCost",
     "CostEstimate",
-    "default_gradient_canary",
     "default_record_canary",
     "audit_step_mechanism",
     "audit_end_to_end",
     "audit_run_count",
+    "audit_slack",
     "end_to_end_claim",
     "estimate_mia_cost",
     "verdict_to_json_dict",
@@ -55,53 +55,17 @@ __all__ = [
     "exit_code",
 ]
 
-RECORD_CANARY = "record_canary"
-GRADIENT_CANARY = "gradient_canary"
-
 # exit-code contract for CI use
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 
 
-@dataclass(frozen=True)
-class CanarySpec:
-    """Adversary-chosen audit target.
+def default_record_canary(schema: Schema, ds: Dataset | None = None) -> Record:
+    """The end-to-end audit's default canary record. A canary is any
+    schema-valid record; it need not come from the data distribution.
 
-    A record canary is any schema-valid record (it need not come from the data
-    distribution). A gradient canary is a unit direction in parameter space;
-    the audit scales it to the clip norm C, so the injected gradient has norm
-    exactly C.
-    """
-
-    kind: str
-    record: tuple | None = None
-    direction: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind == RECORD_CANARY:
-            if self.record is None:
-                raise ValueError("record_canary requires a record")
-        elif self.kind == GRADIENT_CANARY:
-            if self.direction is None:
-                raise ValueError("gradient_canary requires a direction")
-            d = np.asarray(self.direction, dtype=np.float64)
-            if abs(float(np.linalg.norm(d)) - 1.0) > 1e-9:
-                raise ValueError("gradient_canary direction must be a unit vector")
-            object.__setattr__(self, "direction", d)
-        else:
-            raise ValueError(f"unknown canary kind {self.kind!r}")
-
-
-def default_gradient_canary(dim: int) -> CanarySpec:
-    """First standard basis direction."""
-    d = np.zeros(dim)
-    d[0] = 1.0
-    return CanarySpec(kind=GRADIENT_CANARY, direction=d)
-
-
-def default_record_canary(schema: Schema, ds: Dataset | None = None) -> CanarySpec:
-    """Per-column extremes: numeric at the upper bound, categorical at the
+    Per-column extremes: numeric at the upper bound, categorical at the
     rarest level of ds (or the last level without data)."""
     values = []
     for ci, col in enumerate(schema.columns):
@@ -113,7 +77,7 @@ def default_record_canary(schema: Schema, ds: Dataset | None = None) -> CanarySp
                 values.append(int(np.argmin(counts)))
             else:
                 values.append(len(col.levels) - 1)
-    return CanarySpec(kind=RECORD_CANARY, record=tuple(values))
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -164,7 +128,7 @@ def _low_fpr_op(report: AttackReport) -> OperatingPoint:
 
 def audit_step_mechanism(
     config: DpSgdConfig,
-    canary: CanarySpec | None = None,
+    direction: np.ndarray | None = None,
     trials: int = 1000,
     delta: float = 0.1,
     confidence: float = 0.95,
@@ -178,7 +142,9 @@ def audit_step_mechanism(
 
     Runs `trials` single-step updates of one mechanism instance on a fixed
     batch of adversarial per-sample gradients; a stratified half of the trials
-    additionally inject the canary gradient as one sample. The adversary
+    additionally inject the canary gradient as one sample. The canary is a
+    unit direction in parameter space, by default the first basis vector of
+    R^dim, scaled to canary_scale times the clip norm C. The adversary
     observes each noisy update and takes its inner product with the canary
     direction; sweeping a threshold over this statistic gives a confusion
     table, and core_stats turns it into a Clopper-Pearson-valid effective-eps
@@ -191,16 +157,17 @@ def audit_step_mechanism(
     that clips the aggregate instead of each sample lets the oversized canary
     flip the aggregate's sign, doubling the observable separation.
     """
+    audit_slack(slack)
     if trials < 100:
         raise ValueError("trials must be >= 100")
     if config.noise_multiplier <= 0:
         raise ValueError("audit needs noise_multiplier > 0 to form a claim")
     c = config.clip_norm
-    if canary is None:
-        canary = default_gradient_canary(dim)
-    if canary.kind != GRADIENT_CANARY:
-        raise ValueError("audit_step_mechanism requires a gradient canary")
-    direction = canary.direction
+    if direction is None:
+        direction = np.eye(dim)[0]
+    direction = np.asarray(direction, dtype=np.float64)
+    if abs(float(np.linalg.norm(direction)) - 1.0) > 1e-9:
+        raise ValueError("canary direction must be a unit vector")
     dim = direction.size
 
     if base_gradients is None:
@@ -229,8 +196,8 @@ def audit_step_mechanism(
     report = evaluate(scored, delta, confidence, operating_points=("median", 0.01))
     op = _low_fpr_op(report)
 
-    mu = subsampled_gdp_mu(config.noise_multiplier, 1.0, 1)
-    claimed = PrivacyParams(epsilon=gdp_epsilon_of_delta(mu, delta), delta=delta)
+    claimed = claimed_privacy(
+        replace(config, sample_rate=1.0, steps=1, bug_mode=BugMode.NONE), 1, delta)
     provenance = {
         "bug_mode": config.bug_mode.value,
         "noise_multiplier": config.noise_multiplier,
@@ -266,6 +233,15 @@ def _generative_scores(fb) -> ScoredRuns:
     )
 
 
+def audit_slack(value) -> float:
+    """value as an audit's slack: a finite float of at least 0. A negative
+    slack would fail an audit whose measured bound is below the claim."""
+    slack = float(value)
+    if not (math.isfinite(slack) and slack >= 0.0):
+        raise ValueError(f"slack must be a finite number >= 0, got {value}")
+    return slack
+
+
 def audit_run_count(value) -> int:
     """value as the shadow runs of an end-to-end audit: an int of at least 20."""
     t_runs = int(value)
@@ -288,7 +264,7 @@ def end_to_end_claim(trainer, pool_size: int, delta: float | None = None) -> Pri
 def audit_end_to_end(
     trainer,
     pool: Dataset,
-    canary: CanarySpec,
+    canary: Record,
     t_runs: int = 100,
     delta: float | None = None,
     confidence: float = 0.95,
@@ -298,20 +274,20 @@ def audit_end_to_end(
 ) -> AuditVerdict:
     """Black-box audit of a full training pipeline via the shadow harness.
 
-    The canary record plays the target; the measured bound comes from the
+    The canary record plays the target (run_shadow_experiment validates it
+    against the pool's schema); the measured bound comes from the
     strongest applicable attack (LiRA on prediction losses for predictive
     trainers, max of DCR and groundhog for generative ones) at the low-FPR
     operating point, and is compared against the trainer's claimed epsilon.
     ``workers`` is accepted and has no effect: shadow runs are serial.
     """
     audit_run_count(t_runs)
-    if canary.kind != RECORD_CANARY:
-        raise ValueError("audit_end_to_end requires a record canary")
+    audit_slack(slack)
     claimed = end_to_end_claim(trainer, len(pool), delta)
 
     tm = ThreatModel(data_knowledge=FIXED_DATASET)
     coll = run_shadow_experiment(
-        canary.record, pool, trainer, tm, t_runs, master_seed, workers=workers
+        canary, pool, trainer, tm, t_runs, master_seed, workers=workers
     )
     if trainer.kind == "predictive":
         scored = attack_lira(query_features(coll, "pred_loss"))
@@ -326,7 +302,7 @@ def audit_end_to_end(
         "attack": scored.attack,
         "t_runs": t_runs,
         "pool_size": len(pool),
-        "canary": list(canary.record),
+        "canary": list(canary),
         "workers_note": "output independent of worker count",
     }
     return _verdict("end_to_end", claimed, report, op, t_runs,

@@ -133,9 +133,10 @@ TRAINER = {
                           "gen_lr", "steps"), _as_is),
 }
 AUDIT = {
-    "step_mechanism": {"mode": _as_is, "trials": int, "audit_delta": float, "slack": float},
+    "step_mechanism": {"mode": _as_is, "trials": int, "audit_delta": float,
+                       "slack": audit_mod.audit_slack},
     "end_to_end": {"mode": _as_is, "t_runs": audit_mod.audit_run_count, "canary": _as_is,
-                   "slack": float},
+                   "slack": audit_mod.audit_slack},
 }
 
 
@@ -385,9 +386,7 @@ def cmd_audit(cfg: dict, args) -> int:
         ds = _load_data(cfg)
         trainer = build_trainer(cfg, ds.schema)
         if "canary" in kw:
-            canary = audit_mod.CanarySpec(
-                kind="record_canary",
-                record=_record_from_json(ds.schema, kw.pop("canary"), "audit.canary"))
+            canary = _record_from_json(ds.schema, kw.pop("canary"), "audit.canary")
         else:
             canary = audit_mod.default_record_canary(ds.schema, ds)
         # a configuration without a valid claim fails before any directory or training
@@ -415,6 +414,8 @@ def _fmt(v) -> str:
 
 def cmd_report(cfg: dict | None, args) -> int:
     out = Path(args.out or (cfg or {}).get("out") or ".")
+    if not out.is_dir():
+        raise ConfigError(f"out: no such directory: {out}")
     summary = {"schema_version": 1, "attacks": [], "audits": [], "missing": []}
     claimed = None
     acct = out / "accountant.json"
@@ -490,7 +491,9 @@ def _make_parser() -> argparse.ArgumentParser:
                         required=name != "report")
         sp.add_argument("--workers", type=int, default=1,
                         help="accepted and has no effect: shadow runs are serial")
-        sp.add_argument("--dry-run", action="store_true", dest="dry_run")
+        if name == "attack":
+            sp.add_argument("--dry-run", action="store_true",
+                            help="print the estimated attack cost and exit")
         sp.add_argument("--out", help="output directory (overrides config)")
     return p
 

@@ -23,7 +23,6 @@ __all__ = [
     "Dataset",
     "EncodedMatrix",
     "load_csv",
-    "make_neighbors",
     "encode",
     "decode",
     "encode_record",
@@ -313,13 +312,6 @@ def row_keys(ds: Dataset) -> np.ndarray:
     the same record exactly when their keys are equal."""
     m = encode(ds).matrix
     return m.view(np.dtype((np.void, m.itemsize * m.shape[1]))).ravel()
-
-
-def make_neighbors(base: Dataset, target: Record) -> tuple[Dataset, Dataset]:
-    """Return (D, D') where D' is D with the target appended."""
-    if base.matches(target).any():
-        raise DataError("target record already present in base dataset")
-    return base, base.with_record(target)
 
 
 def _marginal_outlier_scores(ds: Dataset, bins: int = 10) -> np.ndarray:

@@ -100,7 +100,6 @@ class TrainedArtifact:
     spec: ModelSpec
     params: np.ndarray
     trace: TrainingTrace | None
-    privacy: PrivacyParams | None
     meta: dict = field(default_factory=dict)
 
 
@@ -320,13 +319,10 @@ def train(
     y: np.ndarray,
     config: DpSgdConfig,
     observability: str = "black_box",
-    delta: float | None = None,
-    meta: dict | None = None,
 ) -> TrainedArtifact:
     """Run T steps of DP-SGD over the encoded dataset (x, y): the one-run
     case of train_lockstep."""
-    return train_lockstep([spec], x, y, [np.arange(len(x))], [config],
-                          observability, delta, meta)[0]
+    return train_lockstep([spec], x, y, [np.arange(len(x))], [config], observability)[0]
 
 
 def train_lockstep(
@@ -336,7 +332,6 @@ def train_lockstep(
     run_rows: list[np.ndarray],
     configs: list[DpSgdConfig],
     observability: str = "black_box",
-    delta: float | None = None,
     meta: dict | None = None,
 ) -> list[TrainedArtifact]:
     """Train run k on the rows run_rows[k] of (x, y) with specs[k] and
@@ -362,16 +357,12 @@ def train_lockstep(
     for start in range(0, len(specs), block):
         runs = slice(start, start + block)
         params, traces = _train_block(specs[runs], x, y, run_rows[runs], configs[runs], white_box)
-        for k, (spec, rows, cfg) in enumerate(zip(specs[runs], run_rows[runs], configs[runs])):
-            privacy = None
-            if cfg.bug_mode == BugMode.NONE and cfg.noise_multiplier > 0 and delta is not None:
-                privacy = claimed_privacy(cfg, len(rows), delta)
+        for k, spec in enumerate(specs[runs]):
             out.append(TrainedArtifact(
                 kind="predictive",
                 spec=spec,
                 params=params[k].copy(),
                 trace=TrainingTrace(tuple(traces[k])) if white_box else None,
-                privacy=privacy,
                 meta=dict(meta or {}),
             ))
     return out
@@ -403,7 +394,8 @@ def _train_block(specs, x, y, run_rows, configs, white_box):
 
 
 def claimed_privacy(config: DpSgdConfig, n: int, delta: float) -> PrivacyParams:
-    """Accountant output for a correct configuration.
+    """Accountant output for a correct configuration: the one place a DP-SGD
+    claim is computed.
 
     Composes the per-step Gaussian mechanisms in mu-GDP and inverts the
     delta(eps) curve at the caller's delta.
@@ -448,7 +440,6 @@ class PredictiveTrainer:
     hidden_dim: int = 0
     init_scale: float = 0.1
     observability: str = "black_box"
-    delta: float | None = None
 
     kind = "predictive"
 
@@ -482,7 +473,6 @@ class PredictiveTrainer:
             [self.model_spec(data.schema, s) for s in seeds], x, y, list(run_rows),
             [replace(self.config, seed=derive_seed(s, "dpsgd")) for s in seeds],
             observability=self.observability,
-            delta=self.delta,
             meta={"label_column": self.label_column, "schema": data.schema},
         )
 

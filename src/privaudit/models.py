@@ -7,7 +7,7 @@ parameter vector. Everything is a pure function of (spec, params, input).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "batch_losses",
     "per_sample_gradient",
     "batch_per_sample_gradients",
-    "input_gradient",
     "backprop_logits",
     "save_params",
     "load_params",
@@ -157,8 +156,7 @@ def _outer(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
 
 def _backward(spec: ModelSpec, params: np.ndarray, cache, d_logits: np.ndarray, sizes=None):
     """Per-sample parameter gradients given d(loss)/d(logits), and the
-    gradient at the first layer's output, which _input_gradients maps back
-    to the input."""
+    gradient at the first layer's output."""
     x, hidden = cache
     d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
     grads = np.empty(x.shape[:-1] + (params.shape[-1],))
@@ -175,10 +173,6 @@ def _backward(spec: ModelSpec, params: np.ndarray, cache, d_logits: np.ndarray, 
     _outer(d_logits, hidden, grads[..., at : at + c * h])
     grads[..., at + c * h :] = d_logits
     return grads, d_act
-
-
-def _input_gradients(spec: ModelSpec, params: np.ndarray, d_first: np.ndarray) -> np.ndarray:
-    return d_first @ _unpack(spec, params)[0]
 
 
 def batch_per_sample_gradients(spec: ModelSpec, params: np.ndarray, x, labels,
@@ -205,15 +199,6 @@ def per_sample_gradient(spec: ModelSpec, params: np.ndarray, x, label: int) -> n
     return batch_per_sample_gradients(spec, params, np.asarray(x)[None, :], [label])[0]
 
 
-def input_gradient(spec: ModelSpec, params: np.ndarray, x, label: int) -> np.ndarray:
-    """Gradient of the per-example loss with respect to the input features."""
-    z, cache = _forward(spec, params, np.asarray(x)[None, :])
-    d_logits = _softmax(z)
-    d_logits[0, int(label)] -= 1.0
-    _, d_first = _backward(spec, params, cache, d_logits)
-    return _input_gradients(spec, params, d_first)[0]
-
-
 def backprop_logits(spec: ModelSpec, params: np.ndarray, x, d_logits) -> tuple[np.ndarray, np.ndarray]:
     """Backpropagate an upstream gradient on the raw outputs.
 
@@ -223,22 +208,14 @@ def backprop_logits(spec: ModelSpec, params: np.ndarray, x, d_logits) -> tuple[n
     """
     _, cache = _forward(spec, params, x)
     grads, d_first = _backward(spec, params, cache, np.asarray(d_logits, dtype=np.float64))
-    return grads, _input_gradients(spec, params, d_first)
+    return grads, d_first @ _unpack(spec, params)[0]
 
 
 # ---------------------------------------------------------------------------
 # serialization: one JSON header line, then little-endian float64 payload
 
 def save_params(path, spec: ModelSpec, params: np.ndarray) -> None:
-    header = {
-        "kind": spec.kind,
-        "input_dim": spec.input_dim,
-        "num_classes": spec.num_classes,
-        "hidden_dim": spec.hidden_dim,
-        "init_scale": spec.init_scale,
-        "seed": spec.seed,
-        "n_params": int(params.size),
-    }
+    header = {**asdict(spec), "n_params": int(params.size)}
     with open(path, "wb") as f:
         f.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
         f.write(np.asarray(params, dtype="<f8").tobytes())
@@ -248,15 +225,9 @@ def load_params(path) -> tuple[ModelSpec, np.ndarray]:
     with open(path, "rb") as f:
         header = json.loads(f.readline().decode("utf-8"))
         raw = f.read()
-    spec = ModelSpec(
-        kind=header["kind"],
-        input_dim=header["input_dim"],
-        num_classes=header["num_classes"],
-        hidden_dim=header["hidden_dim"],
-        init_scale=header["init_scale"],
-        seed=header["seed"],
-    )
+    n = header.pop("n_params")
+    spec = ModelSpec(**header)
     params = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    if params.size != header["n_params"]:
-        raise ValueError(f"parameter payload has {params.size} entries, header says {header['n_params']}")
+    if params.size != n:
+        raise ValueError(f"parameter payload has {params.size} entries, header says {n}")
     return spec, params

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -358,11 +358,7 @@ def save_artifact(path, artifact: GenerativeArtifact) -> None:
         payload = list(artifact.state["probs"])
     elif artifact.kind == "gan":
         for name in ("gen_spec", "disc_spec"):
-            s: ModelSpec = artifact.state[name]
-            header[name] = {
-                "kind": s.kind, "input_dim": s.input_dim, "num_classes": s.num_classes,
-                "hidden_dim": s.hidden_dim, "init_scale": s.init_scale, "seed": s.seed,
-            }
+            header[name] = asdict(artifact.state[name])
         header["latent_dim"] = artifact.state["latent_dim"]
         payload = [artifact.state["gen_params"], artifact.state["disc_params"]]
     else:
@@ -383,10 +379,7 @@ def load_artifact(path) -> GenerativeArtifact:
                 probs.append(np.frombuffer(f.read(8 * size), dtype="<f8").astype(np.float64))
             return GenerativeArtifact(kind="marginal", schema=schema,
                                       state={"probs": probs, "bins": header["bins"]})
-        specs = {}
-        for name in ("gen_spec", "disc_spec"):
-            h = header[name]
-            specs[name] = ModelSpec(**h)
+        specs = {name: ModelSpec(**header[name]) for name in ("gen_spec", "disc_spec")}
         gen_params = np.frombuffer(
             f.read(8 * models.n_params(specs["gen_spec"])), dtype="<f8").astype(np.float64)
         disc_params = np.frombuffer(

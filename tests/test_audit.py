@@ -8,10 +8,8 @@ import pytest
 from privaudit import audit as audit_mod
 from privaudit.audit import (
     AffineCost,
-    CanarySpec,
     audit_end_to_end,
     audit_step_mechanism,
-    default_gradient_canary,
     default_record_canary,
     estimate_mia_cost,
     exit_code,
@@ -35,20 +33,12 @@ def step_config(bug_mode=BugMode.NONE, sigma=1.0, sample_rate=0.1):
 # canaries
 
 def test_canary_validation():
-    with pytest.raises(ValueError, match="kind"):
-        CanarySpec(kind="telepathic")
-    with pytest.raises(ValueError, match="record"):
-        CanarySpec(kind="record_canary")
-    with pytest.raises(ValueError, match="direction"):
-        CanarySpec(kind="gradient_canary")
     with pytest.raises(ValueError, match="unit"):
-        CanarySpec(kind="gradient_canary", direction=np.array([1.0, 1.0]))
-
-
-def test_default_gradient_canary():
-    c = default_gradient_canary(5)
-    assert np.array_equal(c.direction, [1, 0, 0, 0, 0])
-    assert np.linalg.norm(c.direction) == 1.0
+        audit_step_mechanism(step_config(), direction=np.array([1.0, 1.0]), trials=200)
+    # the default direction is the first basis vector of R^dim
+    default = audit_step_mechanism(step_config(), trials=200, dim=5)
+    e0 = audit_step_mechanism(step_config(), direction=[1.0, 0, 0, 0, 0], trials=200)
+    assert verdict_to_json_dict(default) == verdict_to_json_dict(e0)
 
 
 def test_default_record_canary():
@@ -56,12 +46,12 @@ def test_default_record_canary():
         NumericColumn("x", -3.0, 7.0),
         CategoricalColumn("c", ("a", "b", "z")),
     ))
-    assert default_record_canary(sch).record == (7.0, 2)
+    assert default_record_canary(sch) == (7.0, 2)
     ds = Dataset.from_rows(sch, [(0.0, 0), (1.0, 0), (2.0, 1), (3.0, 1), (4.0, 1)])
     # level "z" never occurs, so it is the rarest
-    assert default_record_canary(sch, ds).record == (7.0, 2)
+    assert default_record_canary(sch, ds) == (7.0, 2)
     ds2 = Dataset.from_rows(sch, [(0.0, 0), (1.0, 1), (2.0, 1), (3.0, 2), (4.0, 2)])
-    assert default_record_canary(sch, ds2).record == (7.0, 0)
+    assert default_record_canary(sch, ds2) == (7.0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +129,6 @@ def test_step_audit_batched_statistics_match_per_trial_loop(bug, monkeypatch):
     direction /= np.linalg.norm(direction)  # a unit canary off every axis
     base = rng.normal(size=(n_base, dim)) * rng.uniform(0.1, 5.0, size=(n_base, 1))
     cfg = step_config(bug_mode=bug, sample_rate=0.25)
-    canary = CanarySpec(kind="gradient_canary", direction=direction)
 
     scored_runs = []
     evaluate = audit_mod.evaluate
@@ -150,7 +139,7 @@ def test_step_audit_batched_statistics_match_per_trial_loop(bug, monkeypatch):
 
     monkeypatch.setattr(audit_mod, "evaluate", capture)
     for trials in (100, 257):
-        audit_step_mechanism(cfg, canary, trials=trials, base_gradients=base,
+        audit_step_mechanism(cfg, direction, trials=trials, base_gradients=base,
                              canary_scale=scale, master_seed=seed)
 
     # reference: the per-trial loop, one full aggregation per trial
@@ -175,9 +164,6 @@ def test_step_audit_preconditions():
         audit_step_mechanism(step_config(), trials=50)
     with pytest.raises(ValueError, match="noise_multiplier"):
         audit_step_mechanism(step_config(sigma=0.0), trials=200)
-    with pytest.raises(ValueError, match="gradient canary"):
-        audit_step_mechanism(step_config(), trials=200,
-                             canary=CanarySpec(kind="record_canary", record=(1,)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +186,7 @@ def e2e_trainer(bug_mode=BugMode.NONE, sigma=3.0):
     return PredictiveTrainer(label_column="y", config=cfg, init_scale=0.0)
 
 
-FLAG_CANARY = CanarySpec(kind="record_canary", record=(1, 1))
+FLAG_CANARY = (1, 1)
 
 
 def test_e2e_correct_passes(flag_pool):
@@ -247,9 +233,19 @@ def test_e2e_deterministic(flag_pool):
 def test_e2e_preconditions(flag_pool):
     with pytest.raises(ValueError, match="t_runs"):
         audit_end_to_end(e2e_trainer(), flag_pool, FLAG_CANARY, t_runs=10)
-    with pytest.raises(ValueError, match="record canary"):
-        audit_end_to_end(e2e_trainer(), flag_pool,
-                         default_gradient_canary(4), t_runs=30)
+
+
+@pytest.mark.parametrize("slack", [-1.0, math.nan, math.inf])
+def test_bad_slack_rejected_before_any_run(flag_pool, monkeypatch, slack):
+    def no_run(*args, **kwargs):
+        raise AssertionError("an audit ran with a bad slack")
+
+    monkeypatch.setattr(audit_mod, "evaluate", no_run)
+    monkeypatch.setattr(audit_mod, "run_shadow_experiment", no_run)
+    with pytest.raises(ValueError, match="slack must be a finite number >= 0"):
+        audit_step_mechanism(step_config(), trials=200, slack=slack)
+    with pytest.raises(ValueError, match="slack must be a finite number >= 0"):
+        audit_end_to_end(e2e_trainer(), flag_pool, FLAG_CANARY, t_runs=30, slack=slack)
 
 
 # ---------------------------------------------------------------------------

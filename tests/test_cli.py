@@ -149,6 +149,16 @@ def test_attack_dry_run(workspace, capsys):
     assert not (workspace / "results").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "synthesize", "audit", "report"])
+def test_dry_run_only_on_attack(workspace, capsys, command):
+    cfg = base_config(workspace, trainer={"kind": "marginal", "noise_std": 1.0})
+    cfg["audit"] = {"mode": "step_mechanism", "trials": 200}
+    path = write_config(workspace, cfg)
+    assert main([command, "--config", path, "--dry-run"]) == 3
+    assert "unrecognized arguments: --dry-run" in capsys.readouterr().err
+    assert not (workspace / "results").exists()
+
+
 def test_attack_deterministic_across_workers(workspace):
     path = write_config(workspace, attack_config(workspace))
     assert main(["attack", "--config", path, "--workers", "1"]) == 0
@@ -400,6 +410,8 @@ def test_non_object_config_block_exits_3(workspace, capsys, command, over, messa
     ("audit", "audit", "trials", "x", "audit.trials: invalid literal"),
     ("audit", "audit", "audit_delta", "x", "audit.audit_delta: could not convert"),
     ("audit", "audit", "slack", "x", "audit.slack: could not convert"),
+    ("audit", "audit", "slack", -1.0, "audit.slack: slack must be a finite number >= 0"),
+    ("audit", "audit", "slack", float("nan"), "audit.slack: slack must be a finite number >= 0"),
     ("synthesize", "synthesize", "n_samples", "x", "synthesize.n_samples: invalid literal"),
     ("attack", "attack", "attacks", 5, "attack.attacks: must be a list of attack names"),
     ("attack", "attack", "attacks", "lira", "attack.attacks: must be a list of attack names"),
@@ -484,6 +496,12 @@ def test_report_empty_dir(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "summary.json").read_text())
     assert doc["attacks"] == [] and doc["audits"] == []
+
+
+def test_report_missing_out_dir_exits_3(tmp_path, capsys):
+    assert main(["report", "--out", str(tmp_path / "nope")]) == 3
+    assert "out: no such directory" in capsys.readouterr().err
+    assert not (tmp_path / "nope").exists()
 
 
 def test_report_merges_attack_and_audit(workspace, capsys):

@@ -16,7 +16,6 @@ from privaudit.data import (
     encode,
     encode_record,
     load_csv,
-    make_neighbors,
     select_targets,
 )
 
@@ -174,32 +173,26 @@ def test_roundtrip_property(sr):
 
 
 # ---------------------------------------------------------------------------
-# make_neighbors
+# neighbouring datasets: D' = D.with_record(target)
 
 def test_neighbors_sizes(schema):
     base = make_ds(schema, [(float(i), i % 3, 1.0) for i in range(10)])
-    d, dprime = make_neighbors(base, (99.0, 0, 9.0))
-    assert len(d) == 10 and len(dprime) == 11
+    dprime = base.with_record((99.0, 0, 9.0))
+    assert len(base) == 10 and len(dprime) == 11
     assert dprime.rows[-1] == (99.0, 0, 9.0)
 
 
 def test_neighbors_differ_by_one(schema):
     base = make_ds(schema, [(1.0, 0, 1.0), (2.0, 1, 2.0)])
-    d, dprime = make_neighbors(base, (3.0, 2, 3.0))
-    diff = set(dprime.rows) - set(d.rows)
-    assert diff == {(3.0, 2, 3.0)}
-
-
-def test_neighbors_duplicate_target_errors(schema):
-    base = make_ds(schema, [(1.0, 0, 1.0)])
-    with pytest.raises(DataError, match="already present"):
-        make_neighbors(base, (1.0, 0, 1.0))
+    dprime = base.with_record((3.0, 2, 3.0))
+    assert dprime.rows[:-1] == base.rows
+    assert set(dprime.rows) - set(base.rows) == {(3.0, 2, 3.0)}
 
 
 def test_neighbors_empty_base(schema):
     base = make_ds(schema, [])
-    d, dprime = make_neighbors(base, (1.0, 0, 1.0))
-    assert len(d) == 0 and len(dprime) == 1
+    dprime = base.with_record((1.0, 0, 1.0))
+    assert len(base) == 0 and dprime.rows == ((1.0, 0, 1.0),)
 
 
 # ---------------------------------------------------------------------------

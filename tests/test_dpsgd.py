@@ -272,12 +272,9 @@ def test_poisson_inclusion_frequency():
     assert np.all(np.abs(freq - p) <= 3 * sd)
 
 
-def test_large_noise_accountant_epsilon_vanishes(toy_xy):
-    x, y = toy_xy
-    spec = ModelSpec(LOGISTIC, input_dim=3, num_classes=2, seed=4)
-    art = train(spec, x, y, cfg(noise_multiplier=1e4), delta=1e-3)
-    assert art.privacy is not None
-    assert art.privacy.epsilon == pytest.approx(0.0, abs=1e-6)
+def test_large_noise_accountant_epsilon_vanishes():
+    pp = claimed_privacy(cfg(noise_multiplier=1e4), 40, 1e-3)
+    assert pp.epsilon == pytest.approx(0.0, abs=1e-6)
 
 
 def test_accountant_matches_bisection_oracle():

@@ -11,7 +11,6 @@ from privaudit.models import (
     batch_losses,
     batch_per_sample_gradients,
     init_params,
-    input_gradient,
     load_params,
     n_params,
     per_example_loss,
@@ -189,11 +188,15 @@ def test_run_axis_gradients_equal_unbatched_bit_for_bit(kind):
 
 
 def test_input_gradient_finite_difference():
+    # backprop_logits maps the cross-entropy's d(loss)/d(logits) = p - onehot
+    # back to the input, as the GAN's generator update does
     rng = np.random.default_rng(21)
     spec = ModelSpec(MLP, input_dim=3, hidden_dim=4, num_classes=2, seed=2)
     params = init_params(spec) + rng.normal(scale=0.2, size=n_params(spec))
     x = rng.normal(size=3)
-    g = input_gradient(spec, params, x, 1)
+    d_logits = predict(spec, params, x) - np.eye(2)[1]
+    _, g = backprop_logits(spec, params, x[None], d_logits[None])
+    g = g[0]
     fd = np.zeros(3)
     for i in range(3):
         up = x.copy(); up[i] += 1e-6
