@@ -279,7 +279,8 @@ def audit_end_to_end(
     strongest applicable attack (LiRA on prediction losses for predictive
     trainers, max of DCR and groundhog for generative ones) at the low-FPR
     operating point, and is compared against the trainer's claimed epsilon.
-    ``workers`` is accepted and has no effect: shadow runs are serial.
+    A predictive trainer's shadow runs train in up to ``workers`` processes
+    (see run_shadow_experiment); the verdict does not depend on it.
     """
     audit_run_count(t_runs)
     audit_slack(slack)

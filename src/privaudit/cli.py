@@ -88,6 +88,9 @@ def _load_data(cfg: dict) -> Dataset:
 
 def _record_from_json(schema: Schema, values, path: str):
     def convert():
+        if len(values) != len(schema.columns):
+            raise ValueError(f"record has {len(values)} values, "
+                             f"schema has {len(schema.columns)} columns")
         out = []
         for col, v in zip(schema.columns, values):
             if isinstance(col, CategoricalColumn) and isinstance(v, str):
@@ -342,10 +345,11 @@ def cmd_attack(cfg: dict, args) -> int:
                          sort_keys=True))
         return 0
 
-    out = _out_dir(cfg, args)
     target, pool = _pick_target(cfg, ds)
+    out = _out_dir(cfg, args)
     delta = _delta(cfg, len(ds))
-    coll = run_shadow_experiment(target, pool, trainer, tm, t_runs, cfg["master_seed"])
+    coll = run_shadow_experiment(target, pool, trainer, tm, t_runs, cfg["master_seed"],
+                                 args.workers)
     bundles = {}
     for name in names:
         mode = ATTACK_FEATURES[name]
@@ -394,7 +398,7 @@ def cmd_audit(cfg: dict, args) -> int:
             trainer, len(ds), **_given(cfg, "delta")))
         out = _out_dir(cfg, args)
         verdict = _build("audit", lambda: audit_mod.audit_end_to_end(
-            trainer, ds, canary, **_given(cfg, "delta"), **kw))
+            trainer, ds, canary, **_given(cfg, "delta"), workers=args.workers, **kw))
 
     audit_mod.save_verdict(out / "audit.json", verdict)
     _write_sidecar(out, "audit")
@@ -481,6 +485,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _worker_count(value: str) -> int:
+    try:
+        workers = int(value)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value!r}")
+    return workers
+
+
 def _make_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="privaudit",
                 description="empirical privacy measurement for small tabular models")
@@ -489,8 +503,10 @@ def _make_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="experiment config JSON",
                         required=name != "report")
-        sp.add_argument("--workers", type=int, default=1,
-                        help="accepted and has no effect: shadow runs are serial")
+        if name in ("attack", "audit"):
+            sp.add_argument("--workers", type=_worker_count, default=1,
+                            help="processes that train the predictive shadow runs "
+                                 "(at most one per CPU); output does not depend on it")
         if name == "attack":
             sp.add_argument("--dry-run", action="store_true",
                             help="print the estimated attack cost and exit")
@@ -518,8 +534,6 @@ def main(argv=None) -> int:
             raise ConfigError("config: missing")
         if cfg is not None:
             cfg = {"master_seed": 0, **_read_block(cfg, CONFIG, "config")}
-        if args.workers < 1:
-            raise ConfigError("workers: must be >= 1")
         return COMMANDS[args.command](cfg, args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -9,6 +9,7 @@ audit module uses them as positive controls.
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -333,6 +334,7 @@ def train_lockstep(
     configs: list[DpSgdConfig],
     observability: str = "black_box",
     meta: dict | None = None,
+    workers: int = 1,
 ) -> list[TrainedArtifact]:
     """Train run k on the rows run_rows[k] of (x, y) with specs[k] and
     configs[k], the runs stepping together in blocks.
@@ -340,7 +342,9 @@ def train_lockstep(
     The specs and the configs may differ only in their seeds. Seed-
     deterministic end to end: run k's Poisson batch draws and noise come from
     counter-based streams keyed by (configs[k].seed, step), and its artifact
-    is bit for bit the one it gets when trained alone.
+    is bit for bit the one it gets when trained alone. The blocks are dealt
+    to _process_count(workers, blocks) processes, so the artifacts do not
+    depend on workers either.
     """
     _check_observability(observability)
     if (len({replace(s, seed=0) for s in specs}) > 1
@@ -352,11 +356,13 @@ def train_lockstep(
     white_box = observability == "white_box"
     largest = max(len(r) for r in run_rows) * config.sample_rate
     block = max(1, int(_BLOCK_ROWS // max(largest, 1.0)))
+    blocks = [slice(start, start + block) for start in range(0, len(specs), block)]
+
+    def train_blocks(some):
+        return [_train_block(specs[b], x, y, run_rows[b], configs[b], white_box) for b in some]
 
     out = []
-    for start in range(0, len(specs), block):
-        runs = slice(start, start + block)
-        params, traces = _train_block(specs[runs], x, y, run_rows[runs], configs[runs], white_box)
+    for runs, (params, traces) in zip(blocks, _fan_out(train_blocks, blocks, workers)):
         for k, spec in enumerate(specs[runs]):
             out.append(TrainedArtifact(
                 kind="predictive",
@@ -366,6 +372,79 @@ def train_lockstep(
                 meta=dict(meta or {}),
             ))
     return out
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _process_count(workers: int, tasks: int) -> int:
+    """The processes that share tasks at the given workers: no more than
+    the tasks or the CPUs, and one where the fork start method does not exist."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(workers, tasks, _cpu_count()))
+
+
+def _fan_out(fn, tasks: list, workers: int) -> list:
+    """fn(some_tasks) over contiguous ranges of tasks, one range per process,
+    the result lists joined in task order.
+
+    This process takes the first range; each other range goes to a forked
+    child, which inherits fn and its inputs and sends back only its result.
+    A child's exception is raised here, a child that dies without a result
+    raises RuntimeError, and every child is joined either way.
+    """
+    n = _process_count(workers, len(tasks))
+    bounds = [len(tasks) * i // n for i in range(n + 1)]
+    ranges = [tasks[a:b] for a, b in zip(bounds, bounds[1:])]
+    if n == 1:
+        return fn(ranges[0])
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for some in ranges[1:]:
+            receive, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_send_result, args=(fn, some, send))
+            child.start()
+            send.close()  # the child now holds the only write end: its exit is EOF here
+            children.append((child, receive))
+        out = fn(ranges[0])
+        for child, receive in children:
+            try:
+                ok, result = receive.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"training process {child.pid} exited with code "
+                                   f"{child.exitcode} before sending its result") from None
+            if not ok:
+                raise result
+            out.extend(result)
+        return out
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receive in children:
+            child.join()
+            receive.close()
+
+
+def _send_result(fn, tasks, send) -> None:
+    """A forked child's work: (True, fn(tasks)), or (False, its exception)."""
+    try:
+        send.send((True, fn(tasks)))
+    except Exception as e:
+        send.send((False, e))
 
 
 def _train_block(specs, x, y, run_rows, configs, white_box):
@@ -465,15 +544,17 @@ class PredictiveTrainer:
     def fit(self, ds: Dataset, seed: int) -> TrainedArtifact:
         return self.fit_runs(ds, [np.arange(len(ds))], [seed])[0]
 
-    def fit_runs(self, data: Dataset, run_rows, seeds) -> list[TrainedArtifact]:
+    def fit_runs(self, data: Dataset, run_rows, seeds, workers: int = 1) -> list[TrainedArtifact]:
         """One artifact per run, trained in lockstep from one encoding of
-        data: run k equals fit(data.take(run_rows[k]), seeds[k])."""
+        data by up to workers processes: run k equals
+        fit(data.take(run_rows[k]), seeds[k])."""
         x, y = features_and_labels(data, self.label_column)
         return train_lockstep(
             [self.model_spec(data.schema, s) for s in seeds], x, y, list(run_rows),
             [replace(self.config, seed=derive_seed(s, "dpsgd")) for s in seeds],
             observability=self.observability,
             meta={"label_column": self.label_column, "schema": data.schema},
+            workers=workers,
         )
 
     def claimed_epsilon(self, n: int, delta: float) -> float:

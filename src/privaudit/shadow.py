@@ -1,10 +1,10 @@
 """Shadow-modeling harness.
 
 Repeatedly trains target-in/target-out artifacts under controlled randomness
-and hands labeled material to the attacks. Runs are independent and execute
-in the calling thread, the predictive ones in lockstep; the collection is
-ordered by run index and each run depends only on the master seed and its
-index.
+and hands labeled material to the attacks. Runs are independent. The
+predictive ones train in lockstep blocks, which forked processes may share;
+the others train in the calling thread. The collection is ordered by run
+index and each run depends only on the master seed and its index.
 """
 
 from __future__ import annotations
@@ -139,11 +139,12 @@ def run_shadow_experiment(
     Per run t: s_t = derive_seed(master_seed, t); the baseline training set is
     the pool itself (fixed_dataset) or a half-size subsample drawn from s_t
     (resampled_dataset); the target is appended iff b_t = 1; training uses s_t.
-    A trainer with ``fit_runs(data, run_rows, seeds)`` gets every run's rows
-    of pool-plus-target and seed in one call (the predictive trainer steps
-    them in lockstep); any other trainer is fit run by run. Either way run t
-    depends only on master_seed and t.
-    ``workers`` is accepted and has no effect: runs execute in this thread.
+    A trainer with ``fit_runs(data, run_rows, seeds, workers)`` gets every
+    run's rows of pool-plus-target and seed in one call: the predictive
+    trainer steps them in lockstep blocks and trains the blocks in up to
+    ``workers`` processes, this one and forked children. Any other trainer
+    is fit run by run in this thread. Either way run t depends only on
+    master_seed and t, and not on ``workers``.
     """
     shadow_run_count(t_runs)
     target = pool.schema.validate_record(target)
@@ -177,7 +178,7 @@ def run_shadow_experiment(
 
     fit_runs = getattr(trainer, "fit_runs", None)
     if fit_runs is not None:
-        artifacts = fit_runs(with_target, run_rows, seeds)
+        artifacts = fit_runs(with_target, run_rows, seeds, workers)
     else:
         artifacts = [trainer.fit(with_target.take(r), s) for r, s in zip(run_rows, seeds)]
     runs = tuple(

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from privaudit import dpsgd
 from privaudit.cli import _pick_target, main
 from privaudit.data import CategoricalColumn, Dataset, NumericColumn, Schema, load_csv
 
@@ -169,6 +170,41 @@ def test_attack_deterministic_across_workers(workspace):
     assert main(["attack", "--config", path, "--workers", "8"]) == 0
     for n, blob in blobs.items():
         assert (workspace / "results" / f"attack_{n}.json").read_bytes() == blob
+
+
+@pytest.mark.parametrize("command", ["train", "synthesize", "report"])
+def test_workers_only_on_attack_and_audit(workspace, capsys, command):
+    cfg = base_config(workspace, trainer={"kind": "marginal", "noise_std": 1.0})
+    assert main([command, "--config", write_config(workspace, cfg), "--workers", "2"]) == 3
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert not (workspace / "results").exists()
+
+
+@pytest.mark.parametrize("command", ["attack", "audit"])
+@pytest.mark.parametrize("value", ["0", "-1", "x"])
+def test_workers_below_one_exits_3(workspace, capsys, command, value):
+    path = write_config(workspace, attack_config(workspace))
+    assert main([command, "--config", path, "--workers", value]) == 3
+    assert "argument --workers: must be an integer >= 1" in capsys.readouterr().err
+    assert not (workspace / "results").exists()
+
+
+@pytest.mark.parametrize("command", ["attack", "audit"])
+def test_output_bytes_independent_of_workers(workspace, monkeypatch, command):
+    # two processes on any machine, over 4 (attack) or 8 (audit) lockstep blocks
+    monkeypatch.setattr(dpsgd, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(dpsgd, "_BLOCK_ROWS", 40)
+    cfg = attack_config(workspace, threat_model={"data_knowledge": "resampled_dataset"})
+    cfg["trainer"].update(model_kind="mlp", hidden_dim=4, observability="white_box")
+    cfg["audit"] = {"mode": "end_to_end", "t_runs": 24}
+    path = write_config(workspace, cfg)
+    runs = []
+    for workers in ("1", "2"):
+        out = workspace / f"workers{workers}"
+        code = main([command, "--config", path, "--workers", workers, "--out", str(out)])
+        runs.append((code, {p.name: p.read_bytes() for p in sorted(out.iterdir())
+                            if p.name != "run_info.json"}))
+    assert runs[0][1] and runs[0] == runs[1]
 
 
 def test_attack_incompatible_rejected_before_training(workspace, capsys):
@@ -423,6 +459,11 @@ def test_non_object_config_block_exits_3(workspace, capsys, command, over, messa
     ("synthesize", "synthesize", "n_samples", -1, "synthesize.n_samples: n must be >= 0"),
     ("train", "trainer", "observability", "grey", "trainer: unknown observability 'grey'"),
     ("train", "trainer", "label_column", "x", "trainer: label column 'x' must be categorical"),
+    ("attack", "attack", "target", {"record": [0.5, "b", 99, "junk"]},
+     "attack.target.record: record has 4 values, schema has 2 columns"),
+    ("audit", "config", "audit", {"mode": "end_to_end", "t_runs": 20,
+                                  "canary": [0.5, "b", 99, "junk"]},
+     "audit.canary: record has 4 values, schema has 2 columns"),
 ])
 def test_bad_config_value_exits_3(workspace, capsys, command, section, key, value, message):
     cfg = base_config(workspace, synthesize={})

@@ -1,10 +1,14 @@
 import math
+import multiprocessing
+import os
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from privaudit import dpsgd
 from privaudit.core_stats import GdpParam, gdp_delta_of_epsilon
 from privaudit.data import CategoricalColumn, Dataset, NumericColumn, Schema
 from privaudit.dpsgd import (
@@ -350,3 +354,123 @@ def test_predictive_trainer_fit_and_loss(labeled_ds):
     art2 = trainer.fit(labeled_ds, seed=42)
     assert np.array_equal(art.params, art2.params)
 
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+
+def lockstep_bytes(arts):
+    return [(a.params.tobytes(), [(s.indices.tobytes(), s.grad_sum.tobytes(), s.noise.tobytes(),
+                                   s.params_after.tobytes(), s.max_sample_norm)
+                                  for s in a.trace.steps]) for a in arts]
+
+
+@pytest.mark.parametrize("kind, hidden_dim", [(LOGISTIC, 0), ("mlp", 6)])
+def test_lockstep_bit_equal_at_every_worker_count(toy_xy, monkeypatch, tmp_path, kind, hidden_dim):
+    x, y = toy_xy
+    monkeypatch.setattr(dpsgd, "_cpu_count", lambda: 8)  # 3 and 5 processes on any machine
+    spec = ModelSpec(kind, input_dim=3, num_classes=2, hidden_dim=hidden_dim)
+    specs = [replace(spec, seed=k) for k in range(7)]
+    configs = [cfg(seed=10 + k) for k in range(7)]
+    rows = [np.arange(40) if k % 2 else np.arange(k, 40, 2) for k in range(7)]
+    log = tmp_path / "blocks"
+    train_block = dpsgd._train_block
+
+    def spy(block_specs, *args):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {block_specs[0].seed}\n")
+        return train_block(block_specs, *args)
+
+    monkeypatch.setattr(dpsgd, "_train_block", spy)
+    want = lockstep_bytes(train_lockstep(specs, x, y, rows, configs, "white_box"))
+    # the largest run samples 20 expected rows a step: 7 blocks of one run,
+    # or 3 blocks of (3, 3, 1) runs
+    for block_rows, firsts in ((20, list(range(7))), (60, [0, 3, 6])):
+        monkeypatch.setattr(dpsgd, "_BLOCK_ROWS", block_rows)
+        for workers in (1, 2, 3, 5):
+            log.write_text("")
+            arts = train_lockstep(specs, x, y, rows, configs, "white_box", workers=workers)
+            assert lockstep_bytes(arts) == want
+            calls = [line.split() for line in log.read_text().splitlines()]
+            processes = min(workers, len(firsts))
+            assert sorted(int(s) for _, s in calls) == firsts
+            assert len({pid for pid, _ in calls}) == processes
+            # this process trains the first contiguous range
+            mine = [int(s) for pid, s in calls if pid == str(os.getpid())]
+            assert mine == firsts[: len(firsts) // processes]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def four_blocks(toy_xy, monkeypatch):
+    """Trains four one-run blocks in two processes, this one taking the
+    blocks of seeds 0 and 1; on_block(seed) runs before each block."""
+    x, y = toy_xy
+    monkeypatch.setattr(dpsgd, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(dpsgd, "_BLOCK_ROWS", 20)
+    spec = ModelSpec(LOGISTIC, input_dim=3, num_classes=2)
+    train_block = dpsgd._train_block
+
+    def run(on_block):
+        def patched(specs, *args):
+            on_block(specs[0].seed)
+            return train_block(specs, *args)
+
+        monkeypatch.setattr(dpsgd, "_train_block", patched)
+        return train_lockstep([replace(spec, seed=k) for k in range(4)], x, y,
+                              [np.arange(40)] * 4, [cfg(seed=k) for k in range(4)], workers=2)
+    return run
+
+
+def test_child_error_raised_in_parent(four_blocks):
+    parent = os.getpid()
+
+    def on_block(seed):
+        if seed == 3 and os.getpid() != parent:
+            raise ArithmeticError("block of seed 3 failed")
+
+    with pytest.raises(ArithmeticError, match="block of seed 3 failed"):
+        four_blocks(on_block)
+    assert multiprocessing.active_children() == []
+
+
+def test_child_that_dies_raises_runtime_error(four_blocks):
+    parent = os.getpid()
+
+    def on_block(seed):
+        if os.getpid() != parent:
+            os._exit(7)
+
+    with pytest.raises(RuntimeError, match="exited with code 7"):
+        four_blocks(on_block)
+    assert multiprocessing.active_children() == []
+
+
+def test_parent_error_stops_the_children(four_blocks):
+    parent = os.getpid()
+
+    def on_block(seed):
+        if os.getpid() == parent:
+            raise ArithmeticError("block in this process failed")
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(ArithmeticError, match="block in this process failed"):
+        four_blocks(on_block)
+    assert time.monotonic() - start < 30  # the sleeping child was stopped, not waited for
+    assert multiprocessing.active_children() == []
+
+
+def test_process_count_never_exceeds_workers_blocks_or_cpus(monkeypatch):
+    cpus = dpsgd._cpu_count()
+    assert dpsgd._process_count(10**6, 43) == min(cpus, 43)
+    assert dpsgd._process_count(10**6, 1) == 1
+    assert dpsgd._process_count(1, 43) == 1
+    monkeypatch.setattr(dpsgd, "_cpu_count", lambda: 4)
+    assert dpsgd._process_count(10**6, 43) == 4
+    assert dpsgd._process_count(3, 43) == 3
+    assert dpsgd._process_count(5, 2) == 2
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        dpsgd._process_count(0, 43)
+    monkeypatch.delattr(os, "fork")  # no fork start method: one process
+    assert dpsgd._process_count(10**6, 43) == 1

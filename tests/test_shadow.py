@@ -242,3 +242,25 @@ def test_run_bit_equal_alone_and_at_every_block_size(bug, model_kind, hidden_dim
                 coll = run_shadow_experiment(target, pool, trainer, tm, t_runs, master_seed)
             assert blocks == sizes
             assert [run_bytes(r) for r in coll.runs] == want
+
+
+@pytest.mark.parametrize("model_kind, hidden_dim", [("logistic_regression", 0), ("mlp", 34)])
+def test_runs_bit_equal_at_every_worker_count(monkeypatch, model_kind, hidden_dim):
+    monkeypatch.setattr(dpsgd, "_cpu_count", lambda: 8)  # 3 and 5 processes on any machine
+    rng = np.random.default_rng(11)
+    pool = Dataset.from_rows(WIDE, [(float(rng.integers(2)) / 2, int(rng.integers(3)),
+                                     int(rng.integers(3))) for _ in range(30)])
+    cfg = DpSgdConfig(clip_norm=0.5, noise_multiplier=1.0, sample_rate=0.1, steps=4,
+                      learning_rate=0.5)
+    trainer = PredictiveTrainer(label_column="y", config=cfg, model_kind=model_kind,
+                                hidden_dim=hidden_dim, observability="white_box")
+    target, t_runs = (0.5, 3, 1), 7
+    for knowledge, largest in ((FIXED_DATASET, 31), (RESAMPLED_DATASET, 16)):
+        tm = ThreatModel(model_access=WHITE_BOX, data_knowledge=knowledge)
+        want = [run_bytes(r) for r in run_shadow_experiment(target, pool, trainer, tm, t_runs, 9).runs]
+        # 7 blocks of one run, or 3 blocks of (3, 3, 1) runs
+        for block in (1, 3):
+            monkeypatch.setattr(dpsgd, "_BLOCK_ROWS", (block + 0.5) * largest * cfg.sample_rate)
+            for workers in (1, 2, 3, 5):
+                coll = run_shadow_experiment(target, pool, trainer, tm, t_runs, 9, workers=workers)
+                assert [run_bytes(r) for r in coll.runs] == want
