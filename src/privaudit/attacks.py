@@ -171,26 +171,59 @@ def gower_distance(schema: Schema, a, b) -> float:
     return total / len(schema.columns)
 
 
-def min_gower_distance(schema: Schema, target, ds: Dataset) -> float:
-    """Distance from the target to its closest record in ds, vectorized."""
-    if len(ds) == 0:
+# Synthetic datasets whose features are computed together. A block copies
+# each column of its runs into one (runs, rows) array; small blocks keep that
+# copy small next to the synthetic data itself.
+_FEATURE_BLOCK = 8
+
+
+def _run_blocks(datasets):
+    """Consecutive datasets of equal length, at most _FEATURE_BLOCK at a time;
+    datasets of differing lengths give blocks of one."""
+    start = 0
+    for end in range(1, len(datasets) + 1):
+        if (end == len(datasets) or end - start == _FEATURE_BLOCK
+                or len(datasets[end]) != len(datasets[start])):
+            yield datasets[start:end]
+            start = end
+
+
+def _require_rows(datasets) -> None:
+    if any(len(ds) == 0 for ds in datasets):
         raise ValueError("empty synthetic dataset")
-    acc = np.zeros(len(ds), dtype=np.float64)
-    for col, vals, v in zip(schema.columns, ds.columns, target):
+
+
+def _min_gower_block(schema: Schema, target, block) -> np.ndarray:
+    """min_gower_distance of each dataset in a block of equal-length ones.
+    Each row of the block's arrays is one dataset and sees the arithmetic of
+    that dataset alone, so the distances are bit-equal to one at a time."""
+    acc = np.zeros((len(block), len(block[0])), dtype=np.float64)
+    for j, (col, v) in enumerate(zip(schema.columns, target)):
+        vals = np.stack([ds.columns[j] for ds in block])
         if isinstance(col, NumericColumn):
-            acc += np.abs(vals - v) / (col.hi - col.lo)
+            # np.abs(vals - v) / (col.hi - col.lo), in place in the fresh stack
+            vals -= v
+            np.abs(vals, out=vals)
+            vals /= col.hi - col.lo
+            acc += vals
         else:
             acc += (vals != int(v)).astype(np.float64)
-    return float(acc.min()) / len(schema.columns)
+    return acc.min(axis=1) / len(schema.columns)
+
+
+def min_gower_distance(schema: Schema, target, ds: Dataset) -> float:
+    """Distance from the target to its closest record in ds, vectorized."""
+    _require_rows([ds])
+    return float(_min_gower_block(schema, target, [ds])[0])
 
 
 def attack_dcr(fb: FeatureBundle) -> ScoredRuns:
     """Distance to closest record: score = -min distance from target to the
-    run's synthetic dataset."""
+    run's synthetic dataset. Runs are scored in blocks (_run_blocks)."""
     _require_mode(fb, "synth_dataset", "attack_dcr")
-    schema = fb.schema
-    scores = np.array(
-        [-min_gower_distance(schema, fb.target, ds) for ds in fb.features]
+    _require_rows(fb.features)
+    scores = -np.concatenate(
+        [_min_gower_block(fb.schema, fb.target, b) for b in _run_blocks(fb.features)]
     )
     return ScoredRuns(
         bits=fb.bits,
@@ -209,6 +242,40 @@ class GroundhogConfig:
     include_correlations: bool = False
 
 
+def _correlations(m: np.ndarray) -> np.ndarray:
+    """Upper triangle of the correlation matrix of m's rows."""
+    sd = m.std(axis=1)
+    # zero-variance columns get zero correlation rather than NaN
+    c = np.corrcoef(m) if np.all(sd > 0) else np.zeros((len(m),) * 2)
+    return np.nan_to_num(c[np.triu_indices(len(m), k=1)])
+
+
+def _groundhog_block(block, include_correlations: bool) -> np.ndarray:
+    """groundhog_features of each dataset in a block of equal-length ones,
+    one row per dataset. Each statistic reduces along a row of the block's
+    (datasets, rows) arrays, which numpy does as it reduces one dataset's
+    column alone, so the rows are bit-equal to one dataset at a time."""
+    runs, n = len(block), len(block[0])
+    feats: list[np.ndarray] = []
+    numeric: list[np.ndarray] = []
+    for j, col in enumerate(block[0].schema.columns):
+        vals = np.stack([ds.columns[j] for ds in block])
+        if isinstance(col, NumericColumn):
+            feats += [vals.mean(axis=1), np.median(vals, axis=1), vals.var(axis=1)]
+            if include_correlations:
+                numeric.append(vals)
+        else:
+            k = len(col.levels)
+            # run r's levels counted in cells r*k .. r*k + k - 1
+            flat = (vals + k * np.arange(runs)[:, None]).ravel()
+            feats += list((np.bincount(flat, minlength=runs * k).reshape(runs, k) / n).T)
+    out = np.stack(feats, axis=1)
+    if include_correlations and len(numeric) > 1:
+        corr = [_correlations(np.stack([v[r] for v in numeric])) for r in range(runs)]
+        out = np.concatenate([out, np.stack(corr)], axis=1)
+    return out
+
+
 def groundhog_features(ds: Dataset, include_correlations: bool = False) -> np.ndarray:
     """Summary statistics of a synthetic dataset, concatenated in schema order.
 
@@ -216,23 +283,7 @@ def groundhog_features(ds: Dataset, include_correlations: bool = False) -> np.nd
     contribute level frequencies. Optionally appends the upper triangle of the
     numeric correlation matrix.
     """
-    feats: list[float] = []
-    numeric: list[np.ndarray] = []
-    for col, vals in zip(ds.schema.columns, ds.columns):
-        if isinstance(col, NumericColumn):
-            feats += [float(vals.mean()), float(np.median(vals)), float(vals.var())]
-            numeric.append(vals)
-        else:
-            counts = np.bincount(vals, minlength=len(col.levels))
-            feats += (counts / len(ds)).tolist()
-    if include_correlations and len(numeric) > 1:
-        m = np.stack(numeric)
-        sd = m.std(axis=1)
-        # zero-variance columns get zero correlation rather than NaN
-        c = np.corrcoef(m) if np.all(sd > 0) else np.zeros((len(numeric),) * 2)
-        iu = np.triu_indices(len(numeric), k=1)
-        feats += np.nan_to_num(c[iu]).tolist()
-    return np.array(feats, dtype=np.float64)
+    return _groundhog_block([ds], include_correlations)[0]
 
 
 def attack_groundhog(fb: FeatureBundle, config: GroundhogConfig | None = None) -> ScoredRuns:
@@ -240,17 +291,17 @@ def attack_groundhog(fb: FeatureBundle, config: GroundhogConfig | None = None) -
 
     A logistic regression (zero-initialized, full-batch gradient descent) is
     trained on the calibration split labeled by the membership bit; evaluation
-    runs are scored by their member-vs-non-member logit difference.
+    runs are scored by their member-vs-non-member logit difference. The
+    features are computed in blocks of runs (_run_blocks).
     """
     _require_mode(fb, "synth_dataset", "attack_groundhog")
     cfg = config or GroundhogConfig()
     bits = fb.bits
     cal = _split_stratified(bits, cfg.holdout_fraction, min_per_class=2)
-    if any(len(ds) == 0 for ds in fb.features):
-        raise ValueError("empty synthetic dataset")
+    _require_rows(fb.features)
 
-    feats = np.stack(
-        [groundhog_features(ds, cfg.include_correlations) for ds in fb.features]
+    feats = np.concatenate(
+        [_groundhog_block(b, cfg.include_correlations) for b in _run_blocks(fb.features)]
     )
     # standardize with calibration statistics for stable fixed-budget SGD
     mu = feats[cal].mean(axis=0)

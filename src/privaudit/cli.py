@@ -40,6 +40,7 @@ from .shadow import (
     shadow_run_count,
 )
 from .synthesizers import (
+    DegenerateMarginalError,
     GanTrainer,
     MarginalSynthSpec,
     MarginalTrainer,
@@ -197,12 +198,12 @@ def _delta(cfg: dict, n: int) -> float:
 
 
 def _out_dir(cfg: dict, args) -> Path:
+    """The output directory. A command checks it before its work and makes
+    it only once it has results to write, so a failed run leaves none."""
     out = args.out or cfg.get("out")
     if not out:
         raise ConfigError("out: missing (set in config or pass --out)")
-    p = Path(out)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
+    return Path(out)
 
 
 def _write_sidecar(out: Path, command: str) -> None:
@@ -242,6 +243,7 @@ def cmd_train(cfg: dict, args) -> int:
     delta = _delta(cfg, len(ds))
 
     art = trainer.fit(ds, cfg["master_seed"])
+    out.mkdir(parents=True, exist_ok=True)
     if trainer.kind == "predictive":
         save_params(out / "model.params", art.spec, art.params)
     else:
@@ -264,6 +266,7 @@ def cmd_synthesize(cfg: dict, args) -> int:
 
     art = trainer.fit(ds, seed)
     syn = sample(art, n, seed)
+    out.mkdir(parents=True, exist_ok=True)
     syn.to_csv(out / "synthetic.csv")
     save_artifact(out / "synthesizer.gen", art)
     attacks_mod.write_json(out / "accountant.json",
@@ -350,6 +353,7 @@ def cmd_attack(cfg: dict, args) -> int:
     delta = _delta(cfg, len(ds))
     coll = run_shadow_experiment(target, pool, trainer, tm, t_runs, cfg["master_seed"],
                                  args.workers)
+    out.mkdir(parents=True, exist_ok=True)
     bundles = {}
     for name in names:
         mode = ATTACK_FEATURES[name]
@@ -393,13 +397,14 @@ def cmd_audit(cfg: dict, args) -> int:
             canary = _record_from_json(ds.schema, kw.pop("canary"), "audit.canary")
         else:
             canary = audit_mod.default_record_canary(ds.schema, ds)
-        # a configuration without a valid claim fails before any directory or training
+        # a configuration without a valid claim fails before any training
         _build("audit", lambda: audit_mod.end_to_end_claim(
             trainer, len(ds), **_given(cfg, "delta")))
         out = _out_dir(cfg, args)
         verdict = _build("audit", lambda: audit_mod.audit_end_to_end(
             trainer, ds, canary, **_given(cfg, "delta"), workers=args.workers, **kw))
 
+    out.mkdir(parents=True, exist_ok=True)
     audit_mod.save_verdict(out / "audit.json", verdict)
     _write_sidecar(out, "audit")
     claimed = verdict.claimed.epsilon
@@ -537,6 +542,10 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](cfg, args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except DegenerateMarginalError as e:
+        # the configured noise swamps a column's counts: a config problem
+        print(f"error: trainer: {e}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import models
 from .core_stats import PrivacyParams, gdp_epsilon_of_delta, subsampled_gdp_mu
 from .data import CategoricalColumn, Dataset, Schema, encode
-from .models import ModelSpec
+from .models import ModelSpec, check_finite, count_value
 from .seeds import derive_seed
 
 __all__ = [
@@ -69,16 +69,12 @@ class DpSgdConfig:
     bug_mode: BugMode = BugMode.NONE
 
     def __post_init__(self):
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be > 0")
-        if self.noise_multiplier < 0:
-            raise ValueError("noise_multiplier must be >= 0")
+        check_finite("clip_norm", self.clip_norm)
+        check_finite("noise_multiplier", self.noise_multiplier, positive=False)
         if not (0.0 < self.sample_rate <= 1.0):
             raise ValueError("sample_rate must be in (0, 1]")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        object.__setattr__(self, "steps", count_value("steps", self.steps, 1))
+        check_finite("learning_rate", self.learning_rate)
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,16 @@ parameter vector. Everything is a pure function of (spec, params, input).
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 __all__ = [
     "ModelSpec",
+    "count_value",
+    "check_finite",
     "n_params",
     "init_params",
     "predict",
@@ -30,6 +34,25 @@ LOGISTIC = "logistic_regression"
 MLP = "mlp"
 
 
+def count_value(name: str, value, minimum: int) -> int:
+    """value as an int of at least minimum. An integral float such as 40.0
+    converts; 2.5, NaN and bools are not counts."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def check_finite(name: str, value, positive: bool = True) -> None:
+    """Reject a value that is not a finite number, > 0 when positive and
+    >= 0 otherwise. A valid value is kept as given, int or float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value) or value < 0 or (positive and value == 0):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     kind: str
@@ -42,14 +65,12 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in (LOGISTIC, MLP):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be >= 1")
-        if self.kind == MLP and self.hidden_dim < 1:
-            raise ValueError("mlp requires hidden_dim >= 1")
-        if self.init_scale < 0:
-            raise ValueError("init_scale must be >= 0")
+        object.__setattr__(self, "input_dim", count_value("input_dim", self.input_dim, 1))
+        object.__setattr__(self, "num_classes", count_value("num_classes", self.num_classes, 1))
+        # an mlp needs hidden units; logistic regression ignores hidden_dim
+        object.__setattr__(self, "hidden_dim", count_value(
+            "hidden_dim", self.hidden_dim, 1 if self.kind == MLP else 0))
+        check_finite("init_scale", self.init_scale, positive=False)
 
 
 def n_params(spec: ModelSpec) -> int:

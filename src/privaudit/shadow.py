@@ -3,7 +3,8 @@
 Repeatedly trains target-in/target-out artifacts under controlled randomness
 and hands labeled material to the attacks. Runs are independent. The
 predictive ones train in lockstep blocks, which forked processes may share;
-the others train in the calling thread. The collection is ordered by run
+the marginal ones are fit together from one binning pass, and the others
+train one by one, both in the calling thread. The collection is ordered by run
 index and each run depends only on the master seed and its index.
 """
 
@@ -142,9 +143,10 @@ def run_shadow_experiment(
     A trainer with ``fit_runs(data, run_rows, seeds, workers)`` gets every
     run's rows of pool-plus-target and seed in one call: the predictive
     trainer steps them in lockstep blocks and trains the blocks in up to
-    ``workers`` processes, this one and forked children. Any other trainer
-    is fit run by run in this thread. Either way run t depends only on
-    master_seed and t, and not on ``workers``.
+    ``workers`` processes, this one and forked children; the marginal trainer
+    bins every row once and fits each run from its rows' cells in this
+    thread. Any other trainer is fit run by run in this thread. Either way
+    run t depends only on master_seed and t, and not on ``workers``.
     """
     shadow_run_count(t_runs)
     target = pool.schema.validate_record(target)
@@ -166,15 +168,20 @@ def run_shadow_experiment(
         run_rows.append(np.append(idx, n) if bits[t] else idx)
 
     # a run's rows are distinct, so its sorted keys are the sorted keys of all
-    # rows filtered to its own: one sort serves every run's fingerprint
+    # rows filtered to its own: one sort serves every run's fingerprint, and
+    # each distinct row set is hashed once (twice in all for fixed_dataset)
     keys = row_keys(with_target)
     order = np.argsort(keys)
     sorted_keys = keys[order]
+    fingerprints = {}
 
     def fingerprint(rows):
-        member = np.zeros(n + 1, dtype=bool)
-        member[rows] = True
-        return _fingerprint(sorted_keys[member[order]])
+        key = rows.tobytes()
+        if key not in fingerprints:
+            member = np.zeros(n + 1, dtype=bool)
+            member[rows] = True
+            fingerprints[key] = _fingerprint(sorted_keys[member[order]])
+        return fingerprints[key]
 
     fit_runs = getattr(trainer, "fit_runs", None)
     if fit_runs is not None:

@@ -27,7 +27,7 @@ from .data import (
     encode_record,
 )
 from .dpsgd import BugMode, DpSgdConfig, _stream, claimed_privacy, noisy_batch_update
-from .models import ModelSpec
+from .models import ModelSpec, check_finite, count_value
 from .seeds import derive_seed
 
 __all__ = [
@@ -63,10 +63,8 @@ class MarginalSynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
-        if self.bins < 1:
-            raise ValueError("bins must be >= 1")
+        check_finite("noise_std", self.noise_std, positive=False)
+        object.__setattr__(self, "bins", count_value("bins", self.bins, 1))
 
 
 @dataclass(frozen=True)
@@ -80,8 +78,9 @@ class GanSpec:
     steps: int | None = None  # alternating steps; None means disc_config.steps
 
     def __post_init__(self):
-        if self.steps is not None and self.steps < 0:
-            raise ValueError("steps must be >= 0")
+        object.__setattr__(self, "latent_dim", count_value("latent_dim", self.latent_dim, 1))
+        if self.steps is not None:
+            object.__setattr__(self, "steps", count_value("steps", self.steps, 0))
         if self.generator.kind != models.MLP or self.discriminator.kind != models.MLP:
             raise ValueError("generator and discriminator must be mlp specs")
         if self.generator.input_dim != self.latent_dim:
@@ -90,8 +89,7 @@ class GanSpec:
             raise ValueError("discriminator must have 2 classes")
         if self.generator.num_classes != self.discriminator.input_dim:
             raise ValueError("generator output width must match discriminator input")
-        if self.gen_lr <= 0:
-            raise ValueError("gen_lr must be > 0")
+        check_finite("gen_lr", self.gen_lr)
 
     @property
     def n_steps(self) -> int:
@@ -110,6 +108,7 @@ def gan_spec_for_schema(
     steps: int | None = None,
 ) -> GanSpec:
     width = schema.encoded_width
+    latent_dim = count_value("latent_dim", latent_dim, 1)
     if disc_config is None:
         disc_config = DpSgdConfig(clip_norm=1.0, noise_multiplier=1.0,
                                   sample_rate=0.5, steps=200, learning_rate=0.1)
@@ -134,45 +133,90 @@ class GenerativeArtifact:
 # ---------------------------------------------------------------------------
 # marginal synthesizer
 
+def _histogram_cells(data: Dataset, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's histogram cell in every column, and each column's first cell.
+
+    Cells index the columns' histograms laid end to end, numeric columns with
+    `bins` cells and categorical columns with one per level. A numeric value
+    falls in the cell np.histogram(bins=bins, range=(lo, hi)) counts it in:
+    [edge_i, edge_i+1) on the same edges, the last cell closed. A value
+    outside [lo, hi], or NaN, goes to the one cell past the end, which no
+    histogram reads, as np.histogram leaves it uncounted.
+    """
+    cols = data.schema.columns
+    starts = np.cumsum([0] + [bins if isinstance(c, NumericColumn) else len(c.levels)
+                              for c in cols])
+    cells = np.empty((len(data), len(cols)), dtype=np.intp)
+    for j, (col, vals) in enumerate(zip(cols, data.columns)):
+        if isinstance(col, NumericColumn):
+            edges = np.histogram_bin_edges(vals, bins=bins, range=(col.lo, col.hi))
+            cell = np.minimum(np.searchsorted(edges, vals, side="right") - 1, bins - 1)
+            cell[~((vals >= col.lo) & (vals <= col.hi))] = starts[-1] - starts[j]
+        else:
+            if vals.size and not (0 <= vals.min() and vals.max() < len(col.levels)):
+                raise ValueError(f"column {col.name!r}: level index out of range")
+            cell = vals
+        cells[:, j] = starts[j] + cell
+    return cells, starts
+
+
+def _fit_marginal_runs(data: Dataset, run_rows, seeds, spec: MarginalSynthSpec):
+    """One artifact per run: run k's histograms count data's rows run_rows[k]
+    and take their noise from default_rng(seeds[k]). Every row's cells are
+    found once, and a run's counts are one bincount of its rows' cells."""
+    cells, starts = _histogram_cells(data, spec.bins)
+    n_cells = int(starts[-1])
+    arts = []
+    for rows, seed in zip(run_rows, seeds):
+        if len(rows) == 0:
+            raise ValueError("cannot fit a marginal synthesizer on an empty dataset")
+        counts = np.bincount(cells[rows].ravel(), minlength=n_cells + 1)[:n_cells]
+        rng = np.random.default_rng(seed)
+        # one draw of every column's noise is the per-column draws end to end
+        noisy = np.maximum(counts + rng.normal(0.0, spec.noise_std, size=n_cells), 0.0)
+        probs = []
+        for col, a, b in zip(data.schema.columns, starts[:-1], starts[1:]):
+            cell = noisy[a:b]
+            total = cell.sum()
+            if total <= 0.0:
+                raise DegenerateMarginalError(
+                    f"degenerate marginal for column {col.name!r}: all cells zero after clamping"
+                )
+            probs.append(cell / total)
+        arts.append(GenerativeArtifact(
+            kind="marginal",
+            schema=data.schema,
+            state={"probs": probs, "bins": spec.bins},
+            meta={"noise_std": spec.noise_std, "seed": seed},
+        ))
+    return arts
+
+
 def fit_marginal(ds: Dataset, spec: MarginalSynthSpec) -> GenerativeArtifact:
     """Independent per-column histograms, Gaussian-perturbed then renormalized."""
-    if len(ds) == 0:
-        raise ValueError("cannot fit a marginal synthesizer on an empty dataset")
-    rng = np.random.default_rng(spec.seed)
-    probs: list[np.ndarray] = []
-    for col, vals in zip(ds.schema.columns, ds.columns):
-        if isinstance(col, NumericColumn):
-            counts, _ = np.histogram(vals, bins=spec.bins, range=(col.lo, col.hi))
-            counts = counts.astype(np.float64)
-        else:
-            counts = np.bincount(vals, minlength=len(col.levels)).astype(np.float64)
-        noisy = counts + rng.normal(0.0, spec.noise_std, size=counts.size)
-        noisy = np.maximum(noisy, 0.0)
-        total = noisy.sum()
-        if total <= 0.0:
-            raise DegenerateMarginalError(
-                f"degenerate marginal for column {col.name!r}: all cells zero after clamping"
-            )
-        probs.append(noisy / total)
-    return GenerativeArtifact(
-        kind="marginal",
-        schema=ds.schema,
-        state={"probs": probs, "bins": spec.bins},
-        meta={"noise_std": spec.noise_std, "seed": spec.seed},
-    )
+    return _fit_marginal_runs(ds, [np.arange(len(ds))], [spec.seed], spec)[0]
 
 
 def _sample_marginal(art: GenerativeArtifact, n: int, rng: np.random.Generator) -> Dataset:
+    """Per column, n cells drawn from its probabilities, then for a numeric
+    column n uniform offsets within the cell. The uniforms are one draw, and
+    a cell is drawn by inverting the column's CDF as Generator.choice(p=)
+    does: cumsum, divide by the last entry, searchsorted(side="right")."""
     cols = art.schema.columns
-    probs = art.state["probs"]
     bins = art.state["bins"]
+    draws = sum(2 if isinstance(col, NumericColumn) else 1 for col in cols)
+    u = rng.random(draws * n).reshape(draws, n)
     columns_out = []
-    for col, p in zip(cols, probs):
-        idx = rng.choice(p.size, size=n, p=p)
+    at = 0
+    for col, p in zip(cols, art.state["probs"]):
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        idx = cdf.searchsorted(u[at], side="right")
+        at += 1
         if isinstance(col, NumericColumn):
             width = (col.hi - col.lo) / bins
-            jitter = rng.random(n)
-            columns_out.append(col.lo + (idx + jitter) * width)
+            columns_out.append(col.lo + (idx + u[at]) * width)
+            at += 1
         else:
             columns_out.append(idx)
     return Dataset(art.schema, tuple(columns_out), "synthetic:marginal")
@@ -321,6 +365,13 @@ class MarginalTrainer:
 
     def fit(self, ds: Dataset, seed: int) -> GenerativeArtifact:
         return fit_marginal(ds, replace(self.spec, seed=derive_seed(seed, "marginal")))
+
+    def fit_runs(self, data: Dataset, run_rows, seeds, workers: int = 1) -> list[GenerativeArtifact]:
+        """One artifact per run from one binning pass over data: run k equals
+        fit(data.take(run_rows[k]), seeds[k]). The fit is a single cheap
+        pass, so workers is accepted and no process is started."""
+        return _fit_marginal_runs(data, run_rows,
+                                  [derive_seed(s, "marginal") for s in seeds], self.spec)
 
     def claimed_epsilon(self, n: int, delta: float) -> float:
         # n is unused: the histogram mechanism's sensitivity does not depend on it

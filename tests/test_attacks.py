@@ -499,3 +499,88 @@ def test_write_json_table_longer_than_a_chunk(tmp_path):
 def test_write_json_rejects_non_str_keys(tmp_path):
     with pytest.raises(TypeError):
         write_json(tmp_path / "k.json", {"a": {1: 2}})
+
+
+# ---------------------------------------------------------------------------
+# features in run blocks against the per-run references
+
+def min_gower_per_run(schema, target, ds):
+    """The per-run reference for one synthetic dataset."""
+    acc = np.zeros(len(ds), dtype=np.float64)
+    for col, vals, v in zip(schema.columns, ds.columns, target):
+        if isinstance(col, NumericColumn):
+            acc += np.abs(vals - v) / (col.hi - col.lo)
+        else:
+            acc += (vals != int(v)).astype(np.float64)
+    return float(acc.min()) / len(schema.columns)
+
+
+def groundhog_features_per_run(ds, include_correlations=False):
+    """The per-run reference for one synthetic dataset."""
+    feats, numeric = [], []
+    for col, vals in zip(ds.schema.columns, ds.columns):
+        if isinstance(col, NumericColumn):
+            feats += [float(vals.mean()), float(np.median(vals)), float(vals.var())]
+            numeric.append(vals)
+        else:
+            feats += (np.bincount(vals, minlength=len(col.levels)) / len(ds)).tolist()
+    if include_correlations and len(numeric) > 1:
+        m = np.stack(numeric)
+        c = np.corrcoef(m) if np.all(m.std(axis=1) > 0) else np.zeros((len(numeric),) * 2)
+        feats += np.nan_to_num(c[np.triu_indices(len(numeric), k=1)]).tolist()
+    return np.array(feats, dtype=np.float64)
+
+
+MIXED = Schema((
+    NumericColumn("x", -2.0, 6.0),
+    CategoricalColumn("c", ("p", "q", "r")),
+    NumericColumn("y", 0.0, 1.0),
+    NumericColumn("z", -1.0, 1.0),
+))
+BLOCK = attacks._FEATURE_BLOCK
+
+
+@st.composite
+def synthetic_runs(draw):
+    t_runs = draw(st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        # ragged: lengths change between neighbouring runs, with some repeats
+        lengths = rng.choice([1, 2, 7, 8, 33], size=t_runs)
+    else:
+        lengths = [draw(st.sampled_from([1, 2, 7, 8, 33, 300]))] * t_runs
+    runs = []
+    for n in lengths:
+        # few distinct values: ties, repeated medians and constant columns
+        y = rng.choice([0.0, 0.25, 1.0], size=n) if rng.random() < 0.3 else rng.random(n)
+        runs.append(Dataset(MIXED, (rng.uniform(-2, 6, n), rng.integers(0, 3, n), y,
+                                    np.full(n, -0.5) if rng.random() < 0.3
+                                    else rng.uniform(-1, 1, n))))
+    return tuple(runs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs=synthetic_runs(), corr=st.booleans())
+def test_features_in_run_blocks_bit_equal_to_per_run(runs, corr):
+    blocks = list(attacks._run_blocks(runs))
+    assert sum(blocks, ()) == runs
+    assert all(len(b) <= BLOCK and len({len(ds) for ds in b}) == 1 for b in blocks)
+
+    target = (0.5, 1, 0.25, 0.0)
+    want = np.stack([groundhog_features_per_run(ds, corr) for ds in runs])
+    got = np.concatenate([attacks._groundhog_block(b, corr) for b in blocks])
+    assert got.tobytes() == want.tobytes()
+    assert [groundhog_features(ds, corr).tobytes() for ds in runs] == [w.tobytes() for w in want]
+    want_dcr = [min_gower_per_run(MIXED, target, ds) for ds in runs]
+    assert [min_gower_distance(MIXED, target, ds) for ds in runs] == want_dcr
+
+    if len(runs) < 2:
+        return
+    fb = synth_bundle(runs, [k % 2 for k in range(len(runs))], target, MIXED)
+    assert attack_dcr(fb).scores.tobytes() == np.array([-d for d in want_dcr]).tobytes()
+    if len(runs) >= 8:
+        cfg = GroundhogConfig(steps=5, include_correlations=corr)
+        with mock.patch.object(attacks, "_groundhog_block", lambda b, c: np.stack(
+                [groundhog_features_per_run(ds, c) for ds in b])):
+            want_scores = attack_groundhog(fb, cfg).scores
+        assert attack_groundhog(fb, cfg).scores.tobytes() == want_scores.tobytes()

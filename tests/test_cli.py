@@ -356,6 +356,10 @@ def test_audit_gan_zero_steps_claims_zero(workspace):
 
 DPSGD_ALL_KEYS = {"clip_norm": 1.0, "noise_multiplier": 1.0, "sample_rate": 0.2,
                   "steps": 2, "learning_rate": 0.5, "bug_mode": "none"}
+DPSGD = {"clip_norm": 1.0, "noise_multiplier": 1.0, "sample_rate": 0.2, "steps": 3,
+         "learning_rate": 0.5}
+PREDICTIVE = {"kind": "predictive", "label_column": "y", "dpsgd": DPSGD}
+GAN = {"kind": "gan", "dpsgd": DPSGD, "latent_dim": 2, "steps": 2}
 
 
 @pytest.mark.parametrize("trainer", [
@@ -464,6 +468,40 @@ def test_non_object_config_block_exits_3(workspace, capsys, command, over, messa
     ("audit", "config", "audit", {"mode": "end_to_end", "t_runs": 20,
                                   "canary": [0.5, "b", 99, "junk"]},
      "audit.canary: record has 4 values, schema has 2 columns"),
+    ("train", "config", "trainer", {"kind": "marginal", "noise_std": float("nan")},
+     "trainer: noise_std must be a finite number >= 0, got nan"),
+    ("attack", "config", "trainer", {"kind": "marginal", "noise_std": float("nan")},
+     "trainer: noise_std must be a finite number >= 0, got nan"),
+    ("synthesize", "trainer", "noise_std", float("inf"),
+     "trainer: noise_std must be a finite number >= 0, got inf"),
+    ("synthesize", "trainer", "bins", 2.5, "trainer: bins must be an integer >= 1, got 2.5"),
+    ("synthesize", "trainer", "bins", True, "trainer: bins must be an integer >= 1, got True"),
+    ("synthesize", "trainer", "bins", 0, "trainer: bins must be an integer >= 1, got 0"),
+    ("train", "config", "trainer", PREDICTIVE | {"dpsgd": DPSGD | {"steps": 2.5}},
+     "trainer.dpsgd: steps must be an integer >= 1, got 2.5"),
+    ("attack", "config", "trainer", PREDICTIVE | {"dpsgd": DPSGD | {"clip_norm": float("nan")}},
+     "trainer.dpsgd: clip_norm must be a finite number > 0, got nan"),
+    ("train", "config", "trainer",
+     PREDICTIVE | {"dpsgd": DPSGD | {"learning_rate": float("nan")}},
+     "trainer.dpsgd: learning_rate must be a finite number > 0, got nan"),
+    ("train", "config", "trainer",
+     PREDICTIVE | {"dpsgd": DPSGD | {"noise_multiplier": float("nan")}},
+     "trainer.dpsgd: noise_multiplier must be a finite number >= 0, got nan"),
+    ("train", "config", "trainer",
+     PREDICTIVE | {"dpsgd": DPSGD | {"noise_multiplier": float("inf")}},
+     "trainer.dpsgd: noise_multiplier must be a finite number >= 0, got inf"),
+    ("train", "config", "trainer", PREDICTIVE | {"model_kind": "mlp", "hidden_dim": 2.5},
+     "trainer: hidden_dim must be an integer >= 1, got 2.5"),
+    ("train", "config", "trainer", PREDICTIVE | {"init_scale": float("nan")},
+     "trainer: init_scale must be a finite number >= 0, got nan"),
+    ("train", "config", "trainer", GAN | {"latent_dim": 2.5},
+     "trainer: latent_dim must be an integer >= 1, got 2.5"),
+    ("train", "config", "trainer", GAN | {"steps": 2.5},
+     "trainer: steps must be an integer >= 0, got 2.5"),
+    ("synthesize", "config", "trainer", GAN | {"gen_lr": float("nan")},
+     "trainer: gen_lr must be a finite number > 0, got nan"),
+    ("train", "config", "trainer", GAN | {"dpsgd": DPSGD | {"steps": 2.5}},
+     "trainer.dpsgd: steps must be an integer >= 1, got 2.5"),
 ])
 def test_bad_config_value_exits_3(workspace, capsys, command, section, key, value, message):
     cfg = base_config(workspace, synthesize={})
@@ -567,3 +605,30 @@ def test_report_low_fpr_point_is_smallest_target_fpr(tmp_path):
     assert main(["report", "--out", str(tmp_path)]) == 0
     row = json.loads((tmp_path / "summary.json").read_text())["attacks"][0]
     assert row["eps_point"] == 3.0 and row["eps_lower"] == 3.0
+
+
+def test_integral_float_counts_convert(workspace):
+    # 3.0 steps and 4.0 hidden units train the model 3 and 4 do, byte for byte
+    outputs = []
+    for steps, hidden in ((3, 4), (3.0, 4.0)):
+        trainer = PREDICTIVE | {"model_kind": "mlp", "hidden_dim": hidden,
+                                "dpsgd": DPSGD | {"steps": steps}}
+        out = workspace / f"results-{steps}"
+        cfg = base_config(workspace, trainer=trainer, out=str(out))
+        assert main(["train", "--config", write_config(workspace, cfg)]) == 0
+        outputs.append([(out / f).read_bytes() for f in ("model.params", "accountant.json")])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["train", "synthesize", "attack", "audit"])
+def test_degenerate_marginal_exits_3(workspace, capsys, command):
+    # noise this large zeroes every cell of column y after clamping in the
+    # fit at master seed 13, and in some shadow run of 20
+    cfg = base_config(workspace, master_seed=13, trainer={"kind": "marginal", "noise_std": 1e6})
+    cfg["attack"] = {"attacks": ["dcr"], "t_runs": 20}
+    cfg["audit"] = {"mode": "end_to_end", "t_runs": 20}
+    assert main([command, "--config", write_config(workspace, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert "error: trainer: degenerate marginal for column 'y': all cells zero" in err
+    assert "Traceback" not in err
+    assert not (workspace / "results").exists()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privaudit import dpsgd
+from privaudit import dpsgd, shadow
 from privaudit.data import CategoricalColumn, Dataset, NumericColumn, Schema
 from privaudit.dpsgd import BugMode, DpSgdConfig, PredictiveTrainer
 from privaudit.shadow import (
@@ -264,3 +264,41 @@ def test_runs_bit_equal_at_every_worker_count(monkeypatch, model_kind, hidden_di
             for workers in (1, 2, 3, 5):
                 coll = run_shadow_experiment(target, pool, trainer, tm, t_runs, 9, workers=workers)
                 assert [run_bytes(r) for r in coll.runs] == want
+
+
+# ---------------------------------------------------------------------------
+# marginal runs and fingerprints
+
+def _probs_bytes(run):
+    return [p.tobytes() for p in run.artifact.state["probs"]], run.artifact.meta
+
+
+@pytest.mark.parametrize("knowledge", [FIXED_DATASET, RESAMPLED_DATASET])
+def test_marginal_fit_runs_bit_equal_to_fitting_each_run(pool, target, schema, knowledge):
+    tr = MarginalTrainer(MarginalSynthSpec(noise_std=1.5, bins=4), schema=schema)
+    tm = ThreatModel(data_knowledge=knowledge)
+    each = FitEachRun(tr)
+    alone = run_shadow_experiment(target, pool, each, tm, 9, 5)
+    coll = run_shadow_experiment(target, pool, tr, tm, 9, 5, workers=3)
+    assert [_probs_bytes(r) for r in coll.runs] == [_probs_bytes(r) for r in alone.runs]
+    assert [r.fingerprint for r in coll.runs] == each.fingerprints
+
+
+def test_fixed_dataset_hashes_each_distinct_training_set_once(pool, target, schema, monkeypatch):
+    tr = MarginalTrainer(MarginalSynthSpec(noise_std=1.0), schema=schema)
+    hashed = []
+    fingerprint = shadow._fingerprint
+
+    def counting(sorted_keys):
+        hashed.append(sorted_keys.size)
+        return fingerprint(sorted_keys)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(shadow, "_fingerprint", counting)
+        coll = run_shadow_experiment(target, pool, tr, ThreatModel(), 16, 3)
+    # pool alone and pool plus target
+    assert sorted(hashed) == [len(pool), len(pool) + 1]
+    with_target = pool.with_record(target)
+    for r in coll.runs:
+        ds = with_target if r.bit else pool
+        assert r.fingerprint == dataset_fingerprint(ds)

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from privaudit.data import (
@@ -10,7 +11,9 @@ from privaudit.data import (
     NumericColumn,
     Schema,
 )
+from privaudit import synthesizers
 from privaudit.dpsgd import BugMode, DpSgdConfig, claimed_privacy
+from privaudit.seeds import derive_seed
 from privaudit.synthesizers import (
     DegenerateMarginalError,
     GanTrainer,
@@ -257,3 +260,177 @@ def test_gan_artifact_roundtrip(mixed_ds, mixed_schema, tmp_path):
     assert back.kind == "gan"
     assert sample(back, 10, seed=4).rows == sample(art, 10, seed=4).rows
     assert disc_loss(back, mixed_ds.rows[0]) == pytest.approx(disc_loss(art, mixed_ds.rows[0]))
+
+
+# ---------------------------------------------------------------------------
+# lockstep marginal runs against the per-run reference
+
+def fit_marginal_per_run(ds, spec):
+    """The per-run reference: np.histogram per numeric column, one noise draw
+    per column."""
+    if len(ds) == 0:
+        raise ValueError("cannot fit a marginal synthesizer on an empty dataset")
+    rng = np.random.default_rng(spec.seed)
+    probs = []
+    for col, vals in zip(ds.schema.columns, ds.columns):
+        if isinstance(col, NumericColumn):
+            counts, _ = np.histogram(vals, bins=spec.bins, range=(col.lo, col.hi))
+            counts = counts.astype(np.float64)
+        else:
+            counts = np.bincount(vals, minlength=len(col.levels)).astype(np.float64)
+        noisy = np.maximum(counts + rng.normal(0.0, spec.noise_std, size=counts.size), 0.0)
+        total = noisy.sum()
+        if total <= 0.0:
+            raise DegenerateMarginalError(f"degenerate marginal for column {col.name!r}")
+        probs.append(noisy / total)
+    return probs
+
+
+def sample_marginal_per_run(art, n, seed):
+    """The per-run reference sampler: Generator.choice(p=) per column, then
+    the numeric offsets within the cell."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for col, p in zip(art.schema.columns, art.state["probs"]):
+        idx = rng.choice(p.size, size=n, p=p)
+        if isinstance(col, NumericColumn):
+            width = (col.hi - col.lo) / art.state["bins"]
+            out.append(col.lo + (idx + rng.random(n)) * width)
+        else:
+            out.append(idx)
+    return out
+
+
+def _edge_values(lo, hi, bins):
+    """Every bin edge np.histogram uses, lo and hi among them, with both
+    floating-point neighbours, plus values just outside [lo, hi]."""
+    edges = np.histogram_bin_edges([], bins=bins, range=(lo, hi))
+    return np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+
+
+@st.composite
+def marginal_case(draw):
+    lo = draw(st.floats(-1e6, 1e6, allow_nan=False))
+    hi = lo + draw(st.floats(1e-3, 1e6, allow_nan=False))
+    bins = draw(st.integers(1, 12))
+    sch = Schema((
+        NumericColumn("x", lo, hi),
+        CategoricalColumn("c", ("a", "b", "z")),
+        NumericColumn("w", -1.0, 1.0),
+    ))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    x = rng.choice(_edge_values(lo, hi, bins), size=n)
+    # API callers may pass values outside the schema bounds, and NaN
+    x[rng.random(n) < 0.1] = np.nan
+    w = rng.uniform(-1.2, 1.2, size=n)
+    data = Dataset(sch, (x, rng.integers(0, 3, size=n), w))
+    resampled = draw(st.booleans())
+    t_runs = draw(st.sampled_from([1, 2, 5]))
+    run_rows = []
+    for _ in range(t_runs):
+        rows = (np.sort(rng.choice(n, size=max(n // 2, 1), replace=False)) if resampled
+                else np.arange(n - 1))
+        run_rows.append(np.append(rows, n - 1) if rng.random() < 0.5 else rows)
+    noise_std = draw(st.sampled_from([0.0, 0.5, 2.0]))
+    return data, run_rows, MarginalSynthSpec(noise_std=noise_std, bins=bins)
+
+
+def _outcome(fit):
+    """fit's artifacts, or the type and message of the error it raised."""
+    try:
+        return fit()
+    except (DegenerateMarginalError, ValueError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=marginal_case(), seed=st.integers(0, 2**32))
+def test_fit_runs_bit_equal_to_per_run_histograms(case, seed):
+    data, run_rows, spec = case
+    trainer = MarginalTrainer(spec, schema=data.schema)
+    seeds = [seed + k for k in range(len(run_rows))]
+    want = []
+    for rows, s in zip(run_rows, seeds):
+        ds = data.take(rows)
+        run_spec = replace(spec, seed=derive_seed(s, "marginal"))
+        want.append(_outcome(lambda: fit_marginal_per_run(ds, run_spec)))
+        if isinstance(want[-1], tuple):
+            break
+        # the one-run paths agree with the reference too
+        assert [p.tobytes() for p in fit_marginal(ds, run_spec).state["probs"]] == \
+            [p.tobytes() for p in want[-1]]
+        assert [p.tobytes() for p in trainer.fit(ds, s).state["probs"]] == \
+            [p.tobytes() for p in want[-1]]
+    got = _outcome(lambda: trainer.fit_runs(data, run_rows, seeds, workers=2))
+    if isinstance(want[-1], tuple):
+        # the lockstep fit fails at the same first run and column; the runs
+        # before it fit as they do one at a time
+        assert got[0] is want[-1][0] and got[1].startswith(want[-1][1])
+        del want[-1]
+        got = trainer.fit_runs(data, run_rows[:len(want)], seeds[:len(want)])
+    assert len(got) == len(want)
+    for art, probs, s in zip(got, want, seeds):
+        assert [p.tobytes() for p in art.state["probs"]] == [p.tobytes() for p in probs]
+        assert art.state["bins"] == spec.bins
+        assert art.meta == {"noise_std": spec.noise_std, "seed": derive_seed(s, "marginal")}
+
+
+def test_degenerate_marginal_raises_for_the_first_run_and_column():
+    sch = Schema((NumericColumn("x", 0.0, 1.0), CategoricalColumn("y", ("a", "b"))))
+    data = Dataset.from_rows(sch, [(0.5, 0), (0.2, 1)])
+    spec = MarginalSynthSpec(noise_std=1e6)
+    seeds = list(range(40))
+    first = None
+    for s in seeds:
+        try:
+            fit_marginal_per_run(data, replace(spec, seed=derive_seed(s, "marginal")))
+        except DegenerateMarginalError as e:
+            first = (s, str(e))
+            break
+    assert first is not None
+    # the lockstep loop stops at the run and column where the per-run loop
+    # first fails, and fits the runs before it
+    trainer = MarginalTrainer(spec, schema=sch)
+    with pytest.raises(DegenerateMarginalError) as got:
+        trainer.fit_runs(data, [np.arange(2)] * len(seeds), seeds)
+    assert str(got.value).startswith(first[1])
+    k = seeds.index(first[0])
+    assert len(trainer.fit_runs(data, [np.arange(2)] * k, seeds[:k])) == k
+
+
+@settings(max_examples=100, deadline=None)
+@given(bins=st.integers(1, 12), noise_std=st.sampled_from([0.0, 1.0, 3.0]),
+       n=st.sampled_from([0, 1, 2, 7, 100]), seed=st.integers(0, 2**32))
+def test_sampler_bit_equal_to_generator_choice(bins, noise_std, n, seed):
+    sch = Schema((NumericColumn("x", -3.0, 10.0), CategoricalColumn("c", ("a", "b", "z")),
+                  NumericColumn("w", 0.0, 1e-3)))
+    rng = np.random.default_rng(seed)
+    ds = Dataset(sch, (rng.uniform(-3, 10, 30), rng.integers(0, 3, 30), rng.uniform(0, 1e-3, 30)))
+    art = fit_marginal(ds, MarginalSynthSpec(noise_std=noise_std, bins=bins, seed=seed))
+    got = sample(art, n, seed)
+    want = sample_marginal_per_run(art, n, seed)
+    assert [c.dtype for c in got.columns] == [np.float64, np.int64, np.float64]
+    assert [c.tobytes() for c in got.columns] == [
+        np.asarray(c, dtype=g.dtype).tobytes() for c, g in zip(want, got.columns)]
+
+
+def test_sampler_zero_probability_cells_never_drawn():
+    sch = Schema((CategoricalColumn("c", ("a", "b", "c", "d")),))
+    art = GenerativeArtifact("marginal", sch, {"probs": [np.array([0.0, 0.5, 0.0, 0.5])],
+                                               "bins": 10})
+    for seed in range(20):
+        got = sample(art, 200, seed)
+        assert set(got.columns[0].tolist()) <= {1, 3}
+        assert got.columns[0].tobytes() == np.asarray(
+            sample_marginal_per_run(art, 200, seed)[0], dtype=np.int64).tobytes()
+
+    class Uniforms:
+        """Uniforms exactly at the CDF's steps, where only side="right"
+        skips the zero-probability cells."""
+
+        def random(self, size):
+            return np.resize([0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(1.0, 0.0)], size)
+
+    got = synthesizers._sample_marginal(art, 4, Uniforms())
+    assert got.columns[0].tolist() == [1, 3, 1, 3]
