@@ -30,6 +30,7 @@ from .attacks import (
 from .core_stats import PrivacyParams
 from .data import Dataset, NumericColumn, Record, Schema
 from .dpsgd import BugMode, DpSgdConfig, claimed_privacy, clip_and_sum, privatize
+from .models import count_value
 from .seeds import derive_seed
 from .shadow import (
     FIXED_DATASET,
@@ -244,7 +245,7 @@ def audit_slack(value) -> float:
 
 def audit_run_count(value) -> int:
     """value as the shadow runs of an end-to-end audit: an int of at least 20."""
-    t_runs = int(value)
+    t_runs = count_value("t_runs", value, None)
     if t_runs < 20:
         raise ValueError(f"t_runs must be >= 20, got {value}")
     return t_runs

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from .data import (
     select_targets,
 )
 from .dpsgd import BugMode, DpSgdConfig, NoValidGuaranteeError, PredictiveTrainer
-from .models import save_params
+from .models import count_value, save_params
 from .shadow import (
     ThreatModel,
     query_features,
@@ -120,7 +121,8 @@ def _delta_value(value) -> float:
 # block configures, so a block passes on just the keys it was given.
 CONFIG = {**dict.fromkeys(("schema_version", "schema", "dataset", "out", "trainer",
                            "threat_model", "attack", "audit", "synthesize"), _as_is),
-          "master_seed": int, "delta": _delta_value, "confidence": confidence_level}
+          "master_seed": partial(count_value, "master_seed", minimum=None),
+          "delta": _delta_value, "confidence": confidence_level}
 ATTACK = {"attacks": _as_is, "t_runs": shadow_run_count,
           "n_samples": query_sample_count, "target": _as_is}
 TARGET = dict.fromkeys(("strategy", "record"), _as_is)
@@ -137,8 +139,8 @@ TRAINER = {
                           "gen_lr", "steps"), _as_is),
 }
 AUDIT = {
-    "step_mechanism": {"mode": _as_is, "trials": int, "audit_delta": float,
-                       "slack": audit_mod.audit_slack},
+    "step_mechanism": {"mode": _as_is, "trials": partial(count_value, "trials", minimum=None),
+                       "audit_delta": float, "slack": audit_mod.audit_slack},
     "end_to_end": {"mode": _as_is, "t_runs": audit_mod.audit_run_count, "canary": _as_is,
                    "slack": audit_mod.audit_slack},
 }

@@ -34,13 +34,16 @@ LOGISTIC = "logistic_regression"
 MLP = "mlp"
 
 
-def count_value(name: str, value, minimum: int) -> int:
-    """value as an int of at least minimum. An integral float such as 40.0
-    converts; 2.5, NaN and bools are not counts."""
+def count_value(name: str, value, minimum: int | None) -> int:
+    """value as an int of at least minimum, or any int when minimum is None.
+    An integral float such as 40.0 converts; 2.5, NaN, strings and bools are
+    not counts."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or (minimum is not None and value < minimum):
+        floor = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{floor}, got {value!r}")
     return int(value)
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .data import Dataset, row_keys
 from .dpsgd import PredictiveTrainer
+from .models import count_value
 from .seeds import derive_seed
 from .synthesizers import disc_loss, sample
 
@@ -98,7 +99,7 @@ def _fingerprint(sorted_keys: np.ndarray) -> str:
 
 def shadow_run_count(value) -> int:
     """value as a number of shadow runs: an int of at least 2."""
-    t_runs = int(value)
+    t_runs = count_value("t_runs", value, None)
     if t_runs < 2:
         raise ValueError(f"need at least 2 shadow runs, got {value}")
     return t_runs
@@ -107,7 +108,7 @@ def shadow_run_count(value) -> int:
 def query_sample_count(value) -> int:
     """value as the rows of one synth_dataset query: an int of at least 1,
     since a query of no rows leaves the attack nothing to score."""
-    n = int(value)
+    n = count_value("n_samples", value, None)
     if n < 1:
         raise ValueError(f"n_samples must be >= 1, got {value}")
     return n

@@ -326,7 +326,7 @@ def _sample_gan(art: GenerativeArtifact, n: int, rng: np.random.Generator) -> Da
 
 def sample_count(value) -> int:
     """value as a number of synthetic rows to draw: an int >= 0."""
-    n = int(value)
+    n = count_value("n", value, None)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {value}")
     return n

@@ -299,6 +299,8 @@ def test_audit_deterministic(workspace):
 @pytest.mark.parametrize("over, message", [
     ({"audit": {"mode": "end_to_end", "t_runs": 10}}, "audit.t_runs: t_runs must be >= 20"),
     ({"audit": {"mode": "end_to_end"}, "delta": 2.0}, "config.delta: delta must be in (0, 1)"),
+    ({"audit": {"mode": "end_to_end", "t_runs": 24.5}},
+     "audit.t_runs: t_runs must be an integer, got 24.5"),
 ])
 def test_audit_end_to_end_bad_value_exits_3_before_output(workspace, capsys, over, message):
     cfg = base_config(workspace, **over)
@@ -443,16 +445,16 @@ def test_non_object_config_block_exits_3(workspace, capsys, command, over, messa
 
 
 @pytest.mark.parametrize("command, section, key, value, message", [
-    ("audit", "config", "master_seed", "x", "config.master_seed: invalid literal"),
+    ("audit", "config", "master_seed", "x", "config.master_seed: master_seed must be an integer"),
     ("attack", "config", "confidence", "x", "config.confidence: could not convert"),
-    ("attack", "attack", "t_runs", "x", "attack.t_runs: invalid literal"),
-    ("attack", "attack", "n_samples", "x", "attack.n_samples: invalid literal"),
-    ("audit", "audit", "trials", "x", "audit.trials: invalid literal"),
+    ("attack", "attack", "t_runs", "x", "attack.t_runs: t_runs must be an integer, got 'x'"),
+    ("attack", "attack", "n_samples", "x", "attack.n_samples: n_samples must be an integer"),
+    ("audit", "audit", "trials", "x", "audit.trials: trials must be an integer, got 'x'"),
     ("audit", "audit", "audit_delta", "x", "audit.audit_delta: could not convert"),
     ("audit", "audit", "slack", "x", "audit.slack: could not convert"),
     ("audit", "audit", "slack", -1.0, "audit.slack: slack must be a finite number >= 0"),
     ("audit", "audit", "slack", float("nan"), "audit.slack: slack must be a finite number >= 0"),
-    ("synthesize", "synthesize", "n_samples", "x", "synthesize.n_samples: invalid literal"),
+    ("synthesize", "synthesize", "n_samples", "x", "synthesize.n_samples: n must be an integer"),
     ("attack", "attack", "attacks", 5, "attack.attacks: must be a list of attack names"),
     ("attack", "attack", "attacks", "lira", "attack.attacks: must be a list of attack names"),
     ("train", "config", "delta", "x", "config.delta: could not convert"),
@@ -502,6 +504,11 @@ def test_non_object_config_block_exits_3(workspace, capsys, command, over, messa
      "trainer: gen_lr must be a finite number > 0, got nan"),
     ("train", "config", "trainer", GAN | {"dpsgd": DPSGD | {"steps": 2.5}},
      "trainer.dpsgd: steps must be an integer >= 1, got 2.5"),
+    ("attack", "attack", "t_runs", 24.5, "attack.t_runs: t_runs must be an integer, got 24.5"),
+    ("audit", "config", "master_seed", 7.5,
+     "config.master_seed: master_seed must be an integer, got 7.5"),
+    ("audit", "audit", "trials", 1000.5, "audit.trials: trials must be an integer, got 1000.5"),
+    ("synthesize", "synthesize", "n_samples", 2.5, "synthesize.n_samples: n must be an integer"),
 ])
 def test_bad_config_value_exits_3(workspace, capsys, command, section, key, value, message):
     cfg = base_config(workspace, synthesize={})
