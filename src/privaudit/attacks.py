@@ -430,7 +430,7 @@ def _num(v: float):
 
 def report_to_json_dict(report: AttackReport) -> dict:
     tm = report.threat_model
-    if tm is not None and not isinstance(tm, dict):
+    if tm is not None:
         tm = {
             "model_access": tm.model_access,
             "data_knowledge": tm.data_knowledge,

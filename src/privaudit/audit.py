@@ -120,11 +120,11 @@ def _verdict(audit, claimed, report, op, trials, master_seed, provenance, slack)
     )
 
 
-def _low_fpr_op(report: AttackReport) -> OperatingPoint:
-    for op in report.operating_points:
-        if op.target_fpr is not None:
-            return op
-    raise ValueError("report has no target-fpr operating point")
+def _audit_point(scored: ScoredRuns, delta: float, confidence: float):
+    """The report both audits write and the operating point their verdict
+    bounds: the fpr<=0.01 point, reported next to the median one."""
+    report = evaluate(scored, delta, confidence, operating_points=("median", 0.01))
+    return report, report.operating_points[1]
 
 
 def audit_step_mechanism(
@@ -194,8 +194,7 @@ def audit_step_mechanism(
     stats = (update * direction).sum(axis=1)
 
     scored = ScoredRuns(bits=bits, scores=stats, attack="step_mechanism")
-    report = evaluate(scored, delta, confidence, operating_points=("median", 0.01))
-    op = _low_fpr_op(report)
+    report, op = _audit_point(scored, delta, confidence)
 
     claimed = claimed_privacy(
         replace(config, sample_rate=1.0, steps=1, bug_mode=BugMode.NONE), 1, delta)
@@ -294,11 +293,9 @@ def audit_end_to_end(
     if trainer.kind == "predictive":
         scored = attack_lira(query_features(coll, "pred_loss"))
     else:
-        fb = query_features(coll, "synth_dataset", {"n_samples": 100})
-        scored = _generative_scores(fb)
+        scored = _generative_scores(query_features(coll, "synth_dataset"))
 
-    report = evaluate(scored, claimed.delta, confidence, operating_points=("median", 0.01))
-    op = _low_fpr_op(report)
+    report, op = _audit_point(scored, claimed.delta, confidence)
     provenance = {
         "trainer_kind": trainer.kind,
         "attack": scored.attack,

@@ -35,6 +35,7 @@ from .dpsgd import BugMode, DpSgdConfig, NoValidGuaranteeError, PredictiveTraine
 from .models import count_value, save_params
 from .shadow import (
     ThreatModel,
+    check_features,
     query_features,
     query_sample_count,
     run_shadow_experiment,
@@ -305,16 +306,7 @@ def _check_attack_compat(names, trainer, tm: ThreatModel) -> None:
     for name in names:
         if name not in ATTACK_FNS:
             raise ConfigError(f"attack.attacks: unknown attack {name!r}")
-        mode = ATTACK_FEATURES[name]
-        if mode == "pred_loss" and trainer.kind != "predictive":
-            raise ConfigError(f"attack.attacks: {name} needs a predictive trainer")
-        if mode == "synth_dataset" and trainer.kind != "generative":
-            raise ConfigError(f"attack.attacks: {name} needs a generative trainer")
-        if mode == "disc_loss":
-            if tm.model_access != "white_box":
-                raise ConfigError(f"attack.attacks: {name} needs white_box access")
-            if not isinstance(trainer, GanTrainer):
-                raise ConfigError(f"attack.attacks: {name} needs a gan trainer")
+        _build(f"attack.attacks: {name}", check_features, ATTACK_FEATURES[name], trainer, tm)
 
 
 def _pick_target(cfg: dict, ds: Dataset):
@@ -353,8 +345,8 @@ def cmd_attack(cfg: dict, args) -> int:
     target, pool = _pick_target(cfg, ds)
     out = _out_dir(cfg, args)
     delta = _delta(cfg, len(ds))
-    coll = run_shadow_experiment(target, pool, trainer, tm, t_runs, cfg["master_seed"],
-                                 args.workers)
+    coll = _build("attack", run_shadow_experiment, target, pool, trainer, tm, t_runs,
+                  cfg["master_seed"], args.workers)
     out.mkdir(parents=True, exist_ok=True)
     bundles = {}
     for name in names:
@@ -415,12 +407,29 @@ def cmd_audit(cfg: dict, args) -> int:
     return audit_mod.exit_code(verdict)
 
 
-def _fmt(v) -> str:
+def _fmt(v, spec: str = ".4g") -> str:
+    """A report number as text: "-" where the number is absent."""
     if v == "unbounded":
         return "unbounded"
-    if v is None:
+    if not isinstance(v, (int, float)):
         return "-"
-    return f"{v:.4g}"
+    return format(v, spec)
+
+
+def _json_object(path: Path) -> dict | None:
+    """The file's JSON object, or None when it holds anything else."""
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+    return doc if isinstance(doc, dict) else None
+
+
+def _field(doc, *keys):
+    """doc[keys[0]][keys[1]]..., or None where a level is not an object."""
+    for key in keys:
+        doc = doc.get(key) if isinstance(doc, dict) else None
+    return doc
 
 
 def cmd_report(cfg: dict | None, args) -> int:
@@ -431,17 +440,19 @@ def cmd_report(cfg: dict | None, args) -> int:
     claimed = None
     acct = out / "accountant.json"
     if acct.exists():
-        doc = json.loads(acct.read_text())
-        claimed = doc.get("claimed", {}).get("epsilon")
+        doc = _json_object(acct)
+        if doc is None:
+            summary["missing"].append(acct.name)
+        claimed = _field(doc, "claimed", "epsilon")
 
     for p in sorted(out.glob("attack_*.json")):
-        try:
-            doc = json.loads(p.read_text())
-        except json.JSONDecodeError:
+        doc = _json_object(p)
+        if doc is None:
             summary["missing"].append(p.name)
             continue
-        targeted = [op for op in doc.get("operating_points", [])
-                    if op.get("target_fpr") is not None]
+        ops = doc.get("operating_points")
+        targeted = [op for op in (ops if isinstance(ops, list) else [])
+                    if isinstance(_field(op, "target_fpr"), (int, float))]
         low = min(targeted, key=lambda op: op["target_fpr"], default={})
         summary["attacks"].append({
             "file": p.name,
@@ -452,15 +463,14 @@ def cmd_report(cfg: dict | None, args) -> int:
             "claimed_epsilon": claimed,
         })
     for p in sorted(out.glob("audit*.json")):
-        try:
-            doc = json.loads(p.read_text())
-        except json.JSONDecodeError:
+        doc = _json_object(p)
+        if doc is None:
             summary["missing"].append(p.name)
             continue
         summary["audits"].append({
             "file": p.name,
             "audit": doc.get("audit"),
-            "claimed_epsilon": doc.get("claimed", {}).get("epsilon"),
+            "claimed_epsilon": _field(doc, "claimed", "epsilon"),
             "measured_lower_bound": doc.get("measured_lower_bound"),
             "status": doc.get("status"),
         })
@@ -468,11 +478,11 @@ def cmd_report(cfg: dict | None, args) -> int:
     attacks_mod.write_json(out / "summary.json", summary)
     lines = [f"{'source':<24}{'auc':>8}{'eps_point':>12}{'eps_lower':>12}{'claimed':>10}"]
     for row in summary["attacks"]:
-        lines.append(f"{row['attack']:<24}{row['auc']:>8.3f}"
+        lines.append(f"{str(row['attack'] or '-'):<24}{_fmt(row['auc'], '.3f'):>8}"
                      f"{_fmt(row['eps_point']):>12}{_fmt(row['eps_lower']):>12}"
                      f"{_fmt(row['claimed_epsilon']):>10}")
     for row in summary["audits"]:
-        lines.append(f"{row['audit']:<24}{'-':>8}"
+        lines.append(f"{str(row['audit'] or '-'):<24}{'-':>8}"
                      f"{_fmt(row['measured_lower_bound']):>12}{'-':>12}"
                      f"{_fmt(row['claimed_epsilon']):>10} {row['status']}")
     text = "\n".join(lines) + "\n"

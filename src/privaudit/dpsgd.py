@@ -10,7 +10,6 @@ audit module uses them as positive controls.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -100,38 +99,31 @@ class TrainedArtifact:
     meta: dict = field(default_factory=dict)
 
 
-class _Philox(threading.local):
-    """One Philox generator per thread, with a state template to re-seat it."""
-
-    def __init__(self):
-        self.bits = np.random.Philox(0)
-        self.gen = np.random.Generator(self.bits)
-        self.counter = np.zeros(4, dtype=np.uint64)
-        self.key = np.zeros(2, dtype=np.uint64)
-        self.state = {"bit_generator": "Philox",
-                      "state": {"counter": self.counter, "key": self.key},
-                      "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-                      "has_uint32": 0, "uinteger": 0}
-
-
-_philox = _Philox()
+# the one Philox generator _stream re-seats, and the state template it writes
+_PHILOX = np.random.Philox(0)
+_PHILOX_GEN = np.random.Generator(_PHILOX)
+_PHILOX_COUNTER = np.zeros(4, dtype=np.uint64)
+_PHILOX_KEY = np.zeros(2, dtype=np.uint64)
+_PHILOX_STATE = {"bit_generator": "Philox",
+                 "state": {"counter": _PHILOX_COUNTER, "key": _PHILOX_KEY},
+                 "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
 
 
 def _stream(seed: int, tag: int, counter: int) -> np.random.Generator:
     """The counter-based Philox stream keyed (seed, tag), at the counter.
 
     Its draws equal those of a fresh ``Philox(key=[seed, tag], counter=counter)``:
-    the thread's one bit generator is re-seated to that state, with an empty
+    the module's one bit generator is re-seated to that state, with an empty
     buffer, which costs a fraction of building one. The generator is shared,
     so draw from it before the next _stream call and never hold it across
     another stream's draw.
     """
-    p = _philox
-    p.counter[0] = counter
-    p.key[0] = seed % 2**64
-    p.key[1] = tag
-    p.bits.state = p.state
-    return p.gen
+    _PHILOX_COUNTER[0] = counter
+    _PHILOX_KEY[0] = seed % 2**64
+    _PHILOX_KEY[1] = tag
+    _PHILOX.state = _PHILOX_STATE
+    return _PHILOX_GEN
 
 
 def clip_per_sample(grad: np.ndarray, clip_norm: float) -> np.ndarray:
@@ -335,7 +327,8 @@ def train_lockstep(
     """Train run k on the rows run_rows[k] of (x, y) with specs[k] and
     configs[k], the runs stepping together in blocks.
 
-    The specs and the configs may differ only in their seeds. Seed-
+    Every run needs at least one row: the update divides by the expected
+    batch p*N. The specs and the configs may differ only in their seeds. Seed-
     deterministic end to end: run k's Poisson batch draws and noise come from
     counter-based streams keyed by (configs[k].seed, step), and its artifact
     is bit for bit the one it gets when trained alone. The blocks are dealt
@@ -346,6 +339,8 @@ def train_lockstep(
     if (len({replace(s, seed=0) for s in specs}) > 1
             or len({replace(c, seed=0) for c in configs}) > 1):
         raise ValueError("lockstep runs may differ only in their seeds")
+    if min(map(len, run_rows)) == 0:
+        raise ValueError("cannot train a model on an empty dataset")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=int)
     config = configs[0]

@@ -1,10 +1,10 @@
 """Shadow-modeling harness.
 
 Repeatedly trains target-in/target-out artifacts under controlled randomness
-and hands labeled material to the attacks. Runs are independent. The
-predictive ones train in lockstep blocks, which forked processes may share;
-the marginal ones are fit together from one binning pass, and the others
-train one by one, both in the calling thread. The collection is ordered by run
+and hands labeled material to the attacks. Every trainer fits the independent
+runs in one ``fit_runs`` call: the predictive one in lockstep blocks, which
+forked processes may share, the marginal one from one binning pass and the GAN
+run by run, both in the calling thread. The collection is ordered by run
 index and each run depends only on the master seed and its index.
 """
 
@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, row_keys
-from .dpsgd import PredictiveTrainer
 from .models import count_value
 from .seeds import derive_seed
-from .synthesizers import disc_loss, sample
+from .synthesizers import GanTrainer, disc_loss, sample
 
 __all__ = [
     "ThreatModel",
@@ -27,6 +26,7 @@ __all__ = [
     "ShadowCollection",
     "FeatureBundle",
     "run_shadow_experiment",
+    "check_features",
     "query_features",
     "dataset_fingerprint",
     "shadow_run_count",
@@ -141,13 +141,14 @@ def run_shadow_experiment(
     Per run t: s_t = derive_seed(master_seed, t); the baseline training set is
     the pool itself (fixed_dataset) or a half-size subsample drawn from s_t
     (resampled_dataset); the target is appended iff b_t = 1; training uses s_t.
-    A trainer with ``fit_runs(data, run_rows, seeds, workers)`` gets every
+    A pool that leaves some run no rows is rejected before any training.
+    The trainer's ``fit_runs(data, run_rows, seeds, workers)`` gets every
     run's rows of pool-plus-target and seed in one call: the predictive
     trainer steps them in lockstep blocks and trains the blocks in up to
     ``workers`` processes, this one and forked children; the marginal trainer
-    bins every row once and fits each run from its rows' cells in this
-    thread. Any other trainer is fit run by run in this thread. Either way
-    run t depends only on master_seed and t, and not on ``workers``.
+    bins every row once and fits each run from its rows' cells, and the GAN
+    trainer fits run by run, both in this thread. Either way run t depends
+    only on master_seed and t, and not on ``workers``.
     """
     shadow_run_count(t_runs)
     target = pool.schema.validate_record(target)
@@ -167,6 +168,8 @@ def run_shadow_experiment(
         else:
             idx = np.arange(n)
         run_rows.append(np.append(idx, n) if bits[t] else idx)
+    if min(map(len, run_rows)) == 0:
+        raise ValueError(f"a pool of size {n} leaves a target-out run no training rows")
 
     # a run's rows are distinct, so its sorted keys are the sorted keys of all
     # rows filtered to its own: one sort serves every run's fingerprint, and
@@ -184,11 +187,7 @@ def run_shadow_experiment(
             fingerprints[key] = _fingerprint(sorted_keys[member[order]])
         return fingerprints[key]
 
-    fit_runs = getattr(trainer, "fit_runs", None)
-    if fit_runs is not None:
-        artifacts = fit_runs(with_target, run_rows, seeds, workers)
-    else:
-        artifacts = [trainer.fit(with_target.take(r), s) for r, s in zip(run_rows, seeds)]
+    artifacts = trainer.fit_runs(with_target, run_rows, seeds, workers)
     runs = tuple(
         ShadowRun(
             index=t,
@@ -208,8 +207,22 @@ def run_shadow_experiment(
     )
 
 
+def check_features(mode: str, trainer, tm: ThreatModel) -> None:
+    """Raise ValueError unless the trainer, under the threat model, can
+    supply the feature mode: the one rule the CLI and query_features share."""
+    if mode not in ("pred_loss", "synth_dataset", "disc_loss"):
+        raise ValueError(f"unknown feature mode {mode!r}")
+    if mode == "disc_loss" and tm.model_access != WHITE_BOX:
+        raise ValueError("disc_loss requires white_box model access")
+    if mode == "disc_loss" and not isinstance(trainer, GanTrainer):
+        raise ValueError("disc_loss requires a GAN trainer")
+    kind = "predictive" if mode == "pred_loss" else "generative"
+    if getattr(trainer, "kind", None) != kind:
+        raise ValueError(f"{mode} requires a {kind} trainer")
+
+
 def query_features(collection: ShadowCollection, mode: str, query_config: dict | None = None) -> FeatureBundle:
-    """Extract per-run attack features.
+    """Extract per-run attack features, once check_features allows the mode.
 
     pred_loss: loss of the target under each trained model.
     synth_dataset: a synthetic dataset of query_config['n_samples'] rows per run.
@@ -217,32 +230,23 @@ def query_features(collection: ShadowCollection, mode: str, query_config: dict |
     """
     qc = dict(query_config or {})
     trainer = collection.trainer
+    check_features(mode, trainer, collection.threat_model)
 
     if mode == "pred_loss":
-        if not isinstance(trainer, PredictiveTrainer):
-            raise ValueError("pred_loss requires a predictive trainer")
         feats = tuple(
             trainer.target_loss(r.artifact, collection.target) for r in collection.runs
         )
         schema = collection.runs[0].artifact.meta["schema"]
     elif mode == "synth_dataset":
-        if getattr(trainer, "kind", None) != "generative":
-            raise ValueError("synth_dataset requires a generative trainer")
         n = query_sample_count(qc.get("n_samples", 100))
         feats = tuple(
             sample(r.artifact, n, derive_seed(collection.master_seed, "query", r.index))
             for r in collection.runs
         )
         schema = collection.runs[0].artifact.schema
-    elif mode == "disc_loss":
-        if collection.threat_model.model_access != WHITE_BOX:
-            raise ValueError("disc_loss requires white_box model access")
-        if any(getattr(r.artifact, "kind", None) != "gan" for r in collection.runs):
-            raise ValueError("disc_loss requires GAN artifacts")
+    else:
         feats = tuple(disc_loss(r.artifact, collection.target) for r in collection.runs)
         schema = collection.runs[0].artifact.schema
-    else:
-        raise ValueError(f"unknown feature mode {mode!r}")
 
     return FeatureBundle(
         mode=mode,

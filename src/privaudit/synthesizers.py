@@ -387,6 +387,11 @@ class GanTrainer:
     def fit(self, ds: Dataset, seed: int) -> GenerativeArtifact:
         return fit_gan(ds, replace(self.spec, seed=derive_seed(seed, "gan")))
 
+    def fit_runs(self, data: Dataset, run_rows, seeds, workers: int = 1) -> list[GenerativeArtifact]:
+        """Run k is fit(data.take(run_rows[k]), seeds[k]), run by run in this
+        thread: workers is accepted and no process is started."""
+        return [self.fit(data.take(rows), seed) for rows, seed in zip(run_rows, seeds)]
+
     def claimed_epsilon(self, n: int, delta: float) -> float:
         """Accountant claim over the discriminator steps fit_gan runs; with no
         step the released generator never sees the data."""

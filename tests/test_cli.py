@@ -257,6 +257,57 @@ def test_attack_explicit_target_in_data_leaves_the_pool(workspace):
     assert len(pool) == len(data) - 1 and not pool.matches(target).any()
 
 
+@pytest.mark.parametrize("trainer, attack, access, need", [
+    ("marginal", "lira", "black_box_query", "pred_loss requires a predictive trainer"),
+    ("marginal", "loss_threshold", "black_box_query", "pred_loss requires a predictive trainer"),
+    ("gan", "lira", "white_box", "pred_loss requires a predictive trainer"),
+    ("gan", "loss_threshold", "white_box", "pred_loss requires a predictive trainer"),
+    ("predictive", "dcr", "black_box_query", "synth_dataset requires a generative trainer"),
+    ("predictive", "groundhog", "white_box", "synth_dataset requires a generative trainer"),
+    ("gan", "disc_loss", "black_box_query", "disc_loss requires white_box model access"),
+    ("predictive", "disc_loss", "white_box", "disc_loss requires a GAN trainer"),
+    ("marginal", "disc_loss", "white_box", "disc_loss requires a GAN trainer"),
+])
+def test_every_incompatible_attack_exits_3_before_training(workspace, capsys, monkeypatch,
+                                                          trainer, attack, access, need):
+    trainers = {"predictive": PREDICTIVE, "marginal": {"kind": "marginal", "noise_std": 1.0},
+                "gan": GAN}
+    cfg = base_config(workspace, trainer=trainers[trainer],
+                      threat_model={"model_access": access})
+    cfg["attack"] = {"attacks": [attack], "t_runs": 20}
+
+    def no_training(*args):
+        raise AssertionError("trained before the attack was checked")
+
+    monkeypatch.setattr("privaudit.cli.run_shadow_experiment", no_training)
+    assert main(["attack", "--config", write_config(workspace, cfg)]) == 3
+    assert f"error: attack.attacks: {attack}: {need}" in capsys.readouterr().err
+    assert not (workspace / "results").exists()
+
+
+@pytest.mark.parametrize("kind", ["predictive", "marginal"])
+@pytest.mark.parametrize("rows, knowledge", [
+    # the target is the only row, so the pool is empty
+    ([(0.5, 0)], "fixed_dataset"),
+    # the pool keeps one row, and the out-runs resample n // 2 = 0 of it
+    ([(0.5, 0), (0.75, 1)], "resampled_dataset"),
+])
+def test_attack_with_an_empty_training_run_exits_3(tmp_path, capsys, kind, rows, knowledge):
+    sch = Schema((NumericColumn("x", 0.0, 1.0), CategoricalColumn("y", ("a", "b"))))
+    (tmp_path / "schema.json").write_text(json.dumps(sch.to_json_dict()))
+    Dataset.from_rows(sch, rows).to_csv(tmp_path / "data.csv")
+    trainer = PREDICTIVE if kind == "predictive" else {"kind": "marginal", "noise_std": 1.0}
+    cfg = base_config(tmp_path, trainer=trainer, threat_model={"data_knowledge": knowledge})
+    cfg["attack"] = {"attacks": ["lira" if kind == "predictive" else "dcr"],
+                     "t_runs": 4, "target": {"record": [0.5, "a"]}}
+    assert main(["attack", "--config", write_config(tmp_path, cfg)]) == 3
+    err = capsys.readouterr().err
+    pool = len(rows) - 1
+    assert f"error: attack: a pool of size {pool} leaves a target-out run no training rows" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "results").exists()
+
+
 # ---------------------------------------------------------------------------
 # audit
 
@@ -601,6 +652,41 @@ def test_report_merges_attack_and_audit(workspace, capsys):
     assert doc["audits"][0]["status"] == "pass"
     txt = (workspace / "results" / "summary.txt").read_text()
     assert "lira" in txt and "step_mechanism" in txt
+
+
+@pytest.mark.parametrize("name, body", [
+    ("attack_x.json", "[]"),
+    ("attack_x.json", "{not json"),
+    ("attack_x.json", "\u00ff"),
+    ("accountant.json", "{not json"),
+    ("accountant.json", "[1]"),
+    ("audit_x.json", '"text"'),
+    ("audit_x.json", None),  # a directory
+])
+def test_report_lists_foreign_files_as_missing(tmp_path, capsys, name, body):
+    if body is None:
+        (tmp_path / name).mkdir()
+    else:
+        (tmp_path / name).write_text(body, encoding="latin-1")
+    assert main(["report", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "summary.json").read_text())
+    assert doc["missing"] == [name]
+    assert doc["attacks"] == [] and doc["audits"] == []
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_report_prints_absent_numbers_as_dash(tmp_path):
+    (tmp_path / "accountant.json").write_text(json.dumps({"claimed": "none"}))
+    (tmp_path / "attack_y.json").write_text(json.dumps(
+        {"attack": "y", "operating_points": [{"target_fpr": "low"}, 3]}))
+    (tmp_path / "audit.json").write_text(json.dumps({"status": "pass", "claimed": []}))
+    assert main(["report", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "summary.txt").read_text().splitlines()
+    assert lines[1].split() == ["y", "-", "-", "-", "-"]
+    assert lines[2].split() == ["-", "-", "-", "-", "-", "pass"]
+    doc = json.loads((tmp_path / "summary.json").read_text())
+    assert doc["missing"] == []
+    assert doc["attacks"][0]["auc"] is None and doc["audits"][0]["claimed_epsilon"] is None
 
 
 def test_report_low_fpr_point_is_smallest_target_fpr(tmp_path):

@@ -261,6 +261,21 @@ def test_lockstep_runs_may_differ_only_in_seeds(toy_xy):
         train_lockstep([spec, spec], x, y, rows, [cfg(), cfg(steps=6)])
 
 
+def test_a_run_with_no_rows_is_refused(toy_xy):
+    # the update divides by the expected batch p*N, which is 0 for such a run;
+    # an empty batch of a run with rows stays legal
+    x, y = toy_xy
+    spec = ModelSpec(LOGISTIC, input_dim=3, num_classes=2, seed=4)
+    with pytest.raises(ValueError, match="empty dataset"):
+        train_lockstep([spec, spec], x, y, [np.arange(40), np.arange(0)], [cfg(), cfg()])
+    with pytest.raises(ValueError, match="empty dataset"):
+        train(spec, x[:0], y[:0], cfg())
+    schema = Schema((NumericColumn("x", 0.0, 1.0), CategoricalColumn("y", ("a", "b"))))
+    trainer = PredictiveTrainer(label_column="y", config=cfg())
+    with pytest.raises(ValueError, match="empty dataset"):
+        trainer.fit(Dataset.from_rows(schema, []), 1)
+
+
 def test_poisson_inclusion_frequency():
     n, p, steps = 8, 0.3, 10_000
     x = np.zeros((n, 1)); y = np.zeros(n, dtype=int)

@@ -4,20 +4,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privaudit import dpsgd, shadow
+from privaudit import dpsgd, shadow, synthesizers
 from privaudit.data import CategoricalColumn, Dataset, NumericColumn, Schema
 from privaudit.dpsgd import BugMode, DpSgdConfig, PredictiveTrainer
 from privaudit.shadow import (
+    BLACK_BOX,
     FIXED_DATASET,
     RESAMPLED_DATASET,
     WHITE_BOX,
     ShadowCollection,
     ThreatModel,
+    check_features,
     dataset_fingerprint,
     query_features,
     run_shadow_experiment,
 )
-from privaudit.synthesizers import MarginalSynthSpec, MarginalTrainer
+from privaudit.synthesizers import (
+    GanTrainer,
+    MarginalSynthSpec,
+    MarginalTrainer,
+    gan_spec_for_schema,
+)
 
 
 @pytest.fixture
@@ -123,12 +130,15 @@ def test_every_run_trains_in_the_calling_thread(pool, target, trainer):
     fit_threads = []
 
     class RecordingTrainer:
-        def fit(self, ds, seed):
+        def fit_runs(self, data, run_rows, seeds, workers=1):
+            assert workers == 4
             fit_threads.append(threading.get_ident())
-            return trainer.fit(ds, seed)
+            return [trainer.fit(data.take(r), s) for r, s in zip(run_rows, seeds)]
 
-    run_shadow_experiment(target, pool, RecordingTrainer(), ThreatModel(), 6, 3, workers=4)
-    assert fit_threads == [threading.get_ident()] * 6
+    coll = run_shadow_experiment(target, pool, RecordingTrainer(), ThreatModel(), 6, 3,
+                                 workers=4)
+    assert fit_threads == [threading.get_ident()]
+    assert len(coll.runs) == 6
 
 
 def test_pred_loss_features(pool, target, trainer):
@@ -173,6 +183,58 @@ def test_unknown_mode(pool, target, trainer):
         query_features(coll, "telepathy")
 
 
+def gan_trainer(schema):
+    dp = DpSgdConfig(clip_norm=1.0, noise_multiplier=1.0, sample_rate=0.3, steps=3,
+                     learning_rate=0.5)
+    return GanTrainer(gan_spec_for_schema(schema, latent_dim=2, gen_hidden=4, disc_hidden=4,
+                                          disc_config=dp))
+
+
+def _allowed(check, *args):
+    try:
+        check(*args)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("access", [BLACK_BOX, WHITE_BOX])
+def test_check_features_is_one_rule_for_every_trainer(schema, trainer, access):
+    marginal = MarginalTrainer(MarginalSynthSpec(noise_std=1.0), schema=schema)
+    gan = gan_trainer(schema)
+    tm = ThreatModel(model_access=access)
+    supplied = {(mode, name) for mode in ("pred_loss", "synth_dataset", "disc_loss")
+                for name, tr in (("predictive", trainer), ("marginal", marginal), ("gan", gan))
+                if _allowed(check_features, mode, tr, tm)}
+    want = {("pred_loss", "predictive"), ("synth_dataset", "marginal"), ("synth_dataset", "gan")}
+    if access == WHITE_BOX:
+        want.add(("disc_loss", "gan"))
+    assert supplied == want
+    with pytest.raises(ValueError, match="unknown feature mode"):
+        check_features("telepathy", trainer, tm)
+
+
+@pytest.mark.parametrize("knowledge, rows", [(FIXED_DATASET, 0), (RESAMPLED_DATASET, 1)])
+def test_pool_that_leaves_a_run_no_rows_is_rejected_before_training(
+        schema, target, knowledge, rows):
+    pool = Dataset.from_rows(schema, [(0.25, 0)] * rows)
+    fits = []
+
+    class Recording:
+        def fit_runs(self, data, run_rows, seeds, workers=1):
+            fits.append(len(run_rows))
+
+    with pytest.raises(ValueError, match=f"a pool of size {rows} leaves a target-out run no"):
+        run_shadow_experiment(target, pool, Recording(), ThreatModel(data_knowledge=knowledge),
+                              4, 1)
+    assert fits == []
+    # two rows leave every resampled run one: the smallest pool that trains
+    two = Dataset.from_rows(schema, [(0.25, 0), (0.75, 1)])
+    coll = run_shadow_experiment(target, two, MarginalTrainer(MarginalSynthSpec(1.0), schema),
+                                 ThreatModel(data_knowledge=RESAMPLED_DATASET), 4, 1)
+    assert len(coll.runs) == 4
+
+
 
 # ---------------------------------------------------------------------------
 # lockstep training
@@ -188,15 +250,20 @@ WIDE = Schema((
 
 
 class FitEachRun:
-    """A trainer without fit_runs: the harness fits it one run at a time."""
+    """The per-run reference: fit_runs fits each run's own rows alone with
+    the wrapped trainer's fit, and records their fingerprints."""
 
     def __init__(self, trainer):
         self.trainer = trainer
         self.fingerprints = []
 
-    def fit(self, ds, seed):
-        self.fingerprints.append(dataset_fingerprint(ds))
-        return self.trainer.fit(ds, seed)
+    def fit_runs(self, data, run_rows, seeds, workers=1):
+        out = []
+        for rows, seed in zip(run_rows, seeds):
+            ds = data.take(rows)
+            self.fingerprints.append(dataset_fingerprint(ds))
+            out.append(self.trainer.fit(ds, seed))
+        return out
 
 
 def run_bytes(run):
@@ -302,3 +369,35 @@ def test_fixed_dataset_hashes_each_distinct_training_set_once(pool, target, sche
     for r in coll.runs:
         ds = with_target if r.bit else pool
         assert r.fingerprint == dataset_fingerprint(ds)
+
+
+# ---------------------------------------------------------------------------
+# GAN runs
+
+def _gan_bytes(run):
+    st = run.artifact.state
+    return (run.fingerprint, st["gen_params"].tobytes(), st["disc_params"].tobytes(),
+            run.artifact.meta)
+
+
+@pytest.mark.parametrize("knowledge", [FIXED_DATASET, RESAMPLED_DATASET])
+def test_gan_fit_runs_bit_equal_to_fitting_each_run(pool, target, schema, knowledge,
+                                                     monkeypatch):
+    tr = gan_trainer(schema)
+    tm = ThreatModel(model_access=WHITE_BOX, data_knowledge=knowledge)
+    each = FitEachRun(tr)
+    want = [_gan_bytes(r) for r in run_shadow_experiment(target, pool, each, tm, 7, 5).runs]
+    assert [w[0] for w in want] == each.fingerprints
+    fits = []
+    fit_gan = synthesizers.fit_gan
+
+    def counting(ds, spec):
+        fits.append(len(ds))
+        return fit_gan(ds, spec)
+
+    monkeypatch.setattr(synthesizers, "fit_gan", counting)
+    coll = run_shadow_experiment(target, pool, tr, tm, 7, 5, workers=3)
+    assert [_gan_bytes(r) for r in coll.runs] == want
+    # every run was fit here, in this process: workers forks nothing
+    baseline = len(pool) // 2 if knowledge == RESAMPLED_DATASET else len(pool)
+    assert fits == [baseline + r.bit for r in coll.runs]
