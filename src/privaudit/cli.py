@@ -23,7 +23,6 @@ from . import attacks as attacks_mod
 from . import audit as audit_mod
 from .core_stats import confidence_level
 from .data import (
-    CategoricalColumn,
     DataError,
     Dataset,
     Schema,
@@ -86,23 +85,17 @@ def _load_data(cfg: dict) -> Dataset:
         if key not in cfg:
             raise ConfigError(f"{key}: missing")
     schema = _build("schema", lambda: Schema.from_json_file(cfg["schema"]))
-    return _build("dataset", lambda: load_csv(cfg["dataset"], schema))
+    ds = _build("dataset", lambda: load_csv(cfg["dataset"], schema))
+    if len(ds) == 0:
+        # nothing to train on or to pick a target from: a config problem
+        raise ConfigError(f"dataset: {cfg['dataset']}: no rows")
+    return ds
 
 
 def _record_from_json(schema: Schema, values, path: str):
-    def convert():
-        if len(values) != len(schema.columns):
-            raise ValueError(f"record has {len(values)} values, "
-                             f"schema has {len(schema.columns)} columns")
-        out = []
-        for col, v in zip(schema.columns, values):
-            if isinstance(col, CategoricalColumn) and isinstance(v, str):
-                if v not in col.levels:
-                    raise ValueError(f"unknown level {v!r} for column {col.name!r}")
-                v = col.levels.index(v)
-            out.append(v)
-        return schema.validate_record(out)
-    return _build(path, convert)
+    """A config record (level names or indices for categorical columns),
+    checked by the data layer's one rule."""
+    return _build(path, lambda: Dataset.from_rows(schema, [values]).rows[0])
 
 
 def _as_is(value):
@@ -197,7 +190,7 @@ def _threat_model(cfg: dict) -> ThreatModel:
 
 def _delta(cfg: dict, n: int) -> float:
     # convention: delta defaults to 1/N
-    return cfg.get("delta", 1.0 / n)
+    return cfg["delta"] if "delta" in cfg else 1.0 / n
 
 
 def _out_dir(cfg: dict, args) -> Path:

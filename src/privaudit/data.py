@@ -2,15 +2,17 @@
 
 Schema-typed ingestion into columnar datasets, canonical whole-column
 [0,1]/one-hot encoding, neighboring-dataset construction, and target-record
-selection. Datasets are immutable after construction.
+selection. Datasets are immutable after construction. This module alone
+decides how a column is checked (`_checked`), encoded (`encode`) and binned
+(`histogram_cells`), and it imports no other privaudit module.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,12 +23,12 @@ __all__ = [
     "CategoricalColumn",
     "Schema",
     "Dataset",
-    "EncodedMatrix",
     "load_csv",
     "encode",
     "decode",
     "encode_record",
     "row_keys",
+    "histogram_cells",
     "select_targets",
 ]
 
@@ -89,30 +91,6 @@ class Schema:
             if c.name == name:
                 return c
         raise SchemaError(f"no column named {name!r}")
-
-    def validate_record(self, values, row: int | None = None) -> Record:
-        where = "" if row is None else f" (row {row})"
-        if len(values) != len(self.columns):
-            raise DataError(
-                f"record has {len(values)} values, schema has {len(self.columns)} columns{where}"
-            )
-        out = []
-        for col, v in zip(self.columns, values):
-            if isinstance(col, NumericColumn):
-                v = float(v)
-                if not (col.lo <= v <= col.hi) or not math.isfinite(v):
-                    raise DataError(
-                        f"column {col.name!r}: value {v} outside [{col.lo}, {col.hi}]{where}"
-                    )
-                out.append(v)
-            else:
-                i = int(v)
-                if not (0 <= i < len(col.levels)):
-                    raise DataError(
-                        f"column {col.name!r}: level index {i} out of range{where}"
-                    )
-                out.append(i)
-        return tuple(out)
 
     # -- encoded geometry ---------------------------------------------------
 
@@ -194,8 +172,21 @@ class Dataset:
 
     @staticmethod
     def from_rows(schema: Schema, rows, provenance: str = "") -> "Dataset":
-        validated = [schema.validate_record(r, row=i) for i, r in enumerate(rows)]
-        return Dataset(schema, _transpose(schema, validated), provenance)
+        """Records (values in schema column order) as a dataset. A categorical
+        value is a level name or index, any other value goes through float(),
+        a bool is refused, and the columns then pass the one checking rule.
+        An error names the offending row unless there is only one record."""
+        rows = list(rows)
+        width = len(schema.columns)
+        where = (lambda i: "") if len(rows) == 1 else (lambda i: f" (row {i})")
+        for i, r in enumerate(rows):
+            if len(r) != width:
+                raise DataError(f"record has {len(r)} values, schema has {width} columns{where(i)}")
+        columns = [
+            np.array([_number(col, v, where(i)) for i, v in enumerate(cells)], dtype=np.float64)
+            for col, cells in zip(schema.columns, list(zip(*rows)) or [()] * width)
+        ]
+        return Dataset(schema, _checked(schema, columns, where), provenance)
 
     def take(self, idx) -> "Dataset":
         """The rows at the given indices, in that order."""
@@ -203,13 +194,13 @@ class Dataset:
 
     def with_record(self, record) -> "Dataset":
         """This dataset with the record appended as its last row."""
-        one = _single(self.schema, record)
+        one = Dataset.from_rows(self.schema, [record])
         cols = tuple(np.concatenate(pair) for pair in zip(self.columns, one.columns))
         return Dataset(self.schema, cols, self.provenance)
 
     def matches(self, record) -> np.ndarray:
         """Boolean mask of the rows whose encoding equals the record's."""
-        return row_keys(self) == row_keys(_single(self.schema, record))[0]
+        return row_keys(self) == row_keys(Dataset.from_rows(self.schema, [record]))[0]
 
     def to_csv(self, path) -> None:
         cells = [
@@ -223,27 +214,61 @@ class Dataset:
             w.writerows(zip(*cells))
 
 
-def _transpose(schema: Schema, records) -> tuple:
-    return tuple(zip(*records)) or ((),) * len(schema.columns)
+def _number(col: Column, value, where: str) -> float:
+    """One record value as a number; a level name becomes its index."""
+    if isinstance(value, (bool, np.bool_)):
+        raise DataError(f"column {col.name!r}: value {value} is not a number{where}")
+    if isinstance(value, str) and isinstance(col, CategoricalColumn):
+        if value not in col.levels:
+            raise DataError(f"unknown level {value!r} for column {col.name!r}{where}")
+        return col.levels.index(value)
+    return float(value)
 
 
-def _single(schema: Schema, record) -> Dataset:
-    return Dataset(schema, _transpose(schema, [schema.validate_record(record)]))
+def _checked(schema: Schema, columns, where=lambda i: f" (row {i})") -> tuple[np.ndarray, ...]:
+    """The one checking rule on float64 (or int64) columns: numeric values
+    finite and within [lo, hi], categorical ones integral level indices in
+    range, returned as int64. A DataError names the column, the value and,
+    as where(i) puts it, the first offending row."""
+    out = []
+    for col, x in zip(schema.columns, columns):
+        if isinstance(col, NumericColumn):
+            bad = ~(np.isfinite(x) & (x >= col.lo) & (x <= col.hi))
+            if bad.any():
+                i = int(bad.argmax())
+                raise DataError(f"column {col.name!r}: value {float(x[i])} outside "
+                                f"[{col.lo}, {col.hi}]{where(i)}")
+            out.append(x)
+        else:
+            whole = np.isfinite(x) & (x == np.floor(x))
+            bad = ~(whole & (x >= 0) & (x < len(col.levels)))
+            if bad.any():
+                i = int(bad.argmax())
+                v, fault = (int(x[i]), "out of range") if whole[i] else (float(x[i]), "is not an integer")
+                raise DataError(f"column {col.name!r}: level index {v} {fault}{where(i)}")
+            out.append(x.astype(np.int64))
+    return tuple(out)
 
 
-@dataclass(frozen=True)
-class EncodedMatrix:
-    matrix: np.ndarray  # (n_rows, encoded_width) float64
-    schema: Schema
-    spans: tuple[tuple[int, int], ...] = field(default=())
-
-    def __post_init__(self):
-        if not self.spans:
-            object.__setattr__(self, "spans", tuple(self.schema.encoded_spans()))
+def _csv_column(path, col: Column, cells: tuple) -> np.ndarray:
+    """One CSV column, each cell converted once: float(), or a level lookup."""
+    if isinstance(col, NumericColumn):
+        convert, dtype, what = float, np.float64, "not a number:"
+    else:
+        index = {level: i for i, level in enumerate(col.levels)}
+        convert, dtype, what = index.__getitem__, np.int64, "unknown level"
+    rest = iter(cells)
+    try:
+        return np.fromiter(map(convert, rest), dtype, len(cells))
+    except (ValueError, KeyError):
+        # the failing cell is the last one map took from the iterator
+        rownum = len(cells) - operator.length_hint(rest) - 1
+        raise DataError(f"{path}: row {rownum}, column {col.name!r}: {what} {cells[rownum]!r}") from None
 
 
 def load_csv(path, schema: Schema) -> Dataset:
-    """Read a CSV with a header row matching the schema column order."""
+    """Read a CSV with a header row matching the schema column order, column
+    by column with no row tuples; the columns pass the one checking rule."""
     try:
         f = open(path, "r", encoding="utf-8", newline="")
     except FileNotFoundError:
@@ -256,31 +281,19 @@ def load_csv(path, schema: Schema) -> Dataset:
             raise DataError(f"{path}: empty file, expected a header row") from None
         if header != schema.names:
             raise DataError(f"{path}: header {header} does not match schema {schema.names}")
-        rows = []
-        for rownum, raw in enumerate(reader):
-            if len(raw) != len(schema.columns):
-                raise DataError(f"{path}: row {rownum} has {len(raw)} fields, expected {len(schema.columns)}")
-            values = []
-            for col, cell in zip(schema.columns, raw):
-                if isinstance(col, NumericColumn):
-                    try:
-                        values.append(float(cell))
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: row {rownum}, column {col.name!r}: not a number: {cell!r}"
-                        ) from None
-                else:
-                    if cell not in col.levels:
-                        raise DataError(
-                            f"{path}: row {rownum}, column {col.name!r}: unknown level {cell!r}"
-                        )
-                    values.append(col.levels.index(cell))
-            rows.append(schema.validate_record(values, row=rownum))
-    return Dataset(schema, _transpose(schema, rows), str(path))
+        raw = list(reader)
+    width = len(schema.columns)
+    for rownum, cells in enumerate(raw):
+        if len(cells) != width:
+            raise DataError(f"{path}: row {rownum} has {len(cells)} fields, expected {width}")
+    columns = [_csv_column(path, col, cells)
+               for col, cells in zip(schema.columns, list(zip(*raw)) or [()] * width)]
+    return Dataset(schema, _checked(schema, columns), str(path))
 
 
-def encode(ds: Dataset) -> EncodedMatrix:
-    """Numeric columns scaled to [0,1] by schema bounds; categoricals one-hot."""
+def encode(ds: Dataset) -> np.ndarray:
+    """The (rows, encoded_width) float64 matrix: numeric columns scaled to
+    [0,1] by schema bounds, categoricals one-hot in their encoded_spans."""
     n = len(ds)
     m = np.zeros((n, ds.schema.encoded_width), dtype=np.float64)
     for (a, _), col, c in zip(ds.schema.encoded_spans(), ds.schema.columns, ds.columns):
@@ -288,50 +301,71 @@ def encode(ds: Dataset) -> EncodedMatrix:
             m[:, a] = (c - col.lo) / (col.hi - col.lo)
         else:
             m[np.arange(n), a + c] = 1.0
-    return EncodedMatrix(matrix=m, schema=ds.schema)
+    return m
 
 
 def encode_record(schema: Schema, record: Record) -> np.ndarray:
-    return encode(_single(schema, record)).matrix[0]
+    return encode(Dataset.from_rows(schema, [record]))[0]
 
 
-def decode(em: EncodedMatrix, provenance: str = "") -> Dataset:
+def decode(schema: Schema, matrix: np.ndarray, provenance: str = "") -> Dataset:
     """Inverse of encode: numerics clipped to [0,1] and rescaled, each
     categorical span decoded to its argmax level."""
     cols = []
-    for (a, b), col in zip(em.spans, em.schema.columns):
+    for (a, b), col in zip(schema.encoded_spans(), schema.columns):
         if isinstance(col, NumericColumn):
-            cols.append(col.lo + np.clip(em.matrix[:, a], 0.0, 1.0) * (col.hi - col.lo))
+            cols.append(col.lo + np.clip(matrix[:, a], 0.0, 1.0) * (col.hi - col.lo))
         else:
-            cols.append(np.argmax(em.matrix[:, a:b], axis=1))
-    return Dataset(em.schema, tuple(cols), provenance)
+            cols.append(np.argmax(matrix[:, a:b], axis=1))
+    return Dataset(schema, tuple(cols), provenance)
 
 
 def row_keys(ds: Dataset) -> np.ndarray:
     """One opaque key per row: its encoded bytes viewed as np.void. Rows are
     the same record exactly when their keys are equal."""
-    m = encode(ds).matrix
+    m = encode(ds)
     return m.view(np.dtype((np.void, m.itemsize * m.shape[1]))).ravel()
+
+
+def histogram_cells(data: Dataset, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's histogram cell in every column, and each column's first cell.
+
+    Cells index the columns' histograms laid end to end, numeric columns with
+    `bins` cells and categorical columns with one per level. A numeric value
+    falls in the cell np.histogram(bins=bins, range=(lo, hi)) counts it in:
+    [edge_i, edge_i+1) on the same edges, the last cell closed. A value
+    outside [lo, hi], or NaN, goes to the one cell past the end, which no
+    histogram reads, as np.histogram leaves it uncounted.
+    """
+    cols = data.schema.columns
+    starts = np.cumsum([0] + [bins if isinstance(c, NumericColumn) else len(c.levels)
+                              for c in cols])
+    cells = np.empty((len(data), len(cols)), dtype=np.intp)
+    for j, (col, vals) in enumerate(zip(cols, data.columns)):
+        if isinstance(col, NumericColumn):
+            edges = np.histogram_bin_edges(vals, bins=bins, range=(col.lo, col.hi))
+            cell = np.minimum(np.searchsorted(edges, vals, side="right") - 1, bins - 1)
+            cell[~((vals >= col.lo) & (vals <= col.hi))] = starts[-1] - starts[j]
+        else:
+            if vals.size and not (0 <= vals.min() and vals.max() < len(col.levels)):
+                raise ValueError(f"column {col.name!r}: level index out of range")
+            cell = vals
+        cells[:, j] = starts[j] + cell
+    return cells, starts
 
 
 def _marginal_outlier_scores(ds: Dataset, bins: int = 10) -> np.ndarray:
     """Sum over columns of -log empirical marginal frequency.
 
-    Numeric columns use `bins` equal-width histogram bins over the schema
-    bounds. A record in rare cells scores high. This is a heuristic: records
-    vulnerable only on learned joint dimensions may not be marginal outliers.
+    Numeric columns use the marginal synthesizer's `bins` histogram_cells. A
+    record in rare cells scores high. This is a heuristic: records vulnerable
+    only on learned joint dimensions may not be marginal outliers.
     """
-    n = len(ds)
-    scores = np.zeros(n, dtype=np.float64)
-    for col, vals in zip(ds.schema.columns, ds.columns):
-        if isinstance(col, NumericColumn):
-            width = (col.hi - col.lo) / bins
-            idx = np.minimum(((vals - col.lo) / width).astype(int), bins - 1)
-            counts = np.bincount(idx, minlength=bins)
-        else:
-            idx = vals
-            counts = np.bincount(idx, minlength=len(col.levels))
-        scores += -np.log(counts[idx] / n)
+    cells, starts = histogram_cells(ds, bins)
+    counts = np.bincount(cells.ravel(), minlength=int(starts[-1]) + 1)
+    scores = np.zeros(len(ds), dtype=np.float64)
+    for j in range(cells.shape[1]):
+        scores += -np.log(counts[cells[:, j]] / len(ds))
     return scores
 
 

@@ -489,11 +489,11 @@ def features_and_labels(ds: Dataset, label_column: str) -> tuple[np.ndarray, np.
     col = ds.schema.column(label_column)
     if not isinstance(col, CategoricalColumn):
         raise ValueError(f"label column {label_column!r} must be categorical")
-    em = encode(ds)
+    m = encode(ds)
     ci = ds.schema.names.index(label_column)
-    a, b = em.spans[ci]
-    keep = np.r_[0:a, b:em.matrix.shape[1]].astype(int)
-    return em.matrix[:, keep], ds.columns[ci]
+    a, b = ds.schema.encoded_spans()[ci]
+    keep = np.r_[0:a, b:m.shape[1]].astype(int)
+    return m[:, keep], ds.columns[ci]
 
 
 @dataclass(frozen=True)

@@ -151,7 +151,7 @@ def run_shadow_experiment(
     only on master_seed and t, and not on ``workers``.
     """
     shadow_run_count(t_runs)
-    target = pool.schema.validate_record(target)
+    target = Dataset.from_rows(pool.schema, [target]).rows[0]
     if pool.matches(target).any():
         raise ValueError("target record must not be present in the pool")
     # row n is the target: a run takes its pool rows in order, then row n iff b_t = 1

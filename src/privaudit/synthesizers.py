@@ -19,12 +19,12 @@ from . import models
 from .core_stats import GdpParam, gdp_epsilon_of_delta
 from .data import (
     Dataset,
-    EncodedMatrix,
     NumericColumn,
     Schema,
     decode,
     encode,
     encode_record,
+    histogram_cells,
 )
 from .dpsgd import BugMode, DpSgdConfig, _stream, claimed_privacy, noisy_batch_update
 from .models import ModelSpec, check_finite, count_value
@@ -69,6 +69,9 @@ class MarginalSynthSpec:
 
 @dataclass(frozen=True)
 class GanSpec:
+    """fit_gan derives every seed it uses from `seed`, the networks' initial
+    weights included; the generator's and discriminator's own seeds are ignored."""
+
     generator: ModelSpec      # mlp, latent -> encoded width (raw outputs)
     discriminator: ModelSpec  # mlp, encoded width -> 2 classes
     latent_dim: int
@@ -115,9 +118,9 @@ def gan_spec_for_schema(
     # large init pushes the tanh units out of their near-linear regime, which
     # a 1-D discriminator needs to represent a non-monotonic real/fake boundary
     gen = ModelSpec(models.MLP, input_dim=latent_dim, num_classes=width,
-                    hidden_dim=gen_hidden, init_scale=2.0, seed=derive_seed(seed, "gen"))
+                    hidden_dim=gen_hidden, init_scale=2.0)
     disc = ModelSpec(models.MLP, input_dim=width, num_classes=2,
-                     hidden_dim=disc_hidden, init_scale=2.0, seed=derive_seed(seed, "disc"))
+                     hidden_dim=disc_hidden, init_scale=2.0)
     return GanSpec(generator=gen, discriminator=disc, latent_dim=latent_dim,
                    disc_config=disc_config, gen_lr=gen_lr, seed=seed, steps=steps)
 
@@ -133,38 +136,11 @@ class GenerativeArtifact:
 # ---------------------------------------------------------------------------
 # marginal synthesizer
 
-def _histogram_cells(data: Dataset, bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every row's histogram cell in every column, and each column's first cell.
-
-    Cells index the columns' histograms laid end to end, numeric columns with
-    `bins` cells and categorical columns with one per level. A numeric value
-    falls in the cell np.histogram(bins=bins, range=(lo, hi)) counts it in:
-    [edge_i, edge_i+1) on the same edges, the last cell closed. A value
-    outside [lo, hi], or NaN, goes to the one cell past the end, which no
-    histogram reads, as np.histogram leaves it uncounted.
-    """
-    cols = data.schema.columns
-    starts = np.cumsum([0] + [bins if isinstance(c, NumericColumn) else len(c.levels)
-                              for c in cols])
-    cells = np.empty((len(data), len(cols)), dtype=np.intp)
-    for j, (col, vals) in enumerate(zip(cols, data.columns)):
-        if isinstance(col, NumericColumn):
-            edges = np.histogram_bin_edges(vals, bins=bins, range=(col.lo, col.hi))
-            cell = np.minimum(np.searchsorted(edges, vals, side="right") - 1, bins - 1)
-            cell[~((vals >= col.lo) & (vals <= col.hi))] = starts[-1] - starts[j]
-        else:
-            if vals.size and not (0 <= vals.min() and vals.max() < len(col.levels)):
-                raise ValueError(f"column {col.name!r}: level index out of range")
-            cell = vals
-        cells[:, j] = starts[j] + cell
-    return cells, starts
-
-
 def _fit_marginal_runs(data: Dataset, run_rows, seeds, spec: MarginalSynthSpec):
     """One artifact per run: run k's histograms count data's rows run_rows[k]
     and take their noise from default_rng(seeds[k]). Every row's cells are
     found once, and a run's counts are one bincount of its rows' cells."""
-    cells, starts = _histogram_cells(data, spec.bins)
+    cells, starts = histogram_cells(data, spec.bins)
     n_cells = int(starts[-1])
     arts = []
     for rows, seed in zip(run_rows, seeds):
@@ -264,17 +240,17 @@ def fit_gan(ds: Dataset, spec: GanSpec) -> GenerativeArtifact:
     plus a plain gradient term on generated samples, which carry no privacy
     cost. Generator: plain SGD through the non-saturating loss.
     """
-    em = encode(ds)
-    x_real = em.matrix
+    x_real = encode(ds)
     n = x_real.shape[0]
     if n == 0:
         raise ValueError("cannot fit a GAN on an empty dataset")
-    if spec.discriminator.input_dim != em.matrix.shape[1]:
+    if spec.discriminator.input_dim != x_real.shape[1]:
         raise ValueError("discriminator input_dim must equal the encoded width")
 
     cfg = replace(spec.disc_config, seed=derive_seed(spec.seed, "disc-noise"))
-    gen_spec = spec.generator
-    disc_spec = spec.discriminator
+    # the artifact keeps the specs with the init seeds this run used
+    gen_spec = replace(spec.generator, seed=derive_seed(spec.seed, "gen"))
+    disc_spec = replace(spec.discriminator, seed=derive_seed(spec.seed, "disc"))
     gen_params = models.init_params(gen_spec)
     disc_params = models.init_params(disc_spec)
     fake_batch = max(1, round(cfg.sample_rate * n))
@@ -321,7 +297,7 @@ def _sample_gan(art: GenerativeArtifact, n: int, rng: np.random.Generator) -> Da
     z = rng.standard_normal((n, art.state["latent_dim"]))
     out = models.forward_logits(gen_spec, gen_params, z) if n else np.zeros((0, gen_spec.num_classes))
     # categorical spans are clipped too, so outputs above 1 tie in the argmax
-    return decode(EncodedMatrix(np.clip(out, 0.0, 1.0), art.schema), "synthetic:gan")
+    return decode(art.schema, np.clip(out, 0.0, 1.0), "synthetic:gan")
 
 
 def sample_count(value) -> int:

@@ -560,6 +560,15 @@ def test_non_object_config_block_exits_3(workspace, capsys, command, over, messa
      "config.master_seed: master_seed must be an integer, got 7.5"),
     ("audit", "audit", "trials", 1000.5, "audit.trials: trials must be an integer, got 1000.5"),
     ("synthesize", "synthesize", "n_samples", 2.5, "synthesize.n_samples: n must be an integer"),
+    # a level index must be an integer and no value may be a bool
+    ("attack", "attack", "target", {"record": [0.5, 1.7]},
+     "attack.target.record: column 'y': level index 1.7 is not an integer"),
+    ("attack", "attack", "target", {"record": [True, 1]},
+     "attack.target.record: column 'x': value True is not a number"),
+    ("audit", "config", "audit", {"mode": "end_to_end", "t_runs": 20, "canary": [0.5, 1.7]},
+     "audit.canary: column 'y': level index 1.7 is not an integer"),
+    ("audit", "config", "audit", {"mode": "end_to_end", "t_runs": 20, "canary": [True, 1]},
+     "audit.canary: column 'x': value True is not a number"),
 ])
 def test_bad_config_value_exits_3(workspace, capsys, command, section, key, value, message):
     cfg = base_config(workspace, synthesize={})
@@ -570,6 +579,26 @@ def test_bad_config_value_exits_3(workspace, capsys, command, section, key, valu
     (cfg if section == "config" else cfg[section])[key] = value
     assert main([command, "--config", write_config(workspace, cfg)]) == 3
     assert message in capsys.readouterr().err
+    assert not (workspace / "results").exists()
+
+
+@pytest.mark.parametrize("command, over", [
+    ("train", {}),
+    ("train", {"delta": 0.1}),
+    ("train", {"trainer": {"kind": "marginal", "noise_std": 1.0}}),
+    ("train", {"trainer": GAN, "delta": 0.1}),
+    ("synthesize", {"trainer": {"kind": "marginal", "noise_std": 1.0}}),
+    ("synthesize", {"trainer": GAN}),
+    ("attack", {"attack": {"attacks": ["lira"], "t_runs": 4}}),
+    ("attack", {"attack": {"attacks": ["lira"], "target": {"record": [0.5, "a"]}}}),
+    ("attack --dry-run", {"attack": {"attacks": ["lira"]}}),
+    ("audit", {"audit": {"mode": "end_to_end", "t_runs": 20}}),
+])
+def test_dataset_with_no_rows_exits_3(workspace, capsys, command, over):
+    (workspace / "data.csv").write_text("x,y\n")
+    path = write_config(workspace, base_config(workspace, **over))
+    assert main([*command.split(), "--config", path]) == 3
+    assert f"error: dataset: {workspace / 'data.csv'}: no rows" in capsys.readouterr().err
     assert not (workspace / "results").exists()
 
 

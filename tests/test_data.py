@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from privaudit.data import (
     CategoricalColumn,
     DataError,
     Dataset,
-    EncodedMatrix,
     NumericColumn,
     Schema,
     SchemaError,
@@ -114,7 +115,7 @@ def test_csv_write_read_roundtrip(schema, tmp_path):
 
 def test_encode_numeric_scaling(schema):
     ds = make_ds(schema, [(50.0, 0, 5.0)])
-    m = encode(ds).matrix
+    m = encode(ds)
     assert m[0, 0] == pytest.approx(0.5)
     assert m[0, 4] == pytest.approx(0.5)
 
@@ -122,12 +123,12 @@ def test_encode_numeric_scaling(schema):
 def test_encode_one_hot():
     sch = Schema((CategoricalColumn("c", ("a", "b", "z")),))
     ds = make_ds(sch, [(1,)])
-    assert list(encode(ds).matrix[0]) == [0.0, 1.0, 0.0]
+    assert list(encode(ds)[0]) == [0.0, 1.0, 0.0]
 
 
 def test_encode_decode_roundtrip(schema):
     ds = make_ds(schema, [(30.0, 0, 5.5), (40.0, 2, 2.0), (0.0, 1, 10.0)])
-    back = decode(encode(ds))
+    back = decode(schema, encode(ds))
     for r1, r2 in zip(back.rows, ds.rows):
         assert r1 == pytest.approx(r2)
 
@@ -163,7 +164,7 @@ def schema_and_rows(draw):
 def test_roundtrip_property(sr):
     sch, rows = sr
     ds = Dataset.from_rows(sch, rows)
-    back = decode(encode(ds))
+    back = decode(sch, encode(ds))
     for r1, r2 in zip(back.rows, ds.rows):
         for col, v1, v2 in zip(sch.columns, r1, r2):
             if isinstance(col, NumericColumn):
@@ -241,6 +242,211 @@ def test_marginal_outlier_permutation_covariant():
     assert list(s1) == pytest.approx(list(s2[::-1]))
 
 
+def test_outlier_score_of_edge_value_uses_the_histogram_cell():
+    # 25.2 is the first inner edge of 10 bins on [18, 90]; np.histogram
+    # counts it in bin 1 with 30.0, not in bin 0 with the three 20.0s
+    from privaudit.data import _marginal_outlier_scores, histogram_cells
+
+    sch = Schema((NumericColumn("age", 18.0, 90.0),))
+    ages = [25.2, 20.0, 20.0, 20.0, 30.0]
+    ds = Dataset.from_rows(sch, [(a,) for a in ages])
+    counts, _ = np.histogram(ages, bins=10, range=(18.0, 90.0))
+    cell = int(np.histogram([25.2], bins=10, range=(18.0, 90.0))[0].argmax())
+    assert cell == 1 and histogram_cells(ds, 10)[0][0, 0] == cell
+    scores = _marginal_outlier_scores(ds)
+    assert scores[0] == -np.log(counts[cell] / 5) == -np.log(2 / 5)
+    assert select_targets(ds, "marginal_outlier", 1, seed=0) == [(25.2,)]
+
+
+# ---------------------------------------------------------------------------
+# the one checking rule
+
+def test_from_rows_checks_every_value(schema):
+    ok = Dataset.from_rows(schema, [(30, "pilot", 5), (np.float64(1.5), 1.0, np.int64(2))])
+    assert ok.rows == ((30.0, 2, 5.0), (1.5, 1, 2.0))
+    # the first offending row is named, and a lone record is not numbered
+    for rows, message in [
+        ([(30.0, 0, 5.0), (30.0, 1.7, 5.0)], "column 'job': level index 1.7 is not an integer (row 1)"),
+        ([(30.0, 0.5, 5.0)], "column 'job': level index 0.5 is not an integer"),
+        ([(30.0, float("nan"), 5.0)], "column 'job': level index nan is not an integer"),
+        ([(30.0, float("inf"), 5.0)], "column 'job': level index inf is not an integer"),
+        ([(30.0, 3, 5.0)], "column 'job': level index 3 out of range"),
+        ([(30.0, -1, 5.0)], "column 'job': level index -1 out of range"),
+        ([(30.0, True, 5.0)], "column 'job': value True is not a number"),
+        ([(30.0, 0, 5.0), (True, 1, 5.0)], "column 'age': value True is not a number (row 1)"),
+        ([(np.bool_(False), 1, 5.0), (1.0, 1, 5.0)], "column 'age': value False is not a number (row 0)"),
+        ([(30.0, "astronaut", 5.0)], "unknown level 'astronaut' for column 'job'"),
+        ([(130.0, 0, 5.0)], "column 'age': value 130.0 outside [0.0, 100.0]"),
+        ([(30.0, 0, float("inf"))], "column 'income': value inf outside [0.0, 10.0]"),
+        ([(30.0, 0, 5.0), (30.0, 0)], "record has 2 values, schema has 3 columns (row 1)"),
+    ]:
+        with pytest.raises(DataError) as e:
+            Dataset.from_rows(schema, rows)
+        assert str(e.value) == message
+
+
+def test_every_record_path_applies_the_rule(schema):
+    ds = make_ds(schema, [(30.0, 0, 5.0)])
+    for bad in [(30.0, 1.7, 5.0), (True, 1, 5.0), (30.0, 0)]:
+        for use in (ds.with_record, ds.matches, lambda r: encode_record(schema, r)):
+            with pytest.raises(DataError):
+                use(bad)
+
+
+# ---------------------------------------------------------------------------
+# load_csv against a per-row reference with the loader's former semantics
+
+def ref_validate_record(schema, values, row=None):
+    where = "" if row is None else f" (row {row})"
+    if len(values) != len(schema.columns):
+        raise DataError(f"record has {len(values)} values, schema has {len(schema.columns)} columns{where}")
+    out = []
+    for col, v in zip(schema.columns, values):
+        if isinstance(col, NumericColumn):
+            v = float(v)
+            if not (col.lo <= v <= col.hi) or not math.isfinite(v):
+                raise DataError(f"column {col.name!r}: value {v} outside [{col.lo}, {col.hi}]{where}")
+            out.append(v)
+        else:
+            i = int(v)
+            if not (0 <= i < len(col.levels)):
+                raise DataError(f"column {col.name!r}: level index {i} out of range{where}")
+            out.append(i)
+    return tuple(out)
+
+
+def ref_load_csv(path, schema):
+    """Row by row: every cell parsed, every row validated, then transposed."""
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader)
+        assert header == schema.names
+        rows = []
+        for rownum, raw in enumerate(reader):
+            if len(raw) != len(schema.columns):
+                raise DataError(f"{path}: row {rownum} has {len(raw)} fields, expected {len(schema.columns)}")
+            values = []
+            for col, cell in zip(schema.columns, raw):
+                if isinstance(col, NumericColumn):
+                    try:
+                        values.append(float(cell))
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: row {rownum}, column {col.name!r}: not a number: {cell!r}"
+                        ) from None
+                else:
+                    if cell not in col.levels:
+                        raise DataError(f"{path}: row {rownum}, column {col.name!r}: unknown level {cell!r}")
+                    values.append(col.levels.index(cell))
+            rows.append(ref_validate_record(schema, values, row=rownum))
+    return [np.array([r[j] for r in rows],
+                     dtype=np.float64 if isinstance(col, NumericColumn) else np.int64)
+            for j, col in enumerate(schema.columns)]
+
+
+def _numeric_cell(draw, col, bins):
+    """A cell of a numeric column: a bound, a bin edge or one of its ulp
+    neighbours inside [lo, hi], -0.0 where 0 is in range, or any value, as
+    repr, exponent or fixed-point text."""
+    edges = np.histogram_bin_edges([], bins=bins, range=(col.lo, col.hi))
+    near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    special = [float(v) for v in near if col.lo <= v <= col.hi]
+    if col.lo <= 0.0 <= col.hi:
+        special.append(-0.0)
+    v = draw(st.one_of(st.sampled_from(special), st.floats(col.lo, col.hi, allow_nan=False)))
+    style = draw(st.sampled_from(["repr", "exp", "EXP", "fixed", "int"]))
+    if style == "exp":
+        return f"{v:.17e}"
+    if style == "EXP":
+        return f"{v:.17E}"
+    if style == "fixed" and abs(v) < 1e15:
+        return f"{v:.20f}"
+    if style == "int" and v == int(v):
+        return str(int(v))
+    return repr(v)
+
+
+@st.composite
+def csv_case(draw):
+    cols = []
+    for i in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            lo = draw(st.one_of(st.sampled_from([0.0, 18.0, -1.0]), st.floats(-1e6, 1e6, allow_nan=False)))
+            hi = lo + draw(st.one_of(st.sampled_from([72.0, 1.0]), st.floats(1e-3, 1e6, allow_nan=False)))
+            cols.append(NumericColumn(f"c{i}", lo, hi))
+        else:
+            cols.append(CategoricalColumn(f"c{i}", tuple(f"l{j}" for j in range(draw(st.integers(1, 4))))))
+    sch = Schema(tuple(cols))
+    rows = [[_numeric_cell(draw, c, 10) if isinstance(c, NumericColumn) else draw(st.sampled_from(c.levels))
+             for c in cols] for _ in range(draw(st.integers(0, 8)))]
+    return sch, rows
+
+
+def _write(path, schema, rows):
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(schema.names)
+        w.writerows(rows)
+
+
+def _outcome(load, path, schema):
+    try:
+        return [c.tobytes() for c in load(path, schema)]
+    except DataError as e:
+        return str(e)
+
+
+@given(case=csv_case(), fault=st.sampled_from(
+    [None, "bad number", "unknown level", "out of range", "nan", "inf", "-inf", "short", "long"]),
+    at=st.integers(0, 10**6))
+@settings(max_examples=300, deadline=None)
+def test_load_csv_matches_per_row_reference(tmp_path_factory, case, fault, at):
+    sch, rows = case
+    if fault is not None and rows:
+        r = at % len(rows)
+        j = at % len(sch.columns)
+        col = sch.columns[j]
+        numeric = isinstance(col, NumericColumn)
+        if fault == "short":
+            rows[r] = rows[r][:-1]
+        elif fault == "long":
+            rows[r] = rows[r] + ["1"]
+        elif fault == "bad number" and numeric:
+            rows[r][j] = "1.5x"
+        elif fault == "unknown level" and not numeric:
+            rows[r][j] = "l9"
+        elif fault == "out of range" and numeric:
+            rows[r][j] = repr(float(np.nextafter(col.hi, np.inf)) if at % 2 else float(np.nextafter(col.lo, -np.inf)))
+        elif fault in ("nan", "inf", "-inf") and numeric:
+            rows[r][j] = fault
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    _write(path, sch, rows)
+    want = _outcome(ref_load_csv, path, sch)
+    got = _outcome(lambda p, s: load_csv(p, s).columns, path, sch)
+    assert got == want
+
+
+def test_load_csv_bounds_and_header_only_bit_equal(tmp_path):
+    sch = Schema((NumericColumn("age", 18.0, 90.0), CategoricalColumn("c", ("a", "b"))))
+    edges = np.histogram_bin_edges([], bins=10, range=(18.0, 90.0))
+    values = [v for v in np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+              if 18.0 <= v <= 90.0]
+    cells = [[repr(float(v)), "ab"[i % 2]] for i, v in enumerate(values)]
+    cells += [["1.8e1", "a"], ["9.0E+01", "b"], ["  25.2 ", "a"], ["18", "b"]]
+    path = tmp_path / "d.csv"
+    _write(path, sch, cells)
+    ds = load_csv(path, sch)
+    assert [c.tobytes() for c in ds.columns] == [c.tobytes() for c in ref_load_csv(path, sch)]
+    assert ds.columns[0][0] == 18.0 and 90.0 in ds.columns[0]
+    _write(path, sch, [])
+    ds = load_csv(path, sch)
+    assert len(ds) == 0 and [c.dtype for c in ds.columns] == [np.float64, np.int64]
+    sch0 = Schema((NumericColumn("z", -1.0, 1.0),))
+    _write(path, sch0, [["-0.0"], ["0.0"]])
+    z = load_csv(path, sch0).columns[0]
+    assert np.signbit(z).tolist() == [True, False]
+
+
 # ---------------------------------------------------------------------------
 # columnar core against a per-row reference
 
@@ -308,12 +514,11 @@ def test_columnar_core_matches_row_reference(case):
 
     sch, rows, noise_seed = case
     ds = Dataset.from_rows(sch, rows)
-    validated = [sch.validate_record(r) for r in rows]
+    validated = [ref_validate_record(sch, r) for r in rows]
     assert ds.rows == tuple(validated)
 
     ref = np.array([ref_encode_record(sch, r) for r in validated]).reshape(len(rows), sch.encoded_width)
-    em = encode(ds)
-    assert em.matrix.tobytes() == ref.tobytes()
+    assert encode(ds).tobytes() == ref.tobytes()
     assert all(encode_record(sch, r).tobytes() == ref[i].tobytes() for i, r in enumerate(rows))
 
     # decode of the encoding, and of a perturbed matrix with ties and
@@ -321,7 +526,7 @@ def test_columnar_core_matches_row_reference(case):
     rng = np.random.default_rng(noise_seed)
     noisy = np.round(ref + rng.normal(0.0, 0.6, ref.shape), 1)
     for m in (ref, noisy):
-        got = decode(EncodedMatrix(m, sch)).rows
+        got = decode(sch, m).rows
         want = [ref_decode_row(sch, m[i]) for i in range(len(rows))]
         assert [bits(r) for r in got] == [bits(r) for r in want]
 

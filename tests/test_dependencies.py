@@ -38,3 +38,11 @@ def test_pyproject_depends_on_numpy_alone():
     project = tomllib.loads(ROOT_PYPROJECT.read_text())["project"]
     names = [re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]]
     assert names == ["numpy"]
+
+
+def test_data_imports_no_other_privaudit_module():
+    # the checking, encoding and binning rules sit below every other layer
+    tree = ast.parse((SRC / "data.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not [n for n in imports if isinstance(n, ast.ImportFrom) and n.level > 0]
+    assert "privaudit" not in _imported_top_level_names(SRC / "data.py")
