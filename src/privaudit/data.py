@@ -10,6 +10,7 @@ decides how a column is checked (`_checked`), encoded (`encode`) and binned
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import operator
 from dataclasses import dataclass
@@ -250,8 +251,9 @@ def _checked(schema: Schema, columns, where=lambda i: f" (row {i})") -> tuple[np
     return tuple(out)
 
 
-def _csv_column(path, col: Column, cells: tuple) -> np.ndarray:
-    """One CSV column, each cell converted once: float(), or a level lookup."""
+def _csv_column(path, col: Column, cells: tuple, start: int) -> np.ndarray:
+    """One CSV column of a block whose first row is the file's row start,
+    each cell converted once: float(), or a level lookup."""
     if isinstance(col, NumericColumn):
         convert, dtype, what = float, np.float64, "not a number:"
     else:
@@ -262,17 +264,25 @@ def _csv_column(path, col: Column, cells: tuple) -> np.ndarray:
         return np.fromiter(map(convert, rest), dtype, len(cells))
     except (ValueError, KeyError):
         # the failing cell is the last one map took from the iterator
-        rownum = len(cells) - operator.length_hint(rest) - 1
-        raise DataError(f"{path}: row {rownum}, column {col.name!r}: {what} {cells[rownum]!r}") from None
+        i = len(cells) - operator.length_hint(rest) - 1
+        raise DataError(f"{path}: row {start + i}, column {col.name!r}: {what} {cells[i]!r}") from None
+
+
+# load_csv converts this many rows at a time, so it holds no more than one
+# block's cells as text
+_CSV_BLOCK_ROWS = 1024
 
 
 def load_csv(path, schema: Schema) -> Dataset:
-    """Read a CSV with a header row matching the schema column order, column
-    by column with no row tuples; the columns pass the one checking rule."""
+    """Read a CSV with a header row matching the schema column order, a block
+    of rows at a time, column by column with no row tuples; each block's
+    columns pass the one checking rule. An error names the file's row."""
     try:
         f = open(path, "r", encoding="utf-8", newline="")
     except FileNotFoundError:
         raise DataError(f"no such file: {path}") from None
+    width = len(schema.columns)
+    parts = [[] for _ in schema.columns]
     with f:
         reader = csv.reader(f)
         try:
@@ -281,14 +291,24 @@ def load_csv(path, schema: Schema) -> Dataset:
             raise DataError(f"{path}: empty file, expected a header row") from None
         if header != schema.names:
             raise DataError(f"{path}: header {header} does not match schema {schema.names}")
-        raw = list(reader)
-    width = len(schema.columns)
-    for rownum, cells in enumerate(raw):
-        if len(cells) != width:
-            raise DataError(f"{path}: row {rownum} has {len(cells)} fields, expected {width}")
-    columns = [_csv_column(path, col, cells)
-               for col, cells in zip(schema.columns, list(zip(*raw)) or [()] * width)]
-    return Dataset(schema, _checked(schema, columns), str(path))
+        for start in itertools.count(0, _CSV_BLOCK_ROWS):
+            raw = list(itertools.islice(reader, _CSV_BLOCK_ROWS))
+            n = len(raw)
+            for rownum, cells in enumerate(raw, start):
+                if len(cells) != width:
+                    raise DataError(f"{path}: row {rownum} has {len(cells)} fields, expected {width}")
+            columns = [_csv_column(path, col, cells, start)
+                       for col, cells in zip(schema.columns, list(zip(*raw)) or [()] * width)]
+            del raw  # free this block's text before reading the next
+            for part, c in zip(parts, _checked(schema, columns, lambda i: f" (row {start + i})")):
+                part.append(c)
+            if n < _CSV_BLOCK_ROWS:
+                break
+    columns = []
+    for part in parts:  # a column's blocks are freed once joined
+        columns.append(np.concatenate(part))
+        part.clear()
+    return Dataset(schema, tuple(columns), str(path))
 
 
 def encode(ds: Dataset) -> np.ndarray:

@@ -152,7 +152,7 @@ def _weighted_row_sum(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.einsum("...bp,...b->...p", rows, weights)
 
 
-def clip_and_sum(raw: np.ndarray, config: DpSgdConfig, max_norm: bool = True):
+def clip_and_sum(raw, config: DpSgdConfig, max_norm: bool = True):
     """The deterministic half of a DP-SGD aggregation.
 
     Sums the per-sample clipped gradients and returns (grad_sum,
@@ -160,29 +160,41 @@ def clip_and_sum(raw: np.ndarray, config: DpSgdConfig, max_norm: bool = True):
     oversized sample can move it arbitrarily far. With max_norm False the
     pass over the clipped rows' norms is skipped and max_sample_norm is None.
 
-    raw may carry a leading run axis, shape (K, B, dim), with zero rows after
-    each run's batch; a zero row adds nothing to a sum or a maximum norm, so
-    grad_sum is (K, dim) and max_sample_norm (K,), each run's row as the
-    unbatched call on its own rows gives it.
+    raw is either the dense (rows, dim) gradients or their
+    models.GradientFactors, whose norms come from the factors' norms and
+    whose (weighted) sum is a matmul per run. Either may carry a leading run
+    axis, shape (K, B, dim), with zero rows after each run's batch; a zero
+    row adds nothing to a sum or a maximum norm, so grad_sum is (K, dim) and
+    max_sample_norm (K,), each run's row as the unbatched call on its own
+    rows gives it.
     """
-    raw = np.asarray(raw, dtype=np.float64)
+    factored = isinstance(raw, models.GradientFactors)
+    if not factored:
+        raw = np.asarray(raw, dtype=np.float64)
     c = config.clip_norm
     if config.bug_mode == BugMode.NO_PER_SAMPLE_CLIPPING:
-        sums = raw.sum(axis=-2)
+        sums = raw.weighted_sum(np.ones(raw.shape[:-1])) if factored else raw.sum(axis=-2)
         grad_sum = np.reshape([clip_per_sample(g, c) for g in sums.reshape(-1, sums.shape[-1])],
                               sums.shape)
-        norms = _row_norms(raw) if max_norm else None
-    else:
-        buffer = np.empty_like(raw)  # the squares, then the clipped rows and theirs
-        factors = np.minimum(1.0, c / np.maximum(_row_norms(raw, buffer), 1e-300))
-        grad_sum = _weighted_row_sum(raw, factors)
         norms = None
         if max_norm:
-            norms = _row_norms(np.multiply(raw, factors[..., None], out=buffer), buffer)
+            norms = raw.row_norms() if factored else _row_norms(raw)
+    elif factored:
+        norms = raw.row_norms()
+        weights = np.minimum(1.0, c / np.maximum(norms, 1e-300))
+        grad_sum = raw.weighted_sum(weights)
+        norms = norms * weights if max_norm else None
+    else:
+        buffer = np.empty_like(raw)  # the squares, then the clipped rows and theirs
+        weights = np.minimum(1.0, c / np.maximum(_row_norms(raw, buffer), 1e-300))
+        grad_sum = _weighted_row_sum(raw, weights)
+        norms = None
+        if max_norm:
+            norms = _row_norms(np.multiply(raw, weights[..., None], out=buffer), buffer)
     if norms is None:
         return grad_sum, None
     max_sample_norm = norms.max(axis=-1, initial=0.0)
-    return grad_sum, (float(max_sample_norm) if raw.ndim == 2 else max_sample_norm)
+    return grad_sum, (float(max_sample_norm) if len(raw.shape) == 2 else max_sample_norm)
 
 
 def privatize(
@@ -239,9 +251,9 @@ def noisy_aggregate(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | np.ndarray | None]:
     """The privatized aggregation at the heart of a DP-SGD step.
 
-    Takes raw per-sample gradients and returns (update, grad_sum, noise,
-    max_sample_norm): clip_and_sum followed by privatize, each with an
-    optional leading run axis. The audit module drives those two halves
+    Takes raw per-sample gradients, dense or factored, and returns (update,
+    grad_sum, noise, max_sample_norm): clip_and_sum followed by privatize,
+    each with an optional leading run axis. The audit module drives those two halves
     directly with adversarial gradients, so every bug mode is exercised
     through the same code path the trainer uses.
     """
@@ -254,12 +266,9 @@ def _update(spec, params, x, y, sizes, config, n_total, step, seeds, max_norm=Tr
     """One DP-SGD step of K runs in lockstep: params (K, P), x (K, B, d) and
     y (K, B), padded after each run's sizes[k] rows. Returns (new params,
     grad_sum, noise, max_sample_norm), each with the run axis."""
-    if x.shape[1] > 0:
-        raw = models.batch_per_sample_gradients(spec, params, x, y, sizes)
-    else:
-        raw = np.zeros((len(params), 0, params.shape[-1]))
+    factors = models.batch_gradient_factors(spec, params, x, y, sizes)
     update, grad_sum, noise, max_sample_norm = noisy_aggregate(
-        raw, sizes, config, n_total, step, seeds, max_norm
+        factors, sizes, config, n_total, step, seeds, max_norm
     )
     return params - config.learning_rate * update, grad_sum, noise, max_sample_norm
 
@@ -295,11 +304,14 @@ def _check_observability(observability: str) -> None:
         raise ValueError(f"unknown observability {observability!r}")
 
 
-# Runs trained in lockstep share each step's zero-padded (runs, batch,
-# params) gradient block. One block takes as many runs as fit this many
-# expected sampled rows per step: larger blocks outgrow the caches, so the
-# memory-bound step gains nothing per run and peak memory grows with the runs.
-_BLOCK_ROWS = 384
+# Runs trained in lockstep share each step's zero-padded (runs, batch, width)
+# activations and gradient factors; no (runs, batch, params) block is built.
+# One block takes as many runs as fit this many expected sampled rows per
+# step. On the 128-run benchmark attack (an MLP with 226 parameters, about 100
+# expected rows per run; a 2-vCPU x86_64 VM) 768 to 1536 rows took the least
+# CPU time, about 0.6x that of dense gradients at 384 rows; 3072 took more
+# time and 2 MB more peak memory.
+_BLOCK_ROWS = 1536
 
 
 def train(

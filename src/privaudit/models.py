@@ -23,6 +23,8 @@ __all__ = [
     "forward_logits",
     "per_example_loss",
     "batch_losses",
+    "GradientFactors",
+    "batch_gradient_factors",
     "per_sample_gradient",
     "batch_per_sample_gradients",
     "backprop_logits",
@@ -178,35 +180,91 @@ def _outer(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     np.einsum("...i,...j->...ij", a, b, out=out.reshape(a.shape + b.shape[-1:]))
 
 
+@dataclass(frozen=True)
+class GradientFactors:
+    """Per-sample gradients of a batch, one (left, right) pair per layer.
+
+    Row b's gradient of a layer is its weight gradient left[b] ⊗ right[b]
+    followed by its bias gradient left[b], the layers in parameter order, so
+    no (rows, n_params) array is needed to clip or sum them. With a leading
+    run axis, left is (K, B, out) and right (K, B, in), run k's rows are its
+    first sizes[k] and every row after them has a zero left factor.
+    """
+
+    layers: tuple[tuple[np.ndarray, np.ndarray], ...]
+    sizes: tuple[int, ...] | None = None
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The shape of the dense gradients: (..., rows, n_params)."""
+        left = self.layers[0][0]
+        return left.shape[:-1] + (sum(a.shape[-1] * (b.shape[-1] + 1) for a, b in self.layers),)
+
+    def dense(self) -> np.ndarray:
+        """The gradients as one (..., rows, n_params) array."""
+        grads = np.empty(self.shape)
+        at = 0
+        for left, right in self.layers:
+            n = left.shape[-1] * right.shape[-1]
+            _outer(left, right, grads[..., at : at + n])
+            grads[..., at + n : at + n + left.shape[-1]] = left
+            at += n + left.shape[-1]
+        return grads
+
+    def row_norms(self) -> np.ndarray:
+        """Each row's gradient norm, shape (..., rows): a layer's part of the
+        squared norm is |left|^2 * (|right|^2 + 1)."""
+        sq = sum(np.einsum("...i,...i->...", a, a) * (np.einsum("...i,...i->...", b, b) + 1.0)
+                 for a, b in self.layers)
+        return np.sqrt(sq)
+
+    def weighted_sum(self, weights: np.ndarray) -> np.ndarray:
+        """The sum of the rows' gradients, each scaled by its weight (weights
+        has shape (..., rows)), shape (..., n_params).
+
+        A layer's weight-gradient sum is one matmul, left.T @ right, per run
+        over exactly that run's rows, as _matmul multiplies them, so a run's
+        sum does not depend on the other runs in its block.
+        """
+        lead, p = self.shape[:-2], self.shape[-1]
+        out = np.empty(lead + (p,))
+        runs = out.reshape(-1, p)  # a view: one row per run
+        at = 0
+        for left, right in self.layers:
+            left = left * weights[..., None]
+            width, n = left.shape[-1], left.shape[-1] * right.shape[-1]
+            # a column of ones after right takes the bias sum into the same matmul
+            right = np.concatenate([right, np.ones(right.shape[:-1] + (1,))], axis=-1)
+            left = left.reshape((len(runs),) + left.shape[-2:])
+            right = right.reshape((len(runs),) + right.shape[-2:])
+            sums = np.empty((len(runs), width, right.shape[-1]))
+            for k, m in enumerate(self.sizes or [left.shape[1]] * len(runs)):
+                np.matmul(left[k, :m].T, right[k, :m], out=sums[k])
+            runs[:, at : at + n] = sums[..., :-1].reshape(len(runs), n)
+            runs[:, at + n : at + n + width] = sums[..., -1]
+            at += n + width
+        return out
+
+
 def _backward(spec: ModelSpec, params: np.ndarray, cache, d_logits: np.ndarray, sizes=None):
-    """Per-sample parameter gradients given d(loss)/d(logits), and the
-    gradient at the first layer's output."""
+    """Per-sample parameter gradients given d(loss)/d(logits), as factors,
+    and the gradient at the first layer's output."""
     x, hidden = cache
-    d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
-    grads = np.empty(x.shape[:-1] + (params.shape[-1],))
+    sizes = None if sizes is None else tuple(sizes)
     if spec.kind == LOGISTIC:
-        _outer(d_logits, x, grads[..., : c * d])
-        grads[..., c * d :] = d_logits
-        return grads, d_logits
+        return GradientFactors(((d_logits, x),), sizes), d_logits
     _, _, w2, _ = _unpack(spec, params)
     d_act = _matmul(d_logits, w2, sizes) * (1.0 - hidden * hidden)
-    at = h * d
-    _outer(d_act, x, grads[..., :at])
-    grads[..., at : at + h] = d_act
-    at += h
-    _outer(d_logits, hidden, grads[..., at : at + c * h])
-    grads[..., at + c * h :] = d_logits
-    return grads, d_act
+    return GradientFactors(((d_act, x), (d_logits, hidden)), sizes), d_act
 
 
-def batch_per_sample_gradients(spec: ModelSpec, params: np.ndarray, x, labels,
-                               sizes=None) -> np.ndarray:
-    """Exact gradients of each per-example loss, shape (n, n_params).
+def batch_gradient_factors(spec: ModelSpec, params: np.ndarray, x, labels,
+                           sizes=None) -> GradientFactors:
+    """The factors of each per-example loss's exact gradient.
 
     With a leading run axis, params is (K, n_params), x is (K, B, input_dim),
-    labels is (K, B), and run k's batch is its first sizes[k] rows; the
-    result is (K, B, n_params) with zero rows after each run's batch. Every
-    run's rows equal, bit for bit, those of the unbatched call on its batch.
+    labels is (K, B), and run k's batch is its first sizes[k] rows. Every
+    run's factors equal, bit for bit, those of the unbatched call on its batch.
     """
     z, cache = _forward(spec, params, x, sizes)
     labels = np.asarray(labels, dtype=int)
@@ -215,8 +273,17 @@ def batch_per_sample_gradients(spec: ModelSpec, params: np.ndarray, x, labels,
     if sizes is not None:
         # a padding row with no loss gradient has a zero parameter gradient
         d_logits[np.arange(d_logits.shape[1]) >= np.asarray(sizes)[:, None]] = 0.0
-    grads, _ = _backward(spec, params, cache, d_logits, sizes)
-    return grads
+    factors, _ = _backward(spec, params, cache, d_logits, sizes)
+    return factors
+
+
+def batch_per_sample_gradients(spec: ModelSpec, params: np.ndarray, x, labels,
+                               sizes=None) -> np.ndarray:
+    """Exact gradients of each per-example loss, shape (n, n_params): the
+    dense expansion of batch_gradient_factors, whose arguments it takes.
+    With a run axis the result is (K, B, n_params), zero after each run's
+    batch."""
+    return batch_gradient_factors(spec, params, x, labels, sizes).dense()
 
 
 def per_sample_gradient(spec: ModelSpec, params: np.ndarray, x, label: int) -> np.ndarray:
@@ -231,8 +298,8 @@ def backprop_logits(spec: ModelSpec, params: np.ndarray, x, d_logits) -> tuple[n
     e.g. a generator network inside a GAN.
     """
     _, cache = _forward(spec, params, x)
-    grads, d_first = _backward(spec, params, cache, np.asarray(d_logits, dtype=np.float64))
-    return grads, d_first @ _unpack(spec, params)[0]
+    factors, d_first = _backward(spec, params, cache, np.asarray(d_logits, dtype=np.float64))
+    return factors.dense(), d_first @ _unpack(spec, params)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 import csv
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from privaudit import data
 from privaudit.data import (
     CategoricalColumn,
     DataError,
@@ -359,7 +361,8 @@ def _numeric_cell(draw, col, bins):
         return f"{v:.17e}"
     if style == "EXP":
         return f"{v:.17E}"
-    if style == "fixed" and abs(v) < 1e15:
+    # 20 decimals can round a tiny value to 0.0, a second fault where lo > 0
+    if style == "fixed" and abs(v) < 1e15 and float(f"{v:.20f}") == v:
         return f"{v:.20f}"
     if style == "int" and v == int(v):
         return str(int(v))
@@ -401,6 +404,24 @@ def _outcome(load, path, schema):
     at=st.integers(0, 10**6))
 @settings(max_examples=300, deadline=None)
 def test_load_csv_matches_per_row_reference(tmp_path_factory, case, fault, at):
+    _check_against_reference(tmp_path_factory, case, fault, at)
+
+
+@given(case=csv_case(), fault=st.sampled_from(
+    [None, "bad number", "unknown level", "out of range", "nan", "inf", "-inf", "short", "long"]),
+    at=st.integers(0, 10**6), block=st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_load_csv_in_blocks_matches_per_row_reference(tmp_path_factory, case, fault, at, block):
+    # blocks of 1 to 4 rows split the files of up to 8 rows at every boundary,
+    # and a fault's row number counts from the top of the file
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_CSV_BLOCK_ROWS", block)
+        _check_against_reference(tmp_path_factory, case, fault, at)
+
+
+def _check_against_reference(tmp_path_factory, case, fault, at):
+    """A file with at most one fault loads as the per-row reference loads
+    it: the same columns, bit for bit, or the same error."""
     sch, rows = case
     if fault is not None and rows:
         r = at % len(rows)
@@ -424,6 +445,27 @@ def test_load_csv_matches_per_row_reference(tmp_path_factory, case, fault, at):
     want = _outcome(ref_load_csv, path, sch)
     got = _outcome(lambda p, s: load_csv(p, s).columns, path, sch)
     assert got == want
+
+
+def test_load_csv_peak_memory_does_not_grow_with_rows(tmp_path):
+    # the text of one block of rows is held at a time: beyond the columns and
+    # the dataset's copy of them, the traced peak stays under a fixed budget
+    sch = Schema((NumericColumn("age", 18.0, 90.0), NumericColumn("income", 0.0, 2e5),
+                  CategoricalColumn("region", ("n", "e", "s", "w")), CategoricalColumn("y", ("no", "yes"))))
+    rng = np.random.default_rng(0)
+    path = tmp_path / "d.csv"
+    for n in (25_000, 50_000):
+        _write(path, sch, zip(map(repr, rng.uniform(18, 90, n).tolist()),
+                              map(repr, rng.uniform(0, 2e5, n).tolist()),
+                              rng.choice(list("nesw"), n), rng.choice(["no", "yes"], n)))
+        tracemalloc.start()
+        try:
+            ds = load_csv(path, sch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == n
+        assert peak - 2 * sum(c.nbytes for c in ds.columns) < 1_000_000
 
 
 def test_load_csv_bounds_and_header_only_bit_equal(tmp_path):

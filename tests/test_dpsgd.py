@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privaudit import dpsgd
+from privaudit import dpsgd, models
 from privaudit.core_stats import GdpParam, gdp_delta_of_epsilon
 from privaudit.data import CategoricalColumn, Dataset, NumericColumn, Schema
 from privaudit.dpsgd import (
@@ -19,6 +19,7 @@ from privaudit.dpsgd import (
     NoValidGuaranteeError,
     PredictiveTrainer,
     claimed_privacy,
+    clip_and_sum,
     clip_per_sample,
     features_and_labels,
     noisy_batch_update,
@@ -27,7 +28,7 @@ from privaudit.dpsgd import (
     _stream,
     _weighted_row_sum,
 )
-from privaudit.models import LOGISTIC, ModelSpec, init_params
+from privaudit.models import LOGISTIC, MLP, GradientFactors, ModelSpec, init_params, n_params
 
 
 def cfg(**kw):
@@ -118,6 +119,124 @@ def test_weighted_row_sum_equals_the_sum_of_weighted_rows(lead, rows, cols, seed
     x = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6)
     w = np.minimum(1.0, 2 * rng.random(shape[:-1]))
     assert _weighted_row_sum(x, w).tobytes() == (x * w[..., None]).sum(axis=-2).tobytes()
+
+
+def dense_clip_and_sum(raw, config, max_norm=True):
+    """clip_and_sum on dense gradients as it was before it took factors,
+    with its two helpers: the arithmetic the step audit relies on."""
+    def row_norms(rows, squares=None):
+        return np.sqrt(np.add.reduce(np.multiply(rows, rows, out=squares), axis=-1))
+
+    def weighted_row_sum(rows, weights):
+        if rows.shape[-1] < 2:
+            return (rows * weights[..., None]).sum(axis=-2)
+        return np.einsum("...bp,...b->...p", rows, weights)
+
+    raw = np.asarray(raw, dtype=np.float64)
+    c = config.clip_norm
+    if config.bug_mode == BugMode.NO_PER_SAMPLE_CLIPPING:
+        sums = raw.sum(axis=-2)
+        grad_sum = np.reshape([clip_per_sample(g, c) for g in sums.reshape(-1, sums.shape[-1])],
+                              sums.shape)
+        norms = row_norms(raw) if max_norm else None
+    else:
+        buffer = np.empty_like(raw)  # the squares, then the clipped rows and theirs
+        factors = np.minimum(1.0, c / np.maximum(row_norms(raw, buffer), 1e-300))
+        grad_sum = weighted_row_sum(raw, factors)
+        norms = None
+        if max_norm:
+            norms = row_norms(np.multiply(raw, factors[..., None], out=buffer), buffer)
+    if norms is None:
+        return grad_sum, None
+    max_sample_norm = norms.max(axis=-1, initial=0.0)
+    return grad_sum, (float(max_sample_norm) if raw.ndim == 2 else max_sample_norm)
+
+
+def as_bytes(out):
+    grad_sum, max_norm = out
+    return grad_sum.tobytes(), None if max_norm is None else np.asarray(max_norm).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(bug=st.sampled_from(list(BugMode)), lead=st.integers(0, 3), rows=st.integers(0, 40),
+       cols=st.integers(1, 70), max_norm=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_dense_clip_and_sum_keeps_its_arithmetic(bug, lead, rows, cols, max_norm, seed):
+    rng = np.random.default_rng(seed)
+    shape = (lead,) * (lead > 0) + (rows, cols)
+    raw = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, size=shape[:-1] + (1,))
+    if lead:
+        raw[:, rng.integers(0, rows + 1):] = 0.0  # padding rows
+    config = cfg(clip_norm=float(rng.choice([1e-3, 1.0, 1e3])), bug_mode=bug)
+    assert as_bytes(clip_and_sum(raw, config, max_norm)) == \
+        as_bytes(dense_clip_and_sum(raw, config, max_norm))
+
+
+@st.composite
+def factored_batch(draw):
+    """The gradient factors of a real model on a batch, with or without a run
+    axis and padding rows: logistic or MLP, small widths or those of the
+    35-feature, 34-hidden WIDE schema, empty and one-row runs."""
+    kind = draw(st.sampled_from([LOGISTIC, MLP]))
+    d, h, c = draw(st.sampled_from([(2, 3, 2), (5, 4, 3), (35, 34, 3)]))
+    spec = ModelSpec(kind, input_dim=d, num_classes=c, hidden_dim=h if kind == MLP else 0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.one_of(st.none(), st.lists(st.integers(0, 6), min_size=1, max_size=4)))
+    lead = () if sizes is None else (len(sizes),)
+    b = draw(st.integers(0, 6)) if sizes is None else max(sizes)
+    params = rng.normal(size=lead + (n_params(spec),)) * 10.0 ** rng.integers(-2, 2)
+    x = rng.normal(size=lead + (b, d)) * 10.0 ** rng.integers(-3, 4, size=lead + (b, 1))
+    y = rng.integers(0, c, size=lead + (b,))
+    return models.batch_gradient_factors(spec, params, x, y, sizes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(factors=factored_batch(), bug=st.sampled_from(list(BugMode)),
+       clip=st.sampled_from([1e-3, 0.1, 1.0, 10.0, 1e4]))
+def test_factored_clip_and_sum_matches_dense(factors, bug, clip):
+    # a sum's rounding error is relative to the sum of its terms' magnitudes
+    config = cfg(clip_norm=clip, bug_mode=bug)
+    dense = factors.dense()
+    got_sum, got_norm = clip_and_sum(factors, config)
+    want_sum, want_norm = clip_and_sum(dense, config)
+    assert got_sum.shape == want_sum.shape and np.shape(got_norm) == np.shape(want_norm)
+    assert np.all(np.abs(got_sum - want_sum) <= 1e-12 * np.abs(dense).sum(axis=-2))
+    # below 1.5e-154 a norm's squares are subnormal and lose bits on both paths
+    assert np.allclose(got_norm, want_norm, rtol=1e-12, atol=1e-150)
+    assert clip_and_sum(factors, config, max_norm=False)[0].tobytes() == got_sum.tobytes()
+
+
+@pytest.mark.parametrize("bug", [BugMode.NONE, BugMode.NO_NOISE])
+def test_clipped_norms_stay_within_the_clip_norm(bug):
+    # raw norms from 1e-6 C to 1e6 C, as factors and as a traced step
+    c = 0.7
+    rng = np.random.default_rng(4)
+    scales = np.logspace(-6, 6, 49) * c
+    left, right = rng.normal(size=(49, 3)), rng.normal(size=(49, 4))
+    left *= (scales / np.sqrt((left ** 2).sum(1) * ((right ** 2).sum(1) + 1)))[:, None]
+    factors = GradientFactors(((left, right),))
+    assert factors.row_norms() == pytest.approx(scales, rel=1e-12)
+    config = cfg(clip_norm=c, bug_mode=bug)
+    assert clip_and_sum(factors, config)[1] <= c * (1 + 1e-12)
+    assert clip_and_sum(factors.dense(), config)[1] <= c * (1 + 1e-12)
+    spec = ModelSpec(LOGISTIC, input_dim=4, num_classes=3, init_scale=0.0)
+    x = rng.normal(size=(49, 4)) * (scales / c)[:, None]
+    for k in range(0, 49, 7):
+        _, st = noisy_batch_update(spec, init_params(spec), x[k : k + 7],
+                                   rng.integers(0, 3, size=7), np.arange(7), config, 49, k)
+        assert st.max_sample_norm <= c * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("kind", [LOGISTIC, MLP])
+@pytest.mark.parametrize("bug", list(BugMode))
+def test_training_never_builds_dense_gradients(toy_xy, monkeypatch, kind, bug):
+    def refuse(self):
+        raise AssertionError("a DP-SGD step built the dense per-sample gradients")
+
+    monkeypatch.setattr(GradientFactors, "dense", refuse)
+    x, y = toy_xy
+    spec = ModelSpec(kind, input_dim=3, num_classes=2, hidden_dim=4 if kind == MLP else 0)
+    art = train(spec, x, y, cfg(bug_mode=bug), "white_box")
+    assert len(art.trace.steps) == 5 and np.all(np.isfinite(art.params))
 
 
 # ---------------------------------------------------------------------------

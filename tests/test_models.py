@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from privaudit import models
 from privaudit.models import (
     LOGISTIC,
     MLP,
     ModelSpec,
     backprop_logits,
+    batch_gradient_factors,
     batch_losses,
     batch_per_sample_gradients,
     init_params,
@@ -185,6 +188,71 @@ def test_run_axis_gradients_equal_unbatched_bit_for_bit(kind):
         alone = batch_per_sample_gradients(spec, params[run], x[run, :m], y[run, :m])
         assert stacked[run, :m].tobytes() == alone.tobytes()
         assert np.all(stacked[run, m:] == 0.0)
+
+
+def dense_reference(spec, params, x, d_logits, sizes=None):
+    """The dense per-sample gradients as the models module wrote them before
+    it returned factors: each layer's outer products and bias rows written
+    into one (..., rows, n_params) array."""
+    z, (x, hidden) = models._forward(spec, params, x, sizes)
+    d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
+    grads = np.empty(x.shape[:-1] + (params.shape[-1],))
+
+    def outer(a, b, out):
+        np.einsum("...i,...j->...ij", a, b, out=out.reshape(a.shape + b.shape[-1:]))
+
+    if spec.kind == LOGISTIC:
+        outer(d_logits, x, grads[..., : c * d])
+        grads[..., c * d :] = d_logits
+        return grads
+    _, _, w2, _ = models._unpack(spec, params)
+    d_act = models._matmul(d_logits, w2, sizes) * (1.0 - hidden * hidden)
+    at = h * d
+    outer(d_act, x, grads[..., :at])
+    grads[..., at : at + h] = d_act
+    at += h
+    outer(d_logits, hidden, grads[..., at : at + c * h])
+    grads[..., at + c * h :] = d_logits
+    return grads
+
+
+@st.composite
+def gradient_case(draw):
+    """A model, its parameters and a batch: with or without a run axis, runs
+    of 0 to 5 rows, small widths or the 35-input, 34-hidden ones past BLAS's
+    row-count-dependent blocking."""
+    kind = draw(st.sampled_from([LOGISTIC, MLP]))
+    d, h = draw(st.sampled_from([(3, 2), (35, 34)]))
+    spec = ModelSpec(kind, input_dim=d, num_classes=draw(st.integers(2, 3)),
+                     hidden_dim=h if kind == MLP else 0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.one_of(st.none(), st.lists(st.integers(0, 5), min_size=1, max_size=4)))
+    lead = () if sizes is None else (len(sizes),)
+    b = draw(st.integers(0, 5)) if sizes is None else max(sizes)
+    params = rng.normal(size=lead + (n_params(spec),))
+    x = rng.normal(size=lead + (b, d)) * 10.0 ** rng.integers(-3, 4)
+    y = rng.integers(0, spec.num_classes, size=lead + (b,))
+    return spec, params, x, y, sizes
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=gradient_case())
+def test_dense_expansion_of_factors_is_the_dense_gradient_bit_for_bit(case):
+    spec, params, x, y, sizes = case
+    d_logits = models._softmax(models._forward(spec, params, x, sizes)[0])
+    d_logits[(*np.indices(y.shape, sparse=True), y)] -= 1.0
+    if sizes is not None:
+        d_logits[np.arange(d_logits.shape[1]) >= np.asarray(sizes)[:, None]] = 0.0
+    want = dense_reference(spec, params, x, d_logits, sizes)
+    factors = batch_gradient_factors(spec, params, x, y, sizes)
+    assert factors.shape == want.shape
+    assert factors.dense().tobytes() == want.tobytes()
+    assert batch_per_sample_gradients(spec, params, x, y, sizes).tobytes() == want.tobytes()
+    # backprop_logits expands the factors of any upstream gradient
+    if sizes is None:
+        up = np.random.default_rng(1).normal(size=d_logits.shape)
+        assert backprop_logits(spec, params, x, up)[0].tobytes() == \
+            dense_reference(spec, params, x, up).tobytes()
 
 
 def test_input_gradient_finite_difference():
