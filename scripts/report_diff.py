@@ -1,6 +1,7 @@
 """Compare two privaudit output directories report by report.
 
     python3 scripts/report_diff.py A B [--rel 1e-12]
+    python3 scripts/report_diff.py --verdicts A B
 
 The reports are the ``*.json`` files, except ``run_info.json``, and the
 ``*_roc.csv`` files; model files and synthetic data are not compared. Both
@@ -10,6 +11,12 @@ each (threshold, fpr, tpr) triple of a ``roc`` list, and a cell of
 a ROC file's ``threshold`` column may differ from the other side's by at most
 --rel times the larger magnitude. The first difference is printed; the exit
 code is 0 when there is none and 1 otherwise.
+
+With --verdicts only what a verdict rests on is compared, for reports whose
+bytes move on purpose: the status, pass flag and claim of each ``audit*.json``
+and the attack, run count and operating-point names of each
+``attack_*.json``. One line per such report is printed, and the exit code is
+1 when any of them differs.
 """
 
 from __future__ import annotations
@@ -114,13 +121,48 @@ def diff(a: Path, b: Path, rel: float) -> str | None:
     return None
 
 
+def verdict(name: str, doc: dict) -> dict | None:
+    """The fields of a report that its verdict rests on, or None for a
+    report that holds no verdict."""
+    if name.startswith("audit"):
+        return {k: doc.get(k) for k in ("status", "passed", "claimed")}
+    if name.startswith("attack_"):
+        return {"attack": doc.get("attack"), "n_runs": doc.get("n_runs"),
+                "operating_points": [p.get("name") for p in doc.get("operating_points", [])]}
+    return None
+
+
+def verdict_diff(a: Path, b: Path) -> bool:
+    """Print each verdict report's fields, and both sides' where they differ;
+    True when a report or one of its fields differs."""
+    names_a, names_b = reports(a), reports(b)
+    differs = names_a != names_b
+    if differs:
+        print(f"reports differ: only in {a}: {sorted(names_a - names_b)}, "
+              f"only in {b}: {sorted(names_b - names_a)}")
+    for name in sorted(n for n in names_a & names_b if n.endswith(".json")):
+        va, vb = (verdict(name, json.loads((d / name).read_text())) for d in (a, b))
+        if va is None:
+            continue
+        line = " ".join(f"{k}={v}" for k, v in va.items())
+        if va != vb:
+            differs = True
+            line += "  !=  " + " ".join(f"{k}={v}" for k, v in vb.items())
+        print(f"{name}: {line}")
+    return differs
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("a", type=Path)
     p.add_argument("b", type=Path)
     p.add_argument("--rel", type=float, default=1e-12,
                    help="largest relative difference of a threshold (default 1e-12)")
+    p.add_argument("--verdicts", action="store_true",
+                   help="compare only audit verdicts and attack run counts and operating points")
     args = p.parse_args(argv)
+    if args.verdicts:
+        return 1 if verdict_diff(args.a, args.b) else 0
     found = diff(args.a, args.b, args.rel)
     print(found or f"{len(reports(args.a))} reports match")
     return 1 if found else 0

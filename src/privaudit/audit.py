@@ -182,13 +182,13 @@ def audit_step_mechanism(
     cfg = replace(config, seed=derive_seed(master_seed, "mechanism"))
 
     # the two neighbouring batches differ only in the canary row, so each is
-    # clipped and summed once; trial t privatizes its batch's sum at step t
+    # clipped and summed once; trial t privatizes its batch's sum with the
+    # t-th run of dim consecutive draws of the mechanism's one step-0 stream
     grad_sums = np.stack([
         clip_and_sum(base_gradients, cfg)[0],
         clip_and_sum(np.vstack([base_gradients, canary_grad]), cfg)[0],
     ])
-    update, _ = privatize(grad_sums[bits], n_total + bits, cfg, n_total,
-                          step=np.arange(trials))
+    update, _ = privatize(grad_sums[bits], n_total + bits, cfg, n_total, step=0)
     # an explicit row-wise product and sum: each trial's statistic is reduced
     # in the same order whatever the trial count
     stats = (update * direction).sum(axis=1)

@@ -13,7 +13,7 @@ import csv
 import itertools
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -146,15 +146,21 @@ class Schema:
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Columnar table: one read-only 1-D array per schema column, float64 for
-    numeric columns and int64 level indices for categorical ones."""
+    numeric columns and int64 level indices for categorical ones.
+
+    The columns are copied, so the caller's arrays are neither frozen nor
+    shared. With copy False they are handed over instead: arrays of the right
+    dtype are frozen in place, which is for arrays no one else holds."""
 
     schema: Schema
     columns: tuple[np.ndarray, ...]
     provenance: str = ""
+    copy: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, copy):
+        convert = np.array if copy else np.asarray
         cols = tuple(
-            np.array(c, dtype=np.float64 if isinstance(col, NumericColumn) else np.int64)
+            convert(c, dtype=np.float64 if isinstance(col, NumericColumn) else np.int64)
             for col, c in zip(self.schema.columns, self.columns, strict=True)
         )
         if any(c.ndim != 1 for c in cols) or len({c.size for c in cols}) > 1:
@@ -187,17 +193,18 @@ class Dataset:
             np.array([_number(col, v, where(i)) for i, v in enumerate(cells)], dtype=np.float64)
             for col, cells in zip(schema.columns, list(zip(*rows)) or [()] * width)
         ]
-        return Dataset(schema, _checked(schema, columns, where), provenance)
+        return Dataset(schema, _checked(schema, columns, where), provenance, copy=False)
 
     def take(self, idx) -> "Dataset":
         """The rows at the given indices, in that order."""
-        return Dataset(self.schema, tuple(c[idx] for c in self.columns), self.provenance)
+        return Dataset(self.schema, tuple(c[idx] for c in self.columns), self.provenance,
+                       copy=False)
 
     def with_record(self, record) -> "Dataset":
         """This dataset with the record appended as its last row."""
         one = Dataset.from_rows(self.schema, [record])
         cols = tuple(np.concatenate(pair) for pair in zip(self.columns, one.columns))
-        return Dataset(self.schema, cols, self.provenance)
+        return Dataset(self.schema, cols, self.provenance, copy=False)
 
     def matches(self, record) -> np.ndarray:
         """Boolean mask of the rows whose encoding equals the record's."""
@@ -308,7 +315,7 @@ def load_csv(path, schema: Schema) -> Dataset:
     for part in parts:  # a column's blocks are freed once joined
         columns.append(np.concatenate(part))
         part.clear()
-    return Dataset(schema, tuple(columns), str(path))
+    return Dataset(schema, tuple(columns), str(path), copy=False)
 
 
 def encode(ds: Dataset) -> np.ndarray:
@@ -337,7 +344,7 @@ def decode(schema: Schema, matrix: np.ndarray, provenance: str = "") -> Dataset:
             cols.append(col.lo + np.clip(matrix[:, a], 0.0, 1.0) * (col.hi - col.lo))
         else:
             cols.append(np.argmax(matrix[:, a:b], axis=1))
-    return Dataset(schema, tuple(cols), provenance)
+    return Dataset(schema, tuple(cols), provenance, copy=False)
 
 
 def row_keys(ds: Dataset) -> np.ndarray:

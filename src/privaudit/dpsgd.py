@@ -113,17 +113,35 @@ _PHILOX_STATE = {"bit_generator": "Philox",
 def _stream(seed: int, tag: int, counter: int) -> np.random.Generator:
     """The counter-based Philox stream keyed (seed, tag), at the counter.
 
-    Its draws equal those of a fresh ``Philox(key=[seed, tag], counter=counter)``:
-    the module's one bit generator is re-seated to that state, with an empty
-    buffer, which costs a fraction of building one. The generator is shared,
-    so draw from it before the next _stream call and never hold it across
-    another stream's draw.
+    The counter sits in Philox counter word 1. Word 0 starts at 0 and counts
+    the stream's 4-draw blocks, so no two (seed, tag, counter) streams share
+    a draw short of 2**64 blocks. Its draws equal those of a fresh
+    ``Philox(key=[seed, tag], counter=[0, counter, 0, 0])``: the module's one
+    bit generator is re-seated to that state, with an empty buffer, which
+    costs a fraction of building one. The generator is shared, so draw from
+    it before the next _stream call and never hold it across another
+    stream's draw.
     """
-    _PHILOX_COUNTER[0] = counter
+    _PHILOX_COUNTER[1] = counter
     _PHILOX_KEY[0] = seed % 2**64
     _PHILOX_KEY[1] = tag
     _PHILOX.state = _PHILOX_STATE
     return _PHILOX_GEN
+
+
+def _poisson_rows(gen: np.random.Generator, n: int, rate: float) -> np.ndarray:
+    """Poisson subsampling of rows 0..n-1: the sorted rows a Bernoulli(rate)
+    trial per row keeps, read off the process's geometric(rate) gaps, so it
+    takes about rate*n draws rather than n uniforms. A first draw that falls
+    short of row n is topped up with further gaps; rate 1 keeps every row."""
+    if rate >= 1.0:
+        return np.arange(n)
+    # four standard deviations above the mean count: a top-up is rare
+    size = int(n * rate + 4.0 * (n * rate) ** 0.5) + 8
+    ends = np.cumsum(gen.geometric(rate, size))  # 1-based positions of kept rows
+    while ends[-1] < n:
+        ends = np.concatenate([ends, ends[-1] + np.cumsum(gen.geometric(rate, size))])
+    return ends[: np.searchsorted(ends, n, side="right")] - 1
 
 
 def clip_per_sample(grad: np.ndarray, clip_norm: float) -> np.ndarray:
@@ -213,9 +231,13 @@ def privatize(
     which is exactly what NOISE_NOT_SCALED_TO_BATCH simulates.
 
     grad_sum may carry a leading axis, shape (K, dim), of audit trials or
-    lockstep runs; n_realized, n_total, step and seed (config.seed when None)
-    are then scalars or of shape (K,). Row k gets the noise the unbatched call
-    would draw with seed[k] at step[k], so each row is independent of K.
+    lockstep runs; n_realized and n_total are then scalars or of shape (K,).
+    With seed None every row draws from config.seed's stream at the step:
+    row k is that stream's k-th run of dim consecutive draws, all K taken in
+    one call, so the first rows do not depend on K. With seed of shape (K,)
+    row k is the unbatched call's draw with seed[k] at the step. STATIC_NOISE
+    replays step 0 on every step and, with seed None, the first row's draw
+    on every row.
     """
     grad_sum = np.asarray(grad_sum, dtype=np.float64)
     std = config.noise_multiplier * config.clip_norm
@@ -224,12 +246,14 @@ def privatize(
     noise = np.zeros(grad_sum.shape)
     rows = noise.reshape(-1, noise.shape[-1])  # a view: one row per trial or run
     if mode != BugMode.NO_NOISE:
-        if mode == BugMode.STATIC_NOISE:
-            step = 0  # every step replays step 0's draw
-        seeds = [config.seed] * len(rows) if seed is None else [int(s) for s in seed]
-        counters = np.broadcast_to(step, len(rows)).tolist()
-        for row, s, counter in zip(rows, seeds, counters, strict=True):
-            row[:] = _stream(s, _TAG_NOISE, counter).normal(0.0, std, size=row.size)
+        static = mode == BugMode.STATIC_NOISE
+        step = 0 if static else step
+        if seed is None:
+            shape = (1 if static else len(rows), rows.shape[1])
+            rows[:] = _stream(config.seed, _TAG_NOISE, step).normal(0.0, std, size=shape)
+        else:
+            for row, s in zip(rows, seed, strict=True):
+                row[:] = _stream(int(s), _TAG_NOISE, step).normal(0.0, std, size=row.size)
 
     expected_batch = np.expand_dims(config.sample_rate * np.asarray(n_total, dtype=np.float64), -1)
     if mode == BugMode.NOISE_NOT_SCALED_TO_BATCH:
@@ -459,7 +483,7 @@ def _train_block(specs, x, y, run_rows, configs, white_box):
     params = np.stack([models.init_params(s) for s in specs])
     traces = [[] for _ in specs]
     for step in range(config.steps):
-        idx = [np.flatnonzero(_stream(s, _TAG_SAMPLE, step).random(n) < config.sample_rate)
+        idx = [_poisson_rows(_stream(s, _TAG_SAMPLE, step), n, config.sample_rate)
                for s, n in zip(seeds, n_total)]
         sizes = [len(i) for i in idx]
         rows = np.zeros((len(idx), max(sizes)), dtype=np.intp)

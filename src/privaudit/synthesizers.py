@@ -26,7 +26,8 @@ from .data import (
     encode_record,
     histogram_cells,
 )
-from .dpsgd import BugMode, DpSgdConfig, _stream, claimed_privacy, noisy_batch_update
+from .dpsgd import (BugMode, DpSgdConfig, _poisson_rows, _stream, claimed_privacy,
+                    noisy_batch_update)
 from .models import ModelSpec, check_finite, count_value
 from .seeds import derive_seed
 
@@ -195,7 +196,7 @@ def _sample_marginal(art: GenerativeArtifact, n: int, rng: np.random.Generator) 
             at += 1
         else:
             columns_out.append(idx)
-    return Dataset(art.schema, tuple(columns_out), "synthetic:marginal")
+    return Dataset(art.schema, tuple(columns_out), "synthetic:marginal", copy=False)
 
 
 def marginal_epsilon(schema: Schema, noise_std: float, delta: float) -> float:
@@ -256,9 +257,7 @@ def fit_gan(ds: Dataset, spec: GanSpec) -> GenerativeArtifact:
     fake_batch = max(1, round(cfg.sample_rate * n))
     for step in range(spec.n_steps):
         # ---- discriminator ----
-        srng = _stream(derive_seed(spec.seed, "sample"), 0, step)
-        mask = srng.random(n) < cfg.sample_rate
-        idx = np.nonzero(mask)[0]
+        idx = _poisson_rows(_stream(derive_seed(spec.seed, "sample"), 0, step), n, cfg.sample_rate)
         real_labels = np.ones(len(idx), dtype=int)
         disc_params, _ = noisy_batch_update(
             disc_spec, disc_params, x_real[idx], real_labels, idx, cfg, n, step

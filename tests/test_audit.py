@@ -1,11 +1,12 @@
 import json
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from privaudit import audit as audit_mod
+from privaudit import audit as audit_mod, dpsgd
 from privaudit.audit import (
     AffineCost,
     audit_end_to_end,
@@ -18,7 +19,14 @@ from privaudit.audit import (
 )
 from privaudit.core_stats import GdpParam, gdp_epsilon_of_delta
 from privaudit.data import CategoricalColumn, Dataset, NumericColumn, Schema
-from privaudit.dpsgd import BugMode, DpSgdConfig, PredictiveTrainer, noisy_aggregate
+from privaudit.dpsgd import (
+    _TAG_NOISE,
+    BugMode,
+    DpSgdConfig,
+    PredictiveTrainer,
+    _stream,
+    noisy_aggregate,
+)
 from privaudit.seeds import derive_seed
 from privaudit.synthesizers import MarginalSynthSpec, MarginalTrainer
 
@@ -142,21 +150,46 @@ def test_step_audit_batched_statistics_match_per_trial_loop(bug, monkeypatch):
         audit_step_mechanism(cfg, direction, trials=trials, base_gradients=base,
                              canary_scale=scale, master_seed=seed)
 
-    # reference: the per-trial loop, one full aggregation per trial
+    # reference: the per-trial loop, one full aggregation per trial, whose
+    # noise is row t of one (trials, dim) draw of the mechanism's stream
     mech = replace(cfg, seed=derive_seed(seed, "mechanism"))
     with_canary = np.vstack([base, scale * cfg.clip_norm * direction])
+    std = mech.noise_multiplier * mech.clip_norm
 
-    def statistic(bit, t):
+    def statistic(bit, noise_row):
         raw = with_canary if bit else base
-        update, _, _, _ = noisy_aggregate(raw, len(raw), mech, n_base, step=t)
+        draw = SimpleNamespace(normal=lambda loc, scale, size: noise_row.reshape(size))
+        with monkeypatch.context() as m:
+            m.setattr(dpsgd, "_stream", lambda *key: draw)
+            update, _, _, _ = noisy_aggregate(raw, len(raw), mech, n_base, step=0)
         return (update * direction).sum()
 
     for scored in scored_runs:
-        ref = np.array([statistic(b, t) for t, b in enumerate(scored.bits)])
+        noise = _stream(mech.seed, _TAG_NOISE, 0).normal(0.0, std, size=(len(scored.bits), dim))
+        if bug == BugMode.STATIC_NOISE:
+            noise[:] = noise[0]  # every trial replays the first one's draw
+        ref = np.array([statistic(b, noise[t]) for t, b in enumerate(scored.bits)])
         assert scored.scores.tobytes() == ref.tobytes()
     short, long = scored_runs
     same = short.bits == long.bits[:100]
     assert short.scores[same].tobytes() == long.scores[:100][same].tobytes()
+
+
+def test_step_audit_trials_are_uncorrelated(monkeypatch):
+    """Adjacent trials draw disjoint noise, so an off-axis statistic shows no
+    lag-1 correlation (it read 0.41 when trial t drew at Philox counter t)."""
+    scored_runs = []
+    evaluate = audit_mod.evaluate
+
+    def capture(scored, *args, **kwargs):
+        scored_runs.append(scored)
+        return evaluate(scored, *args, **kwargs)
+
+    monkeypatch.setattr(audit_mod, "evaluate", capture)
+    audit_step_mechanism(step_config(), np.ones(8) / math.sqrt(8), trials=20_000,
+                         master_seed=1)
+    stats = scored_runs[0].scores
+    assert abs(np.corrcoef(stats[:-1], stats[1:])[0, 1]) < 0.05
 
 
 def test_step_audit_preconditions():

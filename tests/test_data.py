@@ -468,6 +468,42 @@ def test_load_csv_peak_memory_does_not_grow_with_rows(tmp_path):
         assert peak - 2 * sum(c.nbytes for c in ds.columns) < 1_000_000
 
 
+def test_caller_columns_are_copied_and_left_writable():
+    sch = Schema((NumericColumn("x", 0.0, 5.0), CategoricalColumn("c", ("a", "b"))))
+    x, c = np.arange(3.0), np.array([0, 1, 0])
+    ds = Dataset(sch, (x, c))
+    assert x.flags.writeable and c.flags.writeable
+    assert not any(np.shares_memory(a, b) for a, b in zip(ds.columns, (x, c)))
+    assert not any(col.flags.writeable for col in ds.columns)
+    x[0] = 4.0
+    assert ds.columns[0][0] == 0.0
+
+
+def test_built_columns_are_handed_over_not_copied(tmp_path):
+    # load_csv and take hold the columns they build once: the traced peak is
+    # the columns (and take's index) plus one column's blocks being joined
+    sch = Schema((NumericColumn("age", 18.0, 90.0), CategoricalColumn("y", ("no", "yes"))))
+    rng = np.random.default_rng(1)
+    n = 50_000
+    path = tmp_path / "d.csv"
+    _write(path, sch, zip(map(repr, rng.uniform(18, 90, n).tolist()), rng.choice(["no", "yes"], n)))
+    tracemalloc.start()
+    try:
+        ds = load_csv(path, sch)
+        loaded = tracemalloc.get_traced_memory()[1]
+        order = np.arange(n)[::-1].copy()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        flipped = ds.take(order)
+        taken = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    columns = sum(c.nbytes for c in ds.columns)
+    assert loaded - columns < columns / 2 + 200_000
+    assert taken < 1.1 * columns
+    assert not any(c.flags.writeable for c in flipped.columns)
+
+
 def test_load_csv_bounds_and_header_only_bit_equal(tmp_path):
     sch = Schema((NumericColumn("age", 18.0, 90.0), CategoricalColumn("c", ("a", "b"))))
     edges = np.histogram_bin_edges([], bins=10, range=(18.0, 90.0))

@@ -25,6 +25,7 @@ from privaudit.dpsgd import (
     noisy_batch_update,
     train,
     train_lockstep,
+    _poisson_rows,
     _stream,
     _weighted_row_sum,
 )
@@ -51,7 +52,8 @@ def toy_xy():
 
 def fresh_stream(seed, tag, counter):
     key = np.array([seed % 2**64, tag], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    words = np.array([0, counter, 0, 0], dtype=np.uint64)  # the counter in word 1
+    return np.random.Generator(np.random.Philox(key=key, counter=words))
 
 
 def draw(gen, kind, size):
@@ -80,14 +82,66 @@ def test_interleaved_streams_do_not_corrupt_each_other():
                               draw(fresh_stream(seed, tag, counter), kind, size))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the step sits in Philox counter word 0, which advances once per 4-draw block, "
-    "so step s+1's stream is step s's shifted by four draws"))
 def test_consecutive_step_streams_share_no_values():
     for tag in (_TAG_NOISE, _TAG_SAMPLE):
         a = _stream(7, tag, 0).normal(size=12)
         b = _stream(7, tag, 1).normal(size=12)
         assert not np.isin(b, a).any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 3000),
+       rate=st.floats(1e-4, 1.0, exclude_max=True))
+def test_poisson_rows_are_sorted_distinct_rows(seed, n, rate):
+    rows = _poisson_rows(_stream(seed, _TAG_SAMPLE, 0), n, rate)
+    assert rows.ndim == 1 and np.all(np.diff(rows) > 0)
+    assert rows.size == 0 or (rows[0] >= 0 and rows[-1] < n)
+
+
+def test_poisson_rows_at_rate_one_keep_every_row():
+    for n in (0, 1, 57):
+        assert np.array_equal(_poisson_rows(_stream(3, _TAG_SAMPLE, 0), n, 1.0), np.arange(n))
+
+
+def test_poisson_rows_top_up_a_short_first_draw():
+    class UnitGaps:  # every gap 1: each draw covers only as many rows as it has gaps
+        calls = 0
+
+        def geometric(self, p, size):
+            self.calls += 1
+            return np.ones(size, dtype=np.int64)
+
+    gen = UnitGaps()
+    assert np.array_equal(_poisson_rows(gen, 500, 0.05), np.arange(500))
+    assert gen.calls > 1
+
+
+def test_poisson_rows_draw_the_sampling_rate():
+    n, rate = 1000, 0.3
+    counts = np.zeros(n)
+    for step in range(2000):
+        counts[_poisson_rows(_stream(5, _TAG_SAMPLE, step), n, rate)] += 1
+    # each row's inclusion count is Binomial(2000, 0.3): std about 20.5
+    assert abs(counts.mean() / 2000 - rate) < 0.003
+    assert np.all(np.abs(counts - 600) < 6 * 20.5)
+
+
+def test_privatize_one_stream_fills_rows_with_consecutive_draws():
+    config = cfg(noise_multiplier=1.5, clip_norm=0.5)
+    _, noise = dpsgd.privatize(np.zeros((5, 3)), 1, config, 10, step=4)
+    want = _stream(config.seed, _TAG_NOISE, 4).normal(0.0, 0.75, size=(5, 3))
+    assert np.array_equal(noise, want)
+    _, first = dpsgd.privatize(np.zeros((2, 3)), 1, config, 10, step=4)
+    assert np.array_equal(first, want[:2])
+    # per-row seeds: row k is its own stream's first draw
+    _, lockstep = dpsgd.privatize(np.zeros((2, 3)), 1, config, 10, step=4, seed=[8, 9])
+    for row, s in zip(lockstep, [8, 9]):
+        assert np.array_equal(row, _stream(s, _TAG_NOISE, 4).normal(0.0, 0.75, size=3))
+    # static noise replays step 0's first row on every row and every step
+    static = replace(config, bug_mode=BugMode.STATIC_NOISE)
+    _, replayed = dpsgd.privatize(np.zeros((5, 3)), 1, static, 10, step=4)
+    row0 = _stream(config.seed, _TAG_NOISE, 0).normal(0.0, 0.75, size=3)
+    assert np.array_equal(replayed, np.tile(row0, (5, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -110,3 +110,36 @@ def test_missing_or_extra_report_fails(tmp_path, capsys):
     (b / "attack_lira_roc.csv").unlink()
     code, out = run(a, b, capsys=capsys)
     assert code == 1 and "['attack_lira_roc.csv']" in out
+
+
+def test_verdicts_ignore_moved_bytes_but_not_a_moved_verdict(tmp_path, capsys):
+    audit = {"audit": "step_mechanism", "status": "pass", "passed": True,
+             "claimed": {"epsilon": 1.16, "delta": 0.1}, "measured_lower_bound": 0.0,
+             "report": REPORT}
+
+    def with_audit(d, report=REPORT, **fields):
+        outputs(d, report=report)
+        (d / "audit.json").write_text(json.dumps({**audit, **fields}))
+        return d
+
+    a = with_audit(tmp_path / "a")
+    moved = with_audit(tmp_path / "b", report=changed(auc=0.75, **{"roc.1.1": 0.5}),
+                       measured_lower_bound=0.3)
+    assert run(a, moved, capsys=capsys)[0] == 1
+    code, out = run(a, moved, "--verdicts", capsys=capsys)
+    assert code == 0 and out.splitlines() == [
+        "attack_lira.json: attack=lira n_runs=64 operating_points=['median']",
+        "audit.json: status=pass passed=True claimed={'epsilon': 1.16, 'delta': 0.1}",
+    ]
+    for name, d in [
+        ("audit.json", with_audit(tmp_path / "c", status="fail", passed=False)),
+        ("audit.json", with_audit(tmp_path / "d", claimed={"epsilon": 1.2, "delta": 0.1})),
+        ("attack_lira.json", with_audit(tmp_path / "e", report=changed(n_runs=32))),
+        ("attack_lira.json", with_audit(tmp_path / "f", report=changed(
+            **{"operating_points.0.name": "fpr<=0.01"}))),
+    ]:
+        code, out = run(a, d, "--verdicts", capsys=capsys)
+        assert code == 1 and [line for line in out.splitlines() if "!=" in line][0].startswith(name)
+    (moved / "audit.json").unlink()
+    code, out = run(a, moved, "--verdicts", capsys=capsys)
+    assert code == 1 and "['audit.json']" in out
