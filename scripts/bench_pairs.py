@@ -7,12 +7,19 @@ directory outside the repository. Each seed is one pair: ``bench/run.py
 --workload W --seed S --trace 0`` runs once in that export and once in this
 checkout, and the side that runs first alternates from pair to pair. The
 script prints every pair's end-to-end metrics, each side's median and
-quartiles, how many pairs the change won, and whether the report sha256
-values of the two sides match. The export is removed on exit.
+quartiles, how many pairs the change won, each metric's regression verdict,
+and whether the report sha256 values of the two sides match. The export is
+removed on exit.
 
 A gain is claimed only when the change wins at least nine tenths of the
 pairs (ties count for neither side) and the medians differ by more than the
 parent's interquartile range.
+
+The verdict holds a metric to the relative bound BENCHMARK.json sets for
+it: "regressed" when the change's median is worse than the parent's by more
+than the bound; otherwise "unresolved" when the parent's own interquartile
+range is wider than the bound and not every change run beats every parent
+run; otherwise "within bound".
 """
 
 from __future__ import annotations
@@ -73,19 +80,43 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float | None) -> di
     }
 
 
-def summarize(name: str, parent: list[float], change: list[float]) -> str:
+def bounds() -> dict[str, float]:
+    """Each end-to-end metric's relative regression bound in BENCHMARK.json."""
+    doc = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["bound"] for m in doc["end_to_end"]}
+
+
+def quartiles(values: list[float]) -> list[float]:
+    """q1, median and q3 of the runs."""
+    return statistics.quantiles(values, n=4) if len(values) > 1 else [values[0]] * 3
+
+
+def verdict(parent: list[float], change: list[float], bound: float) -> str:
+    """The regression verdict of a lower-is-better metric against its
+    relative bound, as the module docstring defines it."""
+    pq = quartiles(parent)
+    if quartiles(change)[1] - pq[1] > bound * pq[1]:
+        return "regressed"
+    if pq[2] - pq[0] > bound * pq[1] and max(change) >= min(parent):
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(name: str, parent: list[float], change: list[float],
+              bound: float | None = None) -> str:
     wins = sum(c < p for p, c in zip(parent, change))
     losses = sum(c > p for p, c in zip(parent, change))
-    pq = statistics.quantiles(parent, n=4) if len(parent) > 1 else [parent[0]] * 3
-    cq = statistics.quantiles(change, n=4) if len(change) > 1 else [change[0]] * 3
+    pq, cq = quartiles(parent), quartiles(change)
     iqr = pq[2] - pq[0]
     gap = pq[1] - cq[1]
     holds = wins >= 0.9 * len(parent) and gap > iqr
+    judged = "" if bound is None else \
+        f"  verdict at bound {bound:g}: {verdict(parent, change, bound)}"
     return (f"{name:<28} parent median {pq[1]:.4g} (q1 {pq[0]:.4g}, q3 {pq[2]:.4g})  "
             f"change median {cq[1]:.4g} (q1 {cq[0]:.4g}, q3 {cq[2]:.4g})  "
             f"change/parent {cq[1] / pq[1]:.3f}  wins {wins}/{len(parent)} "
             f"(losses {losses})  gap {gap:.4g} vs parent IQR {iqr:.4g}  "
-            f"gain claimable: {'yes' if holds else 'no'}")
+            f"gain claimable: {'yes' if holds else 'no'}{judged}")
 
 
 def main(argv=None) -> int:
@@ -117,9 +148,12 @@ def main(argv=None) -> int:
                 f"{m} {pm[m]:.4g} -> {cm[m]:.4g}" for m in sorted(pm)), flush=True)
 
         print(f"\n{args.workload}, {len(args.seeds)} pairs, parent {args.parent}")
+        limits = bounds()
         for m in sorted(runs["parent"][0]["metrics"]):
+            # under --workload all a name is prefixed by its workload
             print(summarize(m, [r["metrics"][m] for r in runs["parent"]],
-                            [r["metrics"][m] for r in runs["change"]]))
+                            [r["metrics"][m] for r in runs["change"]],
+                            limits.get(m.rpartition(".")[2])))
         failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
         print(f"failed ops: parent {failed['parent']}, change {failed['change']}")
         same = all(a["digests"] == b["digests"]

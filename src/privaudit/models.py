@@ -15,6 +15,7 @@ import numpy as np
 
 __all__ = [
     "ModelSpec",
+    "Workspace",
     "count_value",
     "check_finite",
     "n_params",
@@ -116,9 +117,39 @@ def _check_input(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, sizes) -> np.ndarray:
+class Workspace:
+    """Scratch arrays that a loop reuses from one step to the next.
+
+    array(role, shape) returns a C-contiguous float64 array of that shape
+    from the front of the role's own flat buffer, which grows geometrically
+    and is handed out again by the next request for the role. Reusing the
+    memory keeps the allocator from returning it to the kernel on every
+    step and faulting it in again on the next. An array holds whatever its
+    last user left, so the caller writes every entry it reads, arrays alive
+    together have distinct roles, and nothing handed out may outlive the
+    step that asked for it.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def array(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buffer = self._buffers.get(role)
+        if buffer is None or buffer.size < size:
+            buffer = np.empty(size if buffer is None else max(size, 2 * buffer.size))
+            self._buffers[role] = buffer
+        return buffer[:size].reshape(shape)
+
+
+def _scratch(ws: Workspace | None, role: str, shape: tuple[int, ...]) -> np.ndarray:
+    """ws's array for role, or a fresh one without a workspace."""
+    return np.empty(shape) if ws is None else ws.array(role, shape)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, sizes, ws=None, role=None) -> np.ndarray:
     """a @ b; with a leading run axis, run k's product over its first sizes[k]
-    rows only, and zero rows after them.
+    rows only, and zero rows after them, written into ws's array for role.
 
     BLAS rounds a row's dot products differently with the number of rows it
     is handed (one row goes through gemv, and wide inner dimensions are
@@ -127,20 +158,29 @@ def _matmul(a: np.ndarray, b: np.ndarray, sizes) -> np.ndarray:
     """
     if sizes is None:
         return a @ b
-    out = np.zeros(a.shape[:-1] + b.shape[-1:])
+    out = _scratch(ws, role, a.shape[:-1] + b.shape[-1:])
     for k, m in enumerate(sizes):
         np.matmul(a[k, :m], b[k], out=out[k, :m])
+        out[k, m:] = 0.0
     return out
 
 
-def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray, sizes=None):
+def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray, sizes=None, ws=None):
+    """The logits and the (input, hidden) cache; with a run axis the
+    activations are ws's "hidden" and "logits" arrays."""
     x = _check_input(spec, x)
+
+    def affine(a, w, b, role):  # a @ w.T + b
+        z = _matmul(a, np.swapaxes(w, -1, -2), sizes, ws, role)
+        return np.add(z, b[..., None, :], out=z)
+
     if spec.kind == LOGISTIC:
         w, b = _unpack(spec, params)
-        return _matmul(x, np.swapaxes(w, -1, -2), sizes) + b[..., None, :], (x, None)
+        return affine(x, w, b, "logits"), (x, None)
     w1, b1, w2, b2 = _unpack(spec, params)
-    hidden = np.tanh(_matmul(x, np.swapaxes(w1, -1, -2), sizes) + b1[..., None, :])
-    return _matmul(hidden, np.swapaxes(w2, -1, -2), sizes) + b2[..., None, :], (x, hidden)
+    hidden = affine(x, w1, b1, "hidden")
+    np.tanh(hidden, out=hidden)
+    return affine(hidden, w2, b2, "logits"), (x, hidden)
 
 
 def forward_logits(spec: ModelSpec, params: np.ndarray, x) -> np.ndarray:
@@ -188,11 +228,14 @@ class GradientFactors:
     followed by its bias gradient left[b], the layers in parameter order, so
     no (rows, n_params) array is needed to clip or sum them. With a leading
     run axis, left is (K, B, out) and right (K, B, in), run k's rows are its
-    first sizes[k] and every row after them has a zero left factor.
+    first sizes[k] and every row after them has a zero left factor. The
+    factors may be arrays of workspace, which weighted_sum also takes its
+    scratch arrays from.
     """
 
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
     sizes: tuple[int, ...] | None = None
+    workspace: Workspace | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -229,15 +272,18 @@ class GradientFactors:
         lead, p = self.shape[:-2], self.shape[-1]
         out = np.empty(lead + (p,))
         runs = out.reshape(-1, p)  # a view: one row per run
+        ws = self.workspace
         at = 0
         for left, right in self.layers:
-            left = left * weights[..., None]
+            left = np.multiply(left, weights[..., None], out=_scratch(ws, "scaled", left.shape))
             width, n = left.shape[-1], left.shape[-1] * right.shape[-1]
             # a column of ones after right takes the bias sum into the same matmul
-            right = np.concatenate([right, np.ones(right.shape[:-1] + (1,))], axis=-1)
+            augmented = _scratch(ws, "augmented", right.shape[:-1] + (right.shape[-1] + 1,))
+            augmented[..., :-1] = right
+            augmented[..., -1] = 1.0
             left = left.reshape((len(runs),) + left.shape[-2:])
-            right = right.reshape((len(runs),) + right.shape[-2:])
-            sums = np.empty((len(runs), width, right.shape[-1]))
+            right = augmented.reshape((len(runs),) + augmented.shape[-2:])
+            sums = _scratch(ws, "sums", (len(runs), width, right.shape[-1]))
             for k, m in enumerate(self.sizes or [left.shape[1]] * len(runs)):
                 np.matmul(left[k, :m].T, right[k, :m], out=sums[k])
             runs[:, at : at + n] = sums[..., :-1].reshape(len(runs), n)
@@ -246,34 +292,39 @@ class GradientFactors:
         return out
 
 
-def _backward(spec: ModelSpec, params: np.ndarray, cache, d_logits: np.ndarray, sizes=None):
+def _backward(spec: ModelSpec, params: np.ndarray, cache, d_logits: np.ndarray, sizes=None,
+              ws=None):
     """Per-sample parameter gradients given d(loss)/d(logits), as factors,
     and the gradient at the first layer's output."""
     x, hidden = cache
     sizes = None if sizes is None else tuple(sizes)
     if spec.kind == LOGISTIC:
-        return GradientFactors(((d_logits, x),), sizes), d_logits
+        return GradientFactors(((d_logits, x),), sizes, ws), d_logits
     _, _, w2, _ = _unpack(spec, params)
-    d_act = _matmul(d_logits, w2, sizes) * (1.0 - hidden * hidden)
-    return GradientFactors(((d_act, x), (d_logits, hidden)), sizes), d_act
+    d_act = _matmul(d_logits, w2, sizes, ws, "d_act")
+    slope = np.multiply(hidden, hidden, out=_scratch(ws, "slope", hidden.shape))
+    np.multiply(d_act, np.subtract(1.0, slope, out=slope), out=d_act)
+    return GradientFactors(((d_act, x), (d_logits, hidden)), sizes, ws), d_act
 
 
 def batch_gradient_factors(spec: ModelSpec, params: np.ndarray, x, labels,
-                           sizes=None) -> GradientFactors:
+                           sizes=None, ws: Workspace | None = None) -> GradientFactors:
     """The factors of each per-example loss's exact gradient.
 
     With a leading run axis, params is (K, n_params), x is (K, B, input_dim),
     labels is (K, B), and run k's batch is its first sizes[k] rows. Every
     run's factors equal, bit for bit, those of the unbatched call on its batch.
+    With a workspace, the run axis's activations and factors are its arrays,
+    valid until its next use.
     """
-    z, cache = _forward(spec, params, x, sizes)
+    z, cache = _forward(spec, params, x, sizes, ws)
     labels = np.asarray(labels, dtype=int)
     d_logits = _softmax(z)
     d_logits[(*np.indices(labels.shape, sparse=True), labels)] -= 1.0
     if sizes is not None:
         # a padding row with no loss gradient has a zero parameter gradient
         d_logits[np.arange(d_logits.shape[1]) >= np.asarray(sizes)[:, None]] = 0.0
-    factors, _ = _backward(spec, params, cache, d_logits, sizes)
+    factors, _ = _backward(spec, params, cache, d_logits, sizes, ws)
     return factors
 
 

@@ -233,9 +233,8 @@ def query_features(collection: ShadowCollection, mode: str, query_config: dict |
     check_features(mode, trainer, collection.threat_model)
 
     if mode == "pred_loss":
-        feats = tuple(
-            trainer.target_loss(r.artifact, collection.target) for r in collection.runs
-        )
+        feats = tuple(trainer.target_losses([r.artifact for r in collection.runs],
+                                            collection.target))
         schema = collection.runs[0].artifact.meta["schema"]
     elif mode == "synth_dataset":
         n = query_sample_count(qc.get("n_samples", 100))

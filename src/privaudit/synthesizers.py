@@ -255,12 +255,13 @@ def fit_gan(ds: Dataset, spec: GanSpec) -> GenerativeArtifact:
     gen_params = models.init_params(gen_spec)
     disc_params = models.init_params(disc_spec)
     fake_batch = max(1, round(cfg.sample_rate * n))
+    ws = models.Workspace()
     for step in range(spec.n_steps):
         # ---- discriminator ----
         idx = _poisson_rows(_stream(derive_seed(spec.seed, "sample"), 0, step), n, cfg.sample_rate)
         real_labels = np.ones(len(idx), dtype=int)
         disc_params, _ = noisy_batch_update(
-            disc_spec, disc_params, x_real[idx], real_labels, idx, cfg, n, step
+            disc_spec, disc_params, x_real[idx], real_labels, idx, cfg, n, step, ws
         )
         z, z2 = _stream(derive_seed(spec.seed, "latent"), _TAG_LATENT, step).standard_normal(
             (2, fake_batch, spec.latent_dim))

@@ -1,0 +1,40 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+TIGHT = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.00]  # IQR 2%
+WIDE = [0.70, 1.30, 0.80, 1.20, 1.00, 0.75, 1.25, 0.90, 1.10, 1.00]   # IQR ~46%
+
+
+def shifted(runs, by):
+    return [r * by for r in runs]
+
+
+@pytest.mark.parametrize("parent, change, want", [
+    (TIGHT, shifted(TIGHT, 1.30), "regressed"),
+    (TIGHT, shifted(TIGHT, 1.20), "within bound"),
+    (TIGHT, shifted(TIGHT, 0.80), "within bound"),
+    # a median worse beyond the bound regresses, however wide the spread
+    (WIDE, shifted(WIDE, 1.30), "regressed"),
+    (WIDE, WIDE, "unresolved"),
+    (WIDE, shifted(WIDE, 0.90), "unresolved"),
+    # a wide parent spread is resolved when every change run beats every parent run
+    (WIDE, shifted(WIDE, 0.50), "within bound"),
+    ([0.266] * 3, [0.341] * 3, "regressed"),  # +28% against a 25% bound
+])
+def test_verdict(parent, change, want):
+    assert bench_pairs.verdict(parent, change, 0.25) == want
+
+
+def test_every_end_to_end_metric_has_its_bound_and_verdict():
+    limits = bench_pairs.bounds()
+    assert limits == {"setup_s": 0.25, "op_s": 0.25, "cpu_s": 0.25, "peak_rss_mb": 0.05}
+    line = bench_pairs.summarize("peak_rss_mb", TIGHT, shifted(TIGHT, 1.06), limits["peak_rss_mb"])
+    assert line.endswith("verdict at bound 0.05: regressed")
+    assert "verdict" not in bench_pairs.summarize("op_s", TIGHT, TIGHT)

@@ -449,6 +449,43 @@ def test_a_run_with_no_rows_is_refused(toy_xy):
         trainer.fit(Dataset.from_rows(schema, []), 1)
 
 
+def test_run_rows_outside_x_are_refused(toy_xy):
+    x, y = toy_xy
+    spec = ModelSpec(LOGISTIC, input_dim=3, num_classes=2)
+    for bad in ([0, 40], [-1, 3]):
+        with pytest.raises(IndexError, match="40 rows"):
+            train_lockstep([spec], x, y, [np.array(bad)], [cfg()])
+
+
+@pytest.mark.parametrize("block_runs", [1, 3])
+def test_traces_and_params_are_fresh_arrays(monkeypatch, block_runs):
+    # the WIDE widths (35 inputs, 34 hidden units); the largest run samples
+    # 3 expected rows a step, so _BLOCK_ROWS 3 * block_runs makes the blocks
+    handed = []
+
+    class Recording(models.Workspace):
+        def array(self, role, shape):
+            handed.append(super().array(role, shape))
+            return handed[-1]
+
+    monkeypatch.setattr(models, "Workspace", Recording)
+    monkeypatch.setattr(dpsgd, "_BLOCK_ROWS", 3 * block_runs)
+    rng = np.random.default_rng(6)
+    x, y = rng.normal(size=(30, 35)), rng.integers(0, 3, size=30)
+    spec = ModelSpec(MLP, input_dim=35, num_classes=3, hidden_dim=34)
+    arts = train_lockstep([replace(spec, seed=k) for k in range(6)], x, y,
+                          [np.arange(30) if k % 2 else np.arange(k, 30, 2) for k in range(6)],
+                          [cfg(sample_rate=0.1, steps=4, seed=k) for k in range(6)], "white_box")
+    assert handed
+    for art in arts:
+        steps = [[s.indices, s.grad_sum, s.noise, s.params_after] for s in art.trace.steps]
+        for arr in [art.params, *(a for step in steps for a in step)]:
+            assert not any(np.shares_memory(arr, h) for h in handed)
+        for t, step in enumerate(steps):
+            later = [a for other in steps[t + 1 :] for a in other]
+            assert not any(np.shares_memory(a, b) for a in step for b in later)
+
+
 def test_poisson_inclusion_frequency():
     n, p, steps = 8, 0.3, 10_000
     x = np.zeros((n, 1)); y = np.zeros(n, dtype=int)
@@ -541,6 +578,20 @@ def test_predictive_trainer_fit_and_loss(labeled_ds):
     assert loss >= 0.0
     art2 = trainer.fit(labeled_ds, seed=42)
     assert np.array_equal(art.params, art2.params)
+
+
+def test_target_losses_encode_the_record_once(labeled_ds, monkeypatch):
+    trainer = PredictiveTrainer(label_column="y", config=cfg(steps=3))
+    arts = trainer.fit_runs(labeled_ds, [np.arange(30), np.arange(10)], [1, 2])
+    record = labeled_ds.rows[4]
+    want = [trainer.target_loss(a, record) for a in arts]
+    calls = []
+    encode = dpsgd.features_and_labels
+    monkeypatch.setattr(dpsgd, "features_and_labels", lambda *a: calls.append(1) or encode(*a))
+    assert trainer.target_losses(arts, record) == want and len(calls) == 1
+    other = replace(arts[1], meta={**arts[1].meta, "schema": Schema(labeled_ds.schema.columns[::-1])})
+    with pytest.raises(ValueError, match="one schema"):
+        trainer.target_losses([arts[0], other], record)
 
 
 

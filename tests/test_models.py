@@ -190,6 +190,27 @@ def test_run_axis_gradients_equal_unbatched_bit_for_bit(kind):
         assert np.all(stacked[run, m:] == 0.0)
 
 
+def test_workspace_arrays_are_contiguous_per_role_and_grow():
+    ws = models.Workspace()
+    shapes = [(3, 5, 2), (0, 4), (2, 7), (4, 5, 3), (1,), (3, 5, 2)]
+    for shape in shapes:
+        a, b = ws.array("a", shape), ws.array("b", shape)
+        for arr in (a, b):
+            assert arr.shape == shape and arr.dtype == np.float64
+            assert arr.flags.c_contiguous
+        a[...], b[...] = 1.0, 2.0
+        # distinct roles never share memory, whatever either has grown to
+        assert not np.shares_memory(a, b) and np.all(a == 1.0)
+    # a request no larger than the buffer reuses it; a larger one at least
+    # doubles it, so a slowly growing role reallocates rarely
+    first = ws.array("c", (10,))
+    assert np.shares_memory(ws.array("c", (2, 5)), first)
+    grown = ws.array("c", (11,))
+    assert not np.shares_memory(grown, first)
+    assert np.shares_memory(ws.array("c", (20,)), grown)
+    assert not np.shares_memory(ws.array("c", (21,)), grown)
+
+
 def dense_reference(spec, params, x, d_logits, sizes=None):
     """The dense per-sample gradients as the models module wrote them before
     it returned factors: each layer's outer products and bias rows written
