@@ -1,6 +1,7 @@
 """Paired benchmark runs: a parent revision against this checkout.
 
     python3 scripts/bench_pairs.py --parent <rev> --workload W --seeds 1-10
+    python3 scripts/bench_pairs.py --parent <rev> --workload W --interleave 16
 
 The committed files of <rev> are exported (``git archive``) into a temporary
 directory outside the repository. Each seed is one pair: ``bench/run.py
@@ -10,6 +11,15 @@ script prints every pair's end-to-end metrics, each side's median and
 quartiles, how many pairs the change won, each metric's regression verdict,
 and whether the report sha256 values of the two sides match. The export is
 removed on exit.
+
+With ``--interleave N`` the script instead imports the export's
+``privaudit`` and this checkout's, under two package names, into its own
+process, writes the workload's inputs once for the first seed, and runs N
+pairs of ``cli.main`` ops, one op of each side per pair, the side that runs
+first alternating. It prints each pair's wall and CPU seconds, the median
+paired change/parent ratios of ``op_s`` and ``cpu_s``, and whether the two
+sides' reports are byte-identical. Separate runs, minutes apart, cannot
+cancel a drift in the host's speed; ops a second apart in one process can.
 
 A gain is claimed only when the change wins at least nine tenths of the
 pairs (ties count for neither side) and the medians differ by more than the
@@ -25,6 +35,8 @@ run; otherwise "within bound".
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import json
 import shutil
 import signal
@@ -119,6 +131,71 @@ def summarize(name: str, parent: list[float], change: list[float],
             f"gain claimable: {'yes' if holds else 'no'}{judged}")
 
 
+def load_tree_cli(src: Path, name: str):
+    """The ``privaudit.cli`` of the source tree src, imported with the
+    package named name, so that two trees' packages live in one process."""
+    for module in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+        del sys.modules[module]
+    init = src / "privaudit" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return importlib.import_module(f"{name}.cli")
+
+
+def load_bench():
+    """This checkout's bench/run.py as a module; importing it limits numpy's
+    compute threads as a benchmark run does, if numpy has not loaded yet."""
+    bench = ROOT / "bench"
+    if str(bench) not in sys.path:
+        sys.path.insert(0, str(bench))
+    spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def interleave(parent_src: Path, name: str, seed: int, pairs: int, size=None) -> dict:
+    """pairs interleaved ops of the workload name on the parent tree's
+    privaudit and this checkout's, in this process, each op timed and
+    checked by the benchmark's Runner; prints every pair and returns the
+    median paired change/parent ratios of op_s and cpu_s and whether the two
+    sides' report digests are equal."""
+    bench = load_bench()
+    size = size or bench.W.FULL
+    clis = {"parent": load_tree_cli(parent_src, "privaudit_parent"),
+            "change": load_tree_cli(ROOT / "src", "privaudit_change")}
+    tmp = Path(tempfile.mkdtemp(prefix="bench-interleave-"))
+    try:
+        bench.W.write_inputs(name, seed, tmp / "inputs", size)
+        runners = {}
+        for side, cli in clis.items():
+            (tmp / side).mkdir()
+            workload = bench.W.Workload(name, seed, tmp / "inputs", size)
+            runners[side] = bench.Runner(cli, workload, tmp / side)
+        ratios = {"op_s": [], "cpu_s": []}
+        for k in range(pairs):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            times = {side: runners[side].op(k) for side in order}
+            if None in times.values():
+                raise RuntimeError(f"pair {k}: an op failed")
+            (pw, pc, _), (cw, cc, _) = times["parent"], times["change"]
+            ratios["op_s"].append(cw / pw)
+            ratios["cpu_s"].append(cc / pc)
+            print(f"pair {k:<3} {order[0]} first  op_s {pw:.4g} -> {cw:.4g}  "
+                  f"cpu_s {pc:.4g} -> {cc:.4g}", flush=True)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    result = {m: statistics.median(r) for m, r in ratios.items()}
+    result["digests_equal"] = runners["parent"].wl.digests == runners["change"].wl.digests
+    print(f"\n{name}, {pairs} interleaved pairs, seed {seed}: median paired change/parent "
+          f"op_s {result['op_s']:.3f}, cpu_s {result['cpu_s']:.3f}; report bytes equal: "
+          f"{'yes' if result['digests_equal'] else 'no'}")
+    return result
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="git revision to compare against")
@@ -128,13 +205,21 @@ def main(argv=None) -> int:
                    help="one pair per seed, e.g. 1-10 or 1,3,5 (default 1-10)")
     p.add_argument("--seconds", type=float, default=None,
                    help="run length passed to bench/run.py (default: its own)")
+    p.add_argument("--interleave", type=int, default=None, metavar="N",
+                   help="alternate N pairs of ops of both trees in this process, "
+                        "on the first seed, instead of paired benchmark runs")
     args = p.parse_args(argv)
+    if args.interleave is not None and (args.interleave < 1 or args.workload == "all"):
+        p.error("--interleave needs N >= 1 and one workload")
 
     # a terminated run still removes its export
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         export(args.parent, tmp)
+        if args.interleave is not None:
+            interleave(tmp / "tree" / "src", args.workload, args.seeds[0], args.interleave)
+            return 0
         sides = {"parent": tmp / "tree", "change": ROOT}
         runs = {"parent": [], "change": []}
         for k, seed in enumerate(args.seeds):

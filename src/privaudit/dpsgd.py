@@ -9,6 +9,7 @@ audit module uses them as positive controls.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -129,6 +130,12 @@ def _stream(seed: int, tag: int, counter: int) -> np.random.Generator:
     return _PHILOX_GEN
 
 
+def _first_draw(n: int, rate: float) -> int:
+    """The gaps _poisson_rows draws first: four standard deviations above the
+    mean count, so that a top-up is rare."""
+    return int(n * rate + 4.0 * (n * rate) ** 0.5) + 8
+
+
 def _poisson_rows(gen: np.random.Generator, n: int, rate: float) -> np.ndarray:
     """Poisson subsampling of rows 0..n-1: the sorted rows a Bernoulli(rate)
     trial per row keeps, read off the process's geometric(rate) gaps, so it
@@ -136,12 +143,43 @@ def _poisson_rows(gen: np.random.Generator, n: int, rate: float) -> np.ndarray:
     short of row n is topped up with further gaps; rate 1 keeps every row."""
     if rate >= 1.0:
         return np.arange(n)
-    # four standard deviations above the mean count: a top-up is rare
-    size = int(n * rate + 4.0 * (n * rate) ** 0.5) + 8
+    size = _first_draw(n, rate)
     ends = np.cumsum(gen.geometric(rate, size))  # 1-based positions of kept rows
     while ends[-1] < n:
         ends = np.concatenate([ends, ends[-1] + np.cumsum(gen.geometric(rate, size))])
     return ends[: np.searchsorted(ends, n, side="right")] - 1
+
+
+def _block_rows(seeds, n_total, rate: float, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each run's _poisson_rows from its (seed, _TAG_SAMPLE, step) stream,
+    for a block of runs at once: (rows, sizes), run k's rows the first
+    sizes[k] entries of rows[k] and every later entry at least n_total[k].
+
+    The runs' first draws of gaps go into one array, whose cumulative sums
+    and kept counts are taken once; a run whose first draw falls short of
+    its last row is drawn again by _poisson_rows, which tops it up.
+    """
+    n = np.asarray(n_total)
+    draws = [_first_draw(m, rate) for m in n_total]
+    gaps = np.empty((len(n), max(draws)), dtype=np.int64)
+    for g, seed, d, m in zip(gaps, seeds, draws, n_total):
+        g[:d] = _stream(seed, _TAG_SAMPLE, step).geometric(rate, d)
+        if d < len(g):
+            g[d:] = m  # past the run's last row
+    rows = np.cumsum(gaps, axis=1, out=gaps)
+    rows -= 1
+    sizes = np.count_nonzero(rows < n[:, None], axis=1)
+    short = np.flatnonzero(rows[np.arange(len(n)), np.subtract(draws, 1)] < n - 1).tolist()
+    if short:
+        full = {k: _poisson_rows(_stream(seeds[k], _TAG_SAMPLE, step), n_total[k], rate)
+                for k in short}
+        width = max(rows.shape[1], *map(len, full.values()))
+        rows = np.pad(rows, ((0, 0), (0, width - rows.shape[1])), constant_values=n.max())
+        for k, r in full.items():
+            rows[k, : len(r)] = r
+            rows[k, len(r) :] = n_total[k]
+            sizes[k] = len(r)
+    return rows, sizes
 
 
 def clip_per_sample(grad: np.ndarray, clip_norm: float) -> np.ndarray:
@@ -253,7 +291,10 @@ def privatize(
             rows[:] = _stream(config.seed, _TAG_NOISE, step).normal(0.0, std, size=shape)
         else:
             for row, s in zip(rows, seed, strict=True):
-                row[:] = _stream(int(s), _TAG_NOISE, step).normal(0.0, std, size=row.size)
+                _stream(int(s), _TAG_NOISE, step).standard_normal(out=row)
+            # normal(0, std) returns 0 + std * z for each standard draw z:
+            # the same two operations, here once for every row
+            np.add(np.multiply(rows, std, out=rows), 0.0, out=rows)
 
     expected_batch = np.expand_dims(config.sample_rate * np.asarray(n_total, dtype=np.float64), -1)
     if mode == BugMode.NOISE_NOT_SCALED_TO_BATCH:
@@ -286,13 +327,15 @@ def noisy_aggregate(
     return update, grad_sum, noise, max_sample_norm
 
 
-def _update(spec, params, x, y, sizes, config, n_total, step, seeds, ws, max_norm=True):
+def _update(spec, params, x, y, sizes, config, n_total, step, seeds, ws, max_norm=True,
+            lengths=None):
     """One DP-SGD step of K runs in lockstep: params (K, P), x (K, B, d) and
-    y (K, B), padded after each run's sizes[k] rows. The step's activations
+    y (K, B), padded after each run's sizes[k] rows and computed over its
+    first lengths[k] (sizes[k] when lengths is None). The step's activations
     and gradient factors are arrays of the workspace ws (fresh ones when it
     is None). Returns (new params, grad_sum, noise, max_sample_norm), each
     with the run axis and each a fresh array."""
-    factors = models.batch_gradient_factors(spec, params, x, y, sizes, ws)
+    factors = models.batch_gradient_factors(spec, params, x, y, sizes, ws, lengths)
     update, grad_sum, noise, max_sample_norm = noisy_aggregate(
         factors, sizes, config, n_total, step, seeds, max_norm
     )
@@ -332,16 +375,22 @@ def _check_observability(observability: str) -> None:
         raise ValueError(f"unknown observability {observability!r}")
 
 
-# Runs trained in lockstep share each step's zero-padded (runs, batch, width)
+# Runs trained in lockstep share each step's padded (runs, batch, width)
 # activations and gradient factors; no (runs, batch, params) block is built.
 # One block takes as many runs as fit this many expected sampled rows per
 # step. On the 128-run benchmark attack (an MLP with 226 parameters, about 100
-# expected rows per run; a 2-vCPU x86_64 VM) 768 to 1536 rows took the least
-# CPU time, about 0.6x that of dense gradients at 384 rows. With each step's
-# scratch arrays in a reused workspace, 3072 rows read 0.98x the wall time
-# and 0.96x the CPU time of 1536 at --workers 2 (medians of 10 runs each,
-# both inside the spread between runs) for 2.5 MB (5%) more peak memory.
-_BLOCK_ROWS = 1536
+# expected rows per run, --workers 2; a 2-vCPU x86_64 VM), 2304 rows (23 runs
+# a block, 6 blocks, 3 per process) took about 0.94x the op wall time of 1536
+# (2 x 20 interleaved op pairs each) for 1.6 MB (3%) more peak memory; 3072
+# rows took 2.7 MB (6%) more.
+_BLOCK_ROWS = 2304
+
+# A run's batch is padded to its cap, this many standard deviations of its
+# Poisson batch size above the mean, on every step it does not overflow it
+# (see _pad_caps). A smaller cap pads fewer rows but overflows more often: in
+# the pairs above, 2 and 3 took the same time within the spread between
+# pairs, and 4 about 1.03x that.
+_PAD_SIGMAS = 2.0
 
 
 def train(
@@ -485,31 +534,53 @@ def _send_result(fn, tasks, send) -> None:
         send.send((False, e))
 
 
+def _pad_caps(n_total, rate: float) -> list[int]:
+    """Each run's padded batch length short of an overflow: the rows a run
+    of n expects a step, rate*n, plus _PAD_SIGMAS standard deviations,
+    rounded up to a multiple of 8."""
+    return [-(-math.ceil(rate * n + _PAD_SIGMAS * math.sqrt(rate * (1.0 - rate) * n)) // 8) * 8
+            for n in n_total]
+
+
 def _train_block(specs, x, y, run_rows, configs, white_box, ws):
     """T lockstep steps of a block of runs, each step's scratch arrays taken
     from the workspace ws: returns the (K, P) final params and, with
-    white_box, each run's step traces, none of which is an array of ws."""
+    white_box, each run's step traces, none of which is an array of ws.
+
+    Each step a run's batch is padded with its own last row to its cap, or,
+    when the batch overflows the cap, to its size rounded up to a multiple
+    of 8: a length that the run alone decides, so its arithmetic is that of
+    the run trained alone, and a block's runs normally share one shape.
+    """
     config = configs[0]
     seeds = [c.seed for c in configs]
     n_total = [len(r) for r in run_rows]
+    caps = _pad_caps(n_total, config.sample_rate)
+    # every run's rows side by side, flat, for one gather a step; a pick past
+    # a run's rows takes its last row
+    pool = np.concatenate(run_rows)
+    first = np.cumsum([0] + n_total[:-1])[:, None]
+    last = first + np.asarray(n_total)[:, None] - 1
     params = np.stack([models.init_params(s) for s in specs])
     traces = [[] for _ in specs]
     for step in range(config.steps):
-        idx = [_poisson_rows(_stream(s, _TAG_SAMPLE, step), n, config.sample_rate)
-               for s, n in zip(seeds, n_total)]
-        sizes = [len(i) for i in idx]
-        rows = np.zeros((len(idx), max(sizes)), dtype=np.intp)
-        for k, (r, i) in enumerate(zip(run_rows, idx)):
-            rows[k, : len(i)] = r[i]
+        picks, sizes = _block_rows(seeds, n_total, config.sample_rate, step)
+        lengths = [max(cap, -(-m // 8) * 8) for cap, m in zip(caps, sizes.tolist())]
+        width = max(lengths)
+        if picks.shape[1] < width:
+            picks = np.pad(picks, ((0, 0), (0, width - picks.shape[1])), constant_values=max(n_total))
+        rows = pool[np.minimum(np.add(picks[:, :width], first), last)]
         # train_lockstep checked the rows, and "clip" writes straight into out
         batch = np.take(x, rows, axis=0, mode="clip", out=ws.array("x", rows.shape + x.shape[1:]))
         params, grad_sum, noise, max_norm = _update(
-            specs[0], params, batch, y[rows], sizes, config, n_total, step, seeds, ws, white_box
+            specs[0], params, batch, y[rows], sizes, config, n_total, step, seeds, ws, white_box,
+            lengths,
         )
         if white_box:
             for k, t in enumerate(traces):
-                t.append(StepTrace(indices=idx[k], grad_sum=grad_sum[k], noise=noise[k],
-                                   params_after=params[k], max_sample_norm=float(max_norm[k])))
+                t.append(StepTrace(indices=picks[k, : sizes[k]].copy(), grad_sum=grad_sum[k],
+                                   noise=noise[k], params_after=params[k],
+                                   max_sample_norm=float(max_norm[k])))
     return params, traces
 
 

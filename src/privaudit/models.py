@@ -147,31 +147,43 @@ def _scratch(ws: Workspace | None, role: str, shape: tuple[int, ...]) -> np.ndar
     return np.empty(shape) if ws is None else ws.array(role, shape)
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, sizes, ws=None, role=None) -> np.ndarray:
-    """a @ b; with a leading run axis, run k's product over its first sizes[k]
-    rows only, and zero rows after them, written into ws's array for role.
+def _common_length(lengths, rows: int) -> int:
+    """The length that most runs share, or rows when lengths is None."""
+    return rows if lengths is None else max(set(lengths), key=lengths.count)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, lengths=None, ws=None, role=None) -> np.ndarray:
+    """a @ b, written into ws's array for role; with a leading run axis, run
+    k's product over its first lengths[k] rows only (every row when lengths
+    is None), and zero rows after them.
 
     BLAS rounds a row's dot products differently with the number of rows it
     is handed (one row goes through gemv, and wide inner dimensions are
-    blocked by row count), so each run is multiplied over exactly the rows an
-    unbatched call would get, and its values do not depend on the block.
+    blocked by row count), so each run is multiplied in a call of exactly
+    its own shape, and its values do not depend on the block. The runs of
+    the most common length share one stacked np.matmul, which gives every
+    slice the bits of its own 2D call; each other run takes a call of its own.
     """
-    if sizes is None:
-        return a @ b
     out = _scratch(ws, role, a.shape[:-1] + b.shape[-1:])
-    for k, m in enumerate(sizes):
-        np.matmul(a[k, :m], b[k], out=out[k, :m])
-        out[k, m:] = 0.0
+    rows = a.shape[-2]
+    common = _common_length(lengths, rows)
+    np.matmul(a[..., :common, :], b, out=out[..., :common, :])
+    for k, m in enumerate(lengths or ()):
+        if m != common:
+            np.matmul(a[k, :m], b[k], out=out[k, :m])
+        if m < rows:
+            out[k, m:] = 0.0
     return out
 
 
-def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray, sizes=None, ws=None):
-    """The logits and the (input, hidden) cache; with a run axis the
-    activations are ws's "hidden" and "logits" arrays."""
+def _forward(spec: ModelSpec, params: np.ndarray, x: np.ndarray, lengths=None, ws=None):
+    """The logits and the (input, hidden) cache, run k's taken over its first
+    lengths[k] rows as _matmul takes them; the activations are ws's "hidden"
+    and "logits" arrays."""
     x = _check_input(spec, x)
 
     def affine(a, w, b, role):  # a @ w.T + b
-        z = _matmul(a, np.swapaxes(w, -1, -2), sizes, ws, role)
+        z = _matmul(a, np.swapaxes(w, -1, -2), lengths, ws, role)
         return np.add(z, b[..., None, :], out=z)
 
     if spec.kind == LOGISTIC:
@@ -189,10 +201,33 @@ def forward_logits(spec: ModelSpec, params: np.ndarray, x) -> np.ndarray:
     return z
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax(z: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+    """exp(z - max) / sum over the last axis, bit for bit as numpy's
+    reductions give it, in ws's "probs" array.
+
+    A reduction or a broadcast over a short last axis runs once per row. Up
+    to 7 classes numpy adds the axis left to right, so every step is taken a
+    class column at a time; from 8 it adds in pairwise blocks, and its
+    reductions are kept.
+    """
+    c = z.shape[-1]
+    e = _scratch(ws, "probs", z.shape)
+    if c > 7:
+        np.exp(np.subtract(z, z.max(axis=-1, keepdims=True), out=e), out=e)
+        return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
+    acc = _scratch(ws, "column", z.shape[:-1])  # the max, then the sum
+    np.copyto(acc, z[..., 0])
+    for j in range(1, c):
+        np.maximum(acc, z[..., j], out=acc)
+    for j in range(c):
+        np.subtract(z[..., j], acc, out=e[..., j])
+    np.exp(e, out=e)
+    np.copyto(acc, e[..., 0])
+    for j in range(1, c):
+        np.add(acc, e[..., j], out=acc)
+    for j in range(c):
+        np.divide(e[..., j], acc, out=e[..., j])
+    return e
 
 
 def predict(spec: ModelSpec, params: np.ndarray, x) -> np.ndarray:
@@ -228,13 +263,13 @@ class GradientFactors:
     followed by its bias gradient left[b], the layers in parameter order, so
     no (rows, n_params) array is needed to clip or sum them. With a leading
     run axis, left is (K, B, out) and right (K, B, in), run k's rows are its
-    first sizes[k] and every row after them has a zero left factor. The
-    factors may be arrays of workspace, which weighted_sum also takes its
-    scratch arrays from.
+    first lengths[k] (all B when lengths is None), and every row after them
+    has a zero left factor. The factors may be arrays of workspace, which
+    weighted_sum also takes its scratch arrays from.
     """
 
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
-    sizes: tuple[int, ...] | None = None
+    lengths: tuple[int, ...] | None = None
     workspace: Workspace | None = None
 
     @property
@@ -265,9 +300,9 @@ class GradientFactors:
         """The sum of the rows' gradients, each scaled by its weight (weights
         has shape (..., rows)), shape (..., n_params).
 
-        A layer's weight-gradient sum is one matmul, left.T @ right, per run
-        over exactly that run's rows, as _matmul multiplies them, so a run's
-        sum does not depend on the other runs in its block.
+        A layer's weight-gradient sum is left.T @ right over exactly each
+        run's rows, the runs grouped into calls as _matmul groups them, so a
+        run's sum does not depend on the other runs in its block.
         """
         lead, p = self.shape[:-2], self.shape[-1]
         out = np.empty(lead + (p,))
@@ -284,57 +319,67 @@ class GradientFactors:
             left = left.reshape((len(runs),) + left.shape[-2:])
             right = augmented.reshape((len(runs),) + augmented.shape[-2:])
             sums = _scratch(ws, "sums", (len(runs), width, right.shape[-1]))
-            for k, m in enumerate(self.sizes or [left.shape[1]] * len(runs)):
-                np.matmul(left[k, :m].T, right[k, :m], out=sums[k])
+            common = _common_length(self.lengths, left.shape[1])
+            np.matmul(np.swapaxes(left[:, :common], 1, 2), right[:, :common], out=sums)
+            for k, m in enumerate(self.lengths or ()):
+                if m != common:
+                    np.matmul(left[k, :m].T, right[k, :m], out=sums[k])
             runs[:, at : at + n] = sums[..., :-1].reshape(len(runs), n)
             runs[:, at + n : at + n + width] = sums[..., -1]
             at += n + width
         return out
 
 
-def _backward(spec: ModelSpec, params: np.ndarray, cache, d_logits: np.ndarray, sizes=None,
+def _backward(spec: ModelSpec, params: np.ndarray, cache, d_logits: np.ndarray, lengths=None,
               ws=None):
     """Per-sample parameter gradients given d(loss)/d(logits), as factors,
     and the gradient at the first layer's output."""
     x, hidden = cache
-    sizes = None if sizes is None else tuple(sizes)
+    lengths = None if lengths is None else tuple(lengths)
     if spec.kind == LOGISTIC:
-        return GradientFactors(((d_logits, x),), sizes, ws), d_logits
+        return GradientFactors(((d_logits, x),), lengths, ws), d_logits
     _, _, w2, _ = _unpack(spec, params)
-    d_act = _matmul(d_logits, w2, sizes, ws, "d_act")
+    d_act = _matmul(d_logits, w2, lengths, ws, "d_act")
     slope = np.multiply(hidden, hidden, out=_scratch(ws, "slope", hidden.shape))
     np.multiply(d_act, np.subtract(1.0, slope, out=slope), out=d_act)
-    return GradientFactors(((d_act, x), (d_logits, hidden)), sizes, ws), d_act
+    return GradientFactors(((d_act, x), (d_logits, hidden)), lengths, ws), d_act
 
 
-def batch_gradient_factors(spec: ModelSpec, params: np.ndarray, x, labels,
-                           sizes=None, ws: Workspace | None = None) -> GradientFactors:
+def batch_gradient_factors(spec: ModelSpec, params: np.ndarray, x, labels, sizes=None,
+                           ws: Workspace | None = None, lengths=None) -> GradientFactors:
     """The factors of each per-example loss's exact gradient.
 
     With a leading run axis, params is (K, n_params), x is (K, B, input_dim),
-    labels is (K, B), and run k's batch is its first sizes[k] rows. Every
-    run's factors equal, bit for bit, those of the unbatched call on its batch.
-    With a workspace, the run axis's activations and factors are its arrays,
-    valid until its next use.
+    labels is (K, B), and run k's batch is its first sizes[k] rows. The run
+    is computed over its first lengths[k] rows (sizes[k] when lengths is
+    None), the rows after its batch padding whose gradient is zero. Every
+    run's factors equal, bit for bit, those of the one-run call on its first
+    lengths[k] rows. With a workspace, the run axis's activations and factors
+    are its arrays, valid until its next use.
     """
-    z, cache = _forward(spec, params, x, sizes, ws)
+    lengths = sizes if lengths is None else lengths
+    z, cache = _forward(spec, params, x, lengths, ws)
+    d_logits = _softmax(z, ws)
     labels = np.asarray(labels, dtype=int)
-    d_logits = _softmax(z)
-    d_logits[(*np.indices(labels.shape, sparse=True), labels)] -= 1.0
-    if sizes is not None:
-        # a padding row with no loss gradient has a zero parameter gradient
-        d_logits[np.arange(d_logits.shape[1]) >= np.asarray(sizes)[:, None]] = 0.0
-    factors, _ = _backward(spec, params, cache, d_logits, sizes, ws)
+    # a padding row with no loss gradient has a zero parameter gradient
+    padding = None if sizes is None else \
+        np.arange(d_logits.shape[1]) >= np.asarray(sizes)[:, None]
+    for j in range(d_logits.shape[-1]):  # p - onehot, a class column at a time
+        column = d_logits[..., j]
+        np.subtract(column, labels == j, out=column)
+        if padding is not None:
+            np.copyto(column, 0.0, where=padding)
+    factors, _ = _backward(spec, params, cache, d_logits, lengths, ws)
     return factors
 
 
 def batch_per_sample_gradients(spec: ModelSpec, params: np.ndarray, x, labels,
-                               sizes=None) -> np.ndarray:
+                               sizes=None, lengths=None) -> np.ndarray:
     """Exact gradients of each per-example loss, shape (n, n_params): the
     dense expansion of batch_gradient_factors, whose arguments it takes.
     With a run axis the result is (K, B, n_params), zero after each run's
     batch."""
-    return batch_gradient_factors(spec, params, x, labels, sizes).dense()
+    return batch_gradient_factors(spec, params, x, labels, sizes, lengths=lengths).dense()
 
 
 def per_sample_gradient(spec: ModelSpec, params: np.ndarray, x, label: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +39,23 @@ def test_every_end_to_end_metric_has_its_bound_and_verdict():
     line = bench_pairs.summarize("peak_rss_mb", TIGHT, shifted(TIGHT, 1.06), limits["peak_rss_mb"])
     assert line.endswith("verdict at bound 0.05: regressed")
     assert "verdict" not in bench_pairs.summarize("op_s", TIGHT, TIGHT)
+
+
+def test_interleave_runs_both_trees_in_one_process(monkeypatch, capsys):
+    # both sides from this checkout, under the two package names, on a
+    # small attack: every op is checked, and equal trees give equal reports
+    monkeypatch.syspath_prepend(str(bench_pairs.ROOT / "bench"))
+    import workloads
+
+    src = bench_pairs.ROOT / "src"
+    small = workloads.Size(pool_rows=200, t_runs=16)
+    result = bench_pairs.interleave(src, "attack_lira", 3, 3, size=small)
+    out = capsys.readouterr().out
+    assert [line.split()[2] for line in out.splitlines() if line.startswith("pair ")] == \
+        ["parent", "change", "parent"]
+    assert "3 interleaved pairs" in out and result["digests_equal"]
+    assert result["op_s"] > 0 and result["cpu_s"] > 0
+    for side in ("parent", "change"):
+        cli = sys.modules[f"privaudit_{side}.cli"]
+        assert Path(cli.__file__).resolve().is_relative_to(src)
+        assert sys.modules[f"privaudit_{side}.dpsgd"] is not sys.modules.get("privaudit.dpsgd")

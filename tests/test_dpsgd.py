@@ -126,6 +126,36 @@ def test_poisson_rows_draw_the_sampling_rate():
     assert np.all(np.abs(counts - 600) < 6 * 20.5)
 
 
+@pytest.mark.parametrize("rate", [0.05, 0.3, 1.0])
+@pytest.mark.parametrize("short", [False, True])
+def test_block_rows_equal_poisson_rows_run_by_run(monkeypatch, rate, short):
+    if short:  # first draws of 3 gaps: every run but the one-row one is topped up
+        monkeypatch.setattr(dpsgd, "_first_draw", lambda n, rate: 3)
+    seeds = [3, 2**64 - 1, 17, 99, 5]
+    n_total = [1, 57, 2000, 2001, 300]
+    for step in (0, 7):
+        rows, sizes = dpsgd._block_rows(seeds, n_total, rate, step)
+        assert rows.shape[0] == len(seeds)
+        for k, (s, n) in enumerate(zip(seeds, n_total)):
+            want = _poisson_rows(_stream(s, _TAG_SAMPLE, step), n, rate)
+            assert sizes[k] == len(want) and rows[k, : len(want)].tobytes() == want.tobytes()
+            assert np.all(rows[k, len(want) :] >= n)
+
+
+@pytest.mark.parametrize("std", [0.0, 5e-324, 1e-300, 0.75, 1.0, 3.3e7, 1e300])
+def test_scaled_standard_draws_equal_normal_bit_for_bit(std):
+    # privatize's per-run noise: standard draws into each row, then the block
+    # scaled as 0 + std * z, normal(0, std)'s arithmetic operation for operation
+    z = _stream(4, _TAG_NOISE, 9).standard_normal(size=5000)
+    want = _stream(4, _TAG_NOISE, 9).normal(0.0, std, size=5000)
+    assert (0.0 + std * z).tobytes() == want.tobytes()
+    config = cfg(noise_multiplier=std, clip_norm=1.0)
+    seeds = [8, 2**64 - 1, 0]
+    _, noise = dpsgd.privatize(np.zeros((3, 257)), 1, config, 10, step=4, seed=seeds)
+    for row, s in zip(noise, seeds):
+        assert row.tobytes() == _stream(s, _TAG_NOISE, 4).normal(0.0, std, size=257).tobytes()
+
+
 def test_privatize_one_stream_fills_rows_with_consecutive_draws():
     config = cfg(noise_multiplier=1.5, clip_norm=0.5)
     _, noise = dpsgd.privatize(np.zeros((5, 3)), 1, config, 10, step=4)
@@ -638,6 +668,32 @@ def test_lockstep_bit_equal_at_every_worker_count(toy_xy, monkeypatch, tmp_path,
             mine = [int(s) for pid, s in calls if pid == str(os.getpid())]
             assert mine == firsts[: len(firsts) // processes]
     assert multiprocessing.active_children() == []
+
+
+def test_wide_lockstep_runs_equal_their_one_run_training(monkeypatch):
+    # an input width past 32 and 32 hidden units: BLAS rounds a hidden row
+    # over 32 rows differently than over 40, so a run padded to 32 rows whose
+    # product took in a neighbour's 40 would show. Runs of 150 and 151 rows
+    # (a target out and in) share the cap 32 at the mean batch, which about a
+    # third of the steps overflow
+    monkeypatch.setattr(dpsgd, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(dpsgd, "_PAD_SIGMAS", 0.0)
+    rng = np.random.default_rng(11)
+    x, y = rng.normal(size=(151, 33)), rng.integers(0, 3, size=151)
+    spec = ModelSpec(MLP, input_dim=33, num_classes=3, hidden_dim=32)
+    specs = [replace(spec, seed=k) for k in range(6)]
+    configs = [cfg(sample_rate=0.2, steps=6, seed=20 + k) for k in range(6)]
+    rows = [np.sort(rng.choice(151, size=150 + k % 2, replace=False)) for k in range(6)]
+    alone = [train(s, x[r], y[r], c, "white_box") for s, r, c in zip(specs, rows, configs)]
+    sizes = [len(step.indices) for art in alone for step in art.trace.steps]
+    assert dpsgd._pad_caps([150, 151], 0.2) == [32, 32] and min(sizes) <= 32 < max(sizes)
+    want = lockstep_bytes(alone)
+    # the largest run samples 30.2 expected rows a step: blocks of 1, 3 and 6 runs
+    for block_rows in (31, 91, 1536):
+        monkeypatch.setattr(dpsgd, "_BLOCK_ROWS", block_rows)
+        for workers in (1, 2, 3):
+            arts = train_lockstep(specs, x, y, rows, configs, "white_box", workers=workers)
+            assert lockstep_bytes(arts) == want
 
 
 @pytest.fixture

@@ -174,20 +174,75 @@ def test_batch_gradients_match_single():
 @pytest.mark.parametrize("kind", [LOGISTIC, MLP])
 def test_run_axis_gradients_equal_unbatched_bit_for_bit(kind):
     # inner widths past 32 and one-row batches take BLAS paths whose rounding
-    # depends on the row count, so each run must see only its own rows
+    # depends on the row count, so each run must be computed over exactly the
+    # rows its one-run call gets: its batch, or its batch padded to its length
     rng = np.random.default_rng(8)
     spec = ModelSpec(kind, input_dim=37, num_classes=3, hidden_dim=34 if kind == MLP else 0)
     sizes = [5, 1, 0, 9, 2]
-    k, b = len(sizes), max(sizes)
-    params = rng.normal(size=(k, n_params(spec)))
-    x = rng.normal(size=(k, b, spec.input_dim))
-    y = rng.integers(0, 3, size=(k, b))
-    stacked = batch_per_sample_gradients(spec, params, x, y, sizes)
-    assert stacked.shape == (k, b, n_params(spec))
-    for run, m in enumerate(sizes):
-        alone = batch_per_sample_gradients(spec, params[run], x[run, :m], y[run, :m])
-        assert stacked[run, :m].tobytes() == alone.tobytes()
-        assert np.all(stacked[run, m:] == 0.0)
+    for lengths in (None, [8, 8, 8, 16, 2]):
+        k, b = len(sizes), max(lengths or sizes)
+        params = rng.normal(size=(k, n_params(spec)))
+        x = rng.normal(size=(k, b, spec.input_dim))
+        y = rng.integers(0, 3, size=(k, b))
+        stacked = batch_per_sample_gradients(spec, params, x, y, sizes, lengths)
+        assert stacked.shape == (k, b, n_params(spec))
+        for run, (m, length) in enumerate(zip(sizes, lengths or sizes)):
+            alone = batch_per_sample_gradients(
+                spec, params[run : run + 1], x[run : run + 1, :length],
+                y[run : run + 1, :length], [m], [length])[0]
+            assert stacked[run, :length].tobytes() == alone.tobytes()
+            assert np.all(stacked[run, m:] == 0.0)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 5, 8, 33, 130])
+@pytest.mark.parametrize("d_in, d_out", [(1, 1), (1, 35), (35, 1), (7, 16), (16, 2),
+                                         (35, 34), (34, 35)])
+def test_stacked_matmul_slices_equal_their_2d_calls(rows, d_in, d_out):
+    # the numpy property that lets _matmul and weighted_sum multiply the runs
+    # of one length in one call: each slice of a stacked np.matmul written
+    # through out= views has the bits of the 2D call of its shape
+    rng = np.random.default_rng(1000 * rows + 40 * d_in + d_out)
+    k, b = 4, rows + 3
+    scale = 10.0 ** rng.integers(-3, 4, size=(k, b, 1))
+    # forward: a @ w.T, w an (out, in) view into each run's parameter vector
+    a = rng.normal(size=(k, b, d_in)) * scale
+    params = rng.normal(size=(k, d_out * d_in + 5))
+    w = params[:, : d_out * d_in].reshape(k, d_out, d_in)
+    out = np.full((k, b, d_out), np.nan)
+    np.matmul(a[:, :rows], np.swapaxes(w, 1, 2), out=out[:, :rows])
+    for run in range(k):
+        assert out[run, :rows].tobytes() == (a[run, :rows] @ w[run].T).tobytes()
+    # reduction over the rows: left.T @ right
+    left = rng.normal(size=(k, b, d_out)) * scale
+    right = rng.normal(size=(k, b, d_in + 1))
+    sums = np.full((k + 1, d_out, d_in + 1), np.nan)
+    np.matmul(np.swapaxes(left[:, :rows], 1, 2), right[:, :rows], out=sums[1:])
+    for run in range(k):
+        assert sums[run + 1].tobytes() == (left[run, :rows].T @ right[run, :rows]).tobytes()
+
+
+def reduce_softmax(z):
+    """The softmax as numpy's reductions over the class axis give it."""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("classes", range(1, 10))
+def test_column_softmax_equals_the_reduce_form_bit_for_bit(classes):
+    rng = np.random.default_rng(classes)
+    z = rng.normal(size=(3, 40, classes)) * 10.0 ** rng.integers(-3, 4, size=(3, 40, 1))
+    z[0, :8] = rng.normal(size=(8, 1))  # every class tied
+    z[0, 8:16, : (classes + 1) // 2] = 2.5  # ties at the max
+    z[0, 16, :] = -0.0
+    z[0, 17, ::2] = 0.0
+    z[1] = -1e4 + rng.normal(size=(40, classes)) * 10.0 ** rng.integers(0, 3, size=(40, 1))
+    z[2, :20] *= 1e300  # exp of the shifted logits underflows to 0
+    z[2, 20:] -= 740.0  # near the subnormal range of exp
+    want = reduce_softmax(z)
+    assert models._softmax(z).tobytes() == want.tobytes()
+    assert models._softmax(z, models.Workspace()).tobytes() == want.tobytes()
+    assert models._softmax(z[1, 0]).tobytes() == want[1, 0].tobytes()
 
 
 def test_workspace_arrays_are_contiguous_per_role_and_grow():
