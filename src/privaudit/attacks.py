@@ -313,9 +313,10 @@ def attack_groundhog(fb: FeatureBundle, config: GroundhogConfig | None = None) -
     )
     params = models.init_params(spec)
     x_cal, y_cal = z[cal], bits[cal]
+    ones = np.ones(len(y_cal))
     for _ in range(cfg.steps):
-        g = models.batch_per_sample_gradients(spec, params, x_cal, y_cal)
-        params = params - cfg.learning_rate * g.mean(axis=0)
+        g = models.batch_gradient_factors(spec, params, x_cal, y_cal).weighted_sum(ones)
+        params = params - cfg.learning_rate * (g / len(y_cal))
 
     ev = ~cal
     logits = models.forward_logits(spec, params, z[ev])

@@ -192,61 +192,36 @@ def clip_per_sample(grad: np.ndarray, clip_norm: float) -> np.ndarray:
     return np.asarray(grad, dtype=np.float64) * (clip_norm / norm)
 
 
-def _row_norms(rows: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
-    """np.linalg.norm(rows, axis=-1), the same reduction bit for bit, with
-    the squares written into the given buffer when there is one."""
-    return np.sqrt(np.add.reduce(np.multiply(rows, rows, out=squares), axis=-1))
-
-
-def _weighted_row_sum(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(rows * weights[..., None]).sum(axis=-2), bit for bit, without the
-    product array. For each column einsum adds the weighted rows in row
-    order, as that sum does; over a single column it would take a SIMD dot
-    product instead, so that case keeps the sum."""
-    if rows.shape[-1] < 2:
-        return (rows * weights[..., None]).sum(axis=-2)
-    return np.einsum("...bp,...b->...p", rows, weights)
-
-
 def clip_and_sum(raw, config: DpSgdConfig, max_norm: bool = True):
     """The deterministic half of a DP-SGD aggregation.
 
     Sums the per-sample clipped gradients and returns (grad_sum,
     max_sample_norm). NO_PER_SAMPLE_CLIPPING clips the sum instead, so one
-    oversized sample can move it arbitrarily far. With max_norm False the
-    pass over the clipped rows' norms is skipped and max_sample_norm is None.
+    oversized sample can move it arbitrarily far. With max_norm False
+    max_sample_norm is None.
 
-    raw is either the dense (rows, dim) gradients or their
-    models.GradientFactors, whose norms come from the factors' norms and
-    whose (weighted) sum is a matmul per run. Either may carry a leading run
-    axis, shape (K, B, dim), with zero rows after each run's batch; a zero
-    row adds nothing to a sum or a maximum norm, so grad_sum is (K, dim) and
-    max_sample_norm (K,), each run's row as the unbatched call on its own
-    rows gives it.
+    raw is the per-sample gradients' models.GradientFactors, whose norms come
+    from the factors' norms and whose (weighted) sum is a matmul per run. A
+    dense (rows, dim) array is taken as one layer whose right factor is
+    empty. Either may carry a leading run axis, shape (K, B, dim), with zero
+    rows after each run's batch; a zero row adds nothing to a sum or a
+    maximum norm, so grad_sum is (K, dim) and max_sample_norm (K,), each
+    run's row as the unbatched call on its own rows gives it.
     """
-    factored = isinstance(raw, models.GradientFactors)
-    if not factored:
-        raw = np.asarray(raw, dtype=np.float64)
+    if not isinstance(raw, models.GradientFactors):
+        rows = np.asarray(raw, dtype=np.float64)
+        raw = models.GradientFactors(((rows, np.zeros(rows.shape[:-1] + (0,))),))
     c = config.clip_norm
     if config.bug_mode == BugMode.NO_PER_SAMPLE_CLIPPING:
-        sums = raw.weighted_sum(np.ones(raw.shape[:-1])) if factored else raw.sum(axis=-2)
+        sums = raw.weighted_sum(np.ones(raw.shape[:-1]))
         grad_sum = np.reshape([clip_per_sample(g, c) for g in sums.reshape(-1, sums.shape[-1])],
                               sums.shape)
-        norms = None
-        if max_norm:
-            norms = raw.row_norms() if factored else _row_norms(raw)
-    elif factored:
+        norms = raw.row_norms() if max_norm else None
+    else:
         norms = raw.row_norms()
         weights = np.minimum(1.0, c / np.maximum(norms, 1e-300))
         grad_sum = raw.weighted_sum(weights)
         norms = norms * weights if max_norm else None
-    else:
-        buffer = np.empty_like(raw)  # the squares, then the clipped rows and theirs
-        weights = np.minimum(1.0, c / np.maximum(_row_norms(raw, buffer), 1e-300))
-        grad_sum = _weighted_row_sum(raw, weights)
-        norms = None
-        if max_norm:
-            norms = _row_norms(np.multiply(raw, weights[..., None], out=buffer), buffer)
     if norms is None:
         return grad_sum, None
     max_sample_norm = norms.max(axis=-1, initial=0.0)
@@ -306,7 +281,7 @@ def privatize(
 
 
 def noisy_aggregate(
-    raw: np.ndarray,
+    raw,
     n_realized,
     config: DpSgdConfig,
     n_total,
@@ -316,11 +291,11 @@ def noisy_aggregate(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | np.ndarray | None]:
     """The privatized aggregation at the heart of a DP-SGD step.
 
-    Takes raw per-sample gradients, dense or factored, and returns (update,
-    grad_sum, noise, max_sample_norm): clip_and_sum followed by privatize,
-    each with an optional leading run axis. The audit module drives those two halves
-    directly with adversarial gradients, so every bug mode is exercised
-    through the same code path the trainer uses.
+    Takes raw per-sample gradients as clip_and_sum takes them and returns
+    (update, grad_sum, noise, max_sample_norm): clip_and_sum followed by
+    privatize, each with an optional leading run axis. The audit module
+    drives those two halves directly with adversarial gradients, so every
+    bug mode is exercised through the same code path the trainer uses.
     """
     grad_sum, max_sample_norm = clip_and_sum(raw, config, max_norm)
     update, noise = privatize(grad_sum, n_realized, config, n_total, step, seed)

@@ -386,16 +386,17 @@ def per_sample_gradient(spec: ModelSpec, params: np.ndarray, x, label: int) -> n
     return batch_per_sample_gradients(spec, params, np.asarray(x)[None, :], [label])[0]
 
 
-def backprop_logits(spec: ModelSpec, params: np.ndarray, x, d_logits) -> tuple[np.ndarray, np.ndarray]:
+def backprop_logits(spec: ModelSpec, params: np.ndarray, x,
+                    d_logits) -> tuple[GradientFactors, np.ndarray]:
     """Backpropagate an upstream gradient on the raw outputs.
 
-    Returns (per-sample parameter gradients (n, n_params), input gradients
+    Returns (the per-sample parameter gradients' factors, input gradients
     (n, input_dim)). Used when the model's raw outputs feed a downstream loss,
     e.g. a generator network inside a GAN.
     """
     _, cache = _forward(spec, params, x)
     factors, d_first = _backward(spec, params, cache, np.asarray(d_logits, dtype=np.float64))
-    return factors.dense(), d_first @ _unpack(spec, params)[0]
+    return factors, d_first @ _unpack(spec, params)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -255,6 +255,7 @@ def fit_gan(ds: Dataset, spec: GanSpec) -> GenerativeArtifact:
     gen_params = models.init_params(gen_spec)
     disc_params = models.init_params(disc_spec)
     fake_batch = max(1, round(cfg.sample_rate * n))
+    ones = np.ones(fake_batch)  # the plain steps weigh every fake row alike
     ws = models.Workspace()
     for step in range(spec.n_steps):
         # ---- discriminator ----
@@ -266,18 +267,18 @@ def fit_gan(ds: Dataset, spec: GanSpec) -> GenerativeArtifact:
         z, z2 = _stream(derive_seed(spec.seed, "latent"), _TAG_LATENT, step).standard_normal(
             (2, fake_batch, spec.latent_dim))
         x_fake = models.forward_logits(gen_spec, gen_params, z)
-        fake_grads = models.batch_per_sample_gradients(
+        fake_grads = models.batch_gradient_factors(
             disc_spec, disc_params, x_fake, np.zeros(fake_batch, dtype=int)
-        )
-        disc_params = disc_params - cfg.learning_rate * fake_grads.mean(axis=0)
+        ).weighted_sum(ones)
+        disc_params = disc_params - cfg.learning_rate * (fake_grads / fake_batch)
 
         # ---- generator (non-saturating: make fakes look real) ----
         x_fake2 = models.forward_logits(gen_spec, gen_params, z2)
         d_logits = models.predict(disc_spec, disc_params, x_fake2)
         d_logits[:, 1] -= 1.0  # d(CE vs "real") / d(disc logits)
         _, dx = models.backprop_logits(disc_spec, disc_params, x_fake2, d_logits)
-        gen_grads, _ = models.backprop_logits(gen_spec, gen_params, z2, dx)
-        gen_params = gen_params - spec.gen_lr * gen_grads.mean(axis=0)
+        gen_grads = models.backprop_logits(gen_spec, gen_params, z2, dx)[0].weighted_sum(ones)
+        gen_params = gen_params - spec.gen_lr * (gen_grads / fake_batch)
 
     return GenerativeArtifact(
         kind="gan",

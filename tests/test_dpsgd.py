@@ -1,3 +1,4 @@
+import itertools
 import math
 import multiprocessing
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privaudit import dpsgd, models
+from privaudit import attacks, dpsgd, models, synthesizers
 from privaudit.core_stats import GdpParam, gdp_delta_of_epsilon
 from privaudit.data import CategoricalColumn, Dataset, NumericColumn, Schema
 from privaudit.dpsgd import (
@@ -27,9 +28,9 @@ from privaudit.dpsgd import (
     train_lockstep,
     _poisson_rows,
     _stream,
-    _weighted_row_sum,
 )
 from privaudit.models import LOGISTIC, MLP, GradientFactors, ModelSpec, init_params, n_params
+from privaudit.shadow import FeatureBundle
 
 
 def cfg(**kw):
@@ -193,18 +194,6 @@ def test_clip_zero_vector():
     assert np.all(clip_per_sample(np.zeros(4), 1.0) == 0.0)
 
 
-@settings(max_examples=200, deadline=None)
-@given(lead=st.integers(0, 3), rows=st.integers(0, 130), cols=st.integers(1, 260),
-       seed=st.integers(0, 2**32 - 1))
-def test_weighted_row_sum_equals_the_sum_of_weighted_rows(lead, rows, cols, seed):
-    # clip_and_sum's grad_sum skips the clipped-rows array; its bits must not move
-    rng = np.random.default_rng(seed)
-    shape = (lead,) * (lead > 0) + (rows, cols)
-    x = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6)
-    w = np.minimum(1.0, 2 * rng.random(shape[:-1]))
-    assert _weighted_row_sum(x, w).tobytes() == (x * w[..., None]).sum(axis=-2).tobytes()
-
-
 def dense_clip_and_sum(raw, config, max_norm=True):
     """clip_and_sum on dense gradients as it was before it took factors,
     with its two helpers: the arithmetic the step audit relies on."""
@@ -241,18 +230,56 @@ def as_bytes(out):
     return grad_sum.tobytes(), None if max_norm is None else np.asarray(max_norm).tobytes()
 
 
+def clipped_terms(raw, config):
+    """The magnitudes of the terms a clipped grad_sum adds up, summed per
+    column: each row times its own clipping factor, or times the sum's when
+    the sum is clipped instead."""
+    c = config.clip_norm
+    if config.bug_mode == BugMode.NO_PER_SAMPLE_CLIPPING:
+        norms = np.linalg.norm(raw.sum(axis=-2), axis=-1)[..., None]
+    else:
+        norms = np.linalg.norm(raw, axis=-1)
+    return np.abs(raw * np.minimum(1.0, c / np.maximum(norms, 1e-300))[..., None]).sum(axis=-2)
+
+
 @settings(max_examples=200, deadline=None)
 @given(bug=st.sampled_from(list(BugMode)), lead=st.integers(0, 3), rows=st.integers(0, 40),
        cols=st.integers(1, 70), max_norm=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_dense_clip_and_sum_keeps_its_arithmetic(bug, lead, rows, cols, max_norm, seed):
+def test_dense_rows_stay_within_tolerance_of_the_dense_arithmetic(bug, lead, rows, cols,
+                                                                 max_norm, seed):
+    # dense rows are one layer of factors with an empty right factor; its
+    # norms and sums take other reduction orders than the dense arithmetic did
     rng = np.random.default_rng(seed)
     shape = (lead,) * (lead > 0) + (rows, cols)
     raw = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 6, size=shape[:-1] + (1,))
     if lead:
         raw[:, rng.integers(0, rows + 1):] = 0.0  # padding rows
     config = cfg(clip_norm=float(rng.choice([1e-3, 1.0, 1e3])), bug_mode=bug)
-    assert as_bytes(clip_and_sum(raw, config, max_norm)) == \
-        as_bytes(dense_clip_and_sum(raw, config, max_norm))
+    got_sum, got_norm = clip_and_sum(raw, config, max_norm)
+    want_sum, want_norm = dense_clip_and_sum(raw, config, max_norm)
+    assert got_sum.shape == want_sum.shape and np.shape(got_norm) == np.shape(want_norm)
+    assert np.all(np.abs(got_sum - want_sum) <= 1e-14 * clipped_terms(raw, config))
+    assert (got_norm is None) == (want_norm is None) == (not max_norm)
+    if max_norm:
+        assert np.all(np.abs(np.subtract(got_norm, want_norm)) <= 1e-14 * np.abs(want_norm))
+
+
+@pytest.mark.parametrize("bug", list(BugMode))
+def test_step_audit_batches_keep_the_dense_arithmetic_bit_for_bit(bug):
+    # the step audit's default batches, one -50 C row along the canary
+    # direction plus zeros, with and without the canary row: the one path
+    # gives them the bits the dense arithmetic did, so step audit reports hold
+    for clip, scale, dim in itertools.product([1e-3, 0.7, 1.0, 3.0, 1e3],
+                                              [0.5, 1.0, 2.0, 100.0, 1e4], [1, 8, 33]):
+        config = cfg(clip_norm=clip, bug_mode=bug)
+        base = np.zeros((200, dim))
+        base[0, 0] = -50.0 * clip
+        canary = np.zeros(dim)
+        canary[0] = scale * clip
+        for raw in (base, np.vstack([base, canary])):
+            for max_norm in (True, False):
+                assert as_bytes(clip_and_sum(raw, config, max_norm)) == \
+                    as_bytes(dense_clip_and_sum(raw, config, max_norm))
 
 
 @st.composite
@@ -310,17 +337,35 @@ def test_clipped_norms_stay_within_the_clip_norm(bug):
         assert st.max_sample_norm <= c * (1 + 1e-12)
 
 
-@pytest.mark.parametrize("kind", [LOGISTIC, MLP])
-@pytest.mark.parametrize("bug", list(BugMode))
+@pytest.mark.parametrize("bug, kind", [
+    *itertools.product(list(BugMode), [LOGISTIC, MLP, "fit_gan"]),
+    (BugMode.NONE, "attack_groundhog"),
+])
 def test_training_never_builds_dense_gradients(toy_xy, monkeypatch, kind, bug):
     def refuse(self):
-        raise AssertionError("a DP-SGD step built the dense per-sample gradients")
+        raise AssertionError("a gradient step built the dense per-sample gradients")
 
     monkeypatch.setattr(GradientFactors, "dense", refuse)
     x, y = toy_xy
-    spec = ModelSpec(kind, input_dim=3, num_classes=2, hidden_dim=4 if kind == MLP else 0)
-    art = train(spec, x, y, cfg(bug_mode=bug), "white_box")
-    assert len(art.trace.steps) == 5 and np.all(np.isfinite(art.params))
+    if kind == "fit_gan":
+        schema = Schema((NumericColumn("x", -5.0, 5.0), CategoricalColumn("c", ("a", "b"))))
+        ds = Dataset.from_rows(schema, [(float(v), int(c)) for v, c in zip(x[:, 0], y)])
+        spec = synthesizers.gan_spec_for_schema(schema, latent_dim=2, gen_hidden=4,
+                                                disc_hidden=4, disc_config=cfg(bug_mode=bug))
+        art = synthesizers.fit_gan(ds, spec)
+        assert all(np.all(np.isfinite(art.state[k])) for k in ("gen_params", "disc_params"))
+    elif kind == "attack_groundhog":
+        schema = Schema((NumericColumn("x", -5.0, 5.0),))
+        bits = np.arange(24) % 2
+        runs = [Dataset.from_rows(schema, [(float(v + b),) for v in x[:, k % 3]])
+                for k, b in enumerate(bits)]
+        fb = FeatureBundle(mode="synth_dataset", features=tuple(runs), bits=bits,
+                           target=(0.0,), schema=schema)
+        assert np.all(np.isfinite(attacks.attack_groundhog(fb).scores))
+    else:
+        spec = ModelSpec(kind, input_dim=3, num_classes=2, hidden_dim=4 if kind == MLP else 0)
+        art = train(spec, x, y, cfg(bug_mode=bug), "white_box")
+        assert len(art.trace.steps) == 5 and np.all(np.isfinite(art.params))
 
 
 # ---------------------------------------------------------------------------
