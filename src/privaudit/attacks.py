@@ -22,7 +22,7 @@ from .core_stats import (
     effective_epsilon_point,
     error_rates,
 )
-from .data import CategoricalColumn, Dataset, NumericColumn, Schema
+from .data import Dataset, NumericColumn, Schema
 from .shadow import FeatureBundle
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "attack_groundhog",
     "attack_disc_loss",
     "evaluate",
-    "gower_distance",
     "min_gower_distance",
     "groundhog_features",
     "report_to_json_dict",
@@ -88,7 +87,7 @@ class AttackReport:
     delta: float
     confidence: float
     auc: float
-    roc: tuple  # (threshold, fpr, tpr) triples, fpr ascending
+    roc: np.ndarray  # (rows, 3) float64: threshold, fpr, tpr; fpr ascending
     operating_points: tuple
     n_runs: int
 
@@ -158,17 +157,6 @@ def attack_lira(fb: FeatureBundle, holdout_fraction: float = 0.5) -> ScoredRuns:
         indices=tuple(int(i) for i in np.flatnonzero(ev)),
         threat_model=fb.threat_model,
     )
-
-
-def gower_distance(schema: Schema, a, b) -> float:
-    """Mean over columns: |delta|/range for numeric, 0/1 mismatch for categorical."""
-    total = 0.0
-    for col, va, vb in zip(schema.columns, a, b):
-        if isinstance(col, NumericColumn):
-            total += abs(va - vb) / (col.hi - col.lo)
-        else:
-            total += 0.0 if int(va) == int(vb) else 1.0
-    return total / len(schema.columns)
 
 
 # Synthetic datasets whose features are computed together. A block copies
@@ -370,7 +358,8 @@ def evaluate(
     The thresholds are the distinct scores in descending order. Each run is
     mapped to its score's group once; cumulative per-class counts over the
     groups then give the confusion table at every threshold, so the sweep
-    costs one sort rather than a recount per threshold.
+    costs one sort rather than a recount per threshold. The ROC is one
+    (thresholds, 3) float64 array, the first threshold +inf.
     """
     bits, scores = scored.bits, scored.scores
 
@@ -379,9 +368,9 @@ def evaluate(
     tp = _counts_from_top(group[bits == 1], len(distinct))
     fp = _counts_from_top(group[bits == 0], len(distinct))
     n_pos, n_neg = int(tp[-1]), int(fp[-1])
-    thresholds = [math.inf] + distinct[::-1].tolist()
+    thresholds = np.concatenate(([math.inf], distinct[::-1]))
     fprs, tprs = fp / n_neg, tp / n_pos  # fpr is non-decreasing along the sweep
-    roc = tuple(zip(thresholds, fprs.tolist(), tprs.tolist()))
+    roc = np.column_stack((thresholds, fprs, tprs))
     auc = float(np.trapezoid(tprs, fprs))
 
     ops = []
@@ -393,7 +382,7 @@ def evaluate(
         else:
             target = float(op)
             k = max(int(np.searchsorted(fprs, target, side="right")) - 1, 0)
-            thr = thresholds[k]
+            thr = float(thresholds[k])
             name = f"fpr<={target:g}"
         c = ConfusionCounts(tp=int(tp[k]), fp=int(fp[k]),
                             tn=n_neg - int(fp[k]), fn=n_pos - int(tp[k]))
@@ -401,8 +390,8 @@ def evaluate(
             name=name,
             threshold=thr,
             counts=c,
-            fpr=roc[k][1],
-            tpr=roc[k][2],
+            fpr=float(fprs[k]),
+            tpr=float(tprs[k]),
             eps_point=effective_epsilon_point(error_rates(c), delta),
             eps_lower=effective_epsilon_lower_bound(c, delta, confidence),
             target_fpr=target,
@@ -429,7 +418,9 @@ def _num(v: float):
     return v
 
 
-def report_to_json_dict(report: AttackReport) -> dict:
+def _report_doc(report: AttackReport) -> dict:
+    """The report's JSON document with the ROC left as its float array,
+    which write_json takes as a table."""
     tm = report.threat_model
     if tm is not None:
         tm = {
@@ -445,7 +436,7 @@ def report_to_json_dict(report: AttackReport) -> dict:
         "confidence": report.confidence,
         "auc": report.auc,
         "n_runs": report.n_runs,
-        "roc": [[_num(t), fpr, tpr] for t, fpr, tpr in report.roc],
+        "roc": report.roc,
         "operating_points": [
             {
                 "name": op.name,
@@ -463,7 +454,15 @@ def report_to_json_dict(report: AttackReport) -> dict:
     }
 
 
-# A table's rows are encoded and written this many at a time, so a long ROC
+def report_to_json_dict(report: AttackReport) -> dict:
+    doc = _report_doc(report)
+    doc["roc"] = rows = report.roc.tolist()
+    for i, j in zip(*np.nonzero(np.isinf(report.roc))):
+        rows[i][j] = "unbounded"
+    return doc
+
+
+# A table's rows are laid out and written this many at a time, so a long ROC
 # never exists as one string.
 _TABLE_CHUNK_ROWS = 2048
 _SCALARS = frozenset((str, int, float, bool, type(None)))
@@ -472,30 +471,55 @@ _SCALARS = frozenset((str, int, float, bool, type(None)))
 _NUL_SEPARATORS = (",\x00", ": ")
 
 
-def _is_table(rows) -> bool:
-    """rows is a list of non-empty lists of scalars, as an ROC is."""
-    return ({type(r) for r in rows} <= {list, tuple} and all(rows)
-            and {type(v) for r in rows for v in r} <= _SCALARS)
+def _cell_texts(table: np.ndarray) -> np.ndarray:
+    """Each cell's JSON text as _num then json.dumps give it, in an object
+    array of the table's shape. Each distinct value (bit pattern, so -0.0 and
+    0.0 stay apart) is formatted once, by float.__repr__ as json.dumps does."""
+    # Not np.unique: with return_inverse its argsort raised peak RSS by 0.3 MB
+    # at the first call, even for a 64-row ROC, and without it its hash table
+    # took 5 ms for a 20k-row one. A sort takes 0.5 ms, and the lookups take
+    # 1.5 ms column by column, as an ROC's columns are each monotone.
+    bits = table.view(np.int64)
+    ordered = np.sort(bits, axis=None)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    values = distinct.view(np.float64)
+    texts = np.array(list(map(float.__repr__, values.tolist())), dtype=object)
+    texts[np.isinf(values)] = '"unbounded"'
+    texts[np.isnan(values)] = "NaN"
+    return texts[np.searchsorted(distinct, bits.T).T]
 
 
-def _iter_table(rows, level: int):
+def _iter_float_table(table: np.ndarray, level: int):
+    """A 2-D float64 array as json.dumps lays out its rows' lists, laid out
+    column-wise: each chunk of rows is one object array of text pieces,
+    (row opening, cell, separator, ..., cell, row closing) per row."""
+    if table.size == 0:
+        yield from _iter_json(table.tolist(), level)
+        return
     row_indent = "\n" + "  " * (level + 1)
     item_indent = row_indent + "  "
-    between_rows = row_indent + "]," + row_indent + "[" + item_indent
-    sep = "[" + row_indent
-    for i in range(0, len(rows), _TABLE_CHUNK_ROWS):
-        text = json.dumps(rows[i:i + _TABLE_CHUNK_ROWS], separators=_NUL_SEPARATORS)
-        # a scalar never ends in "]", so "],NUL[" is always a break between rows
-        body = text[2:-2].replace("],\x00[", between_rows).replace("\x00", item_indent)
-        yield sep + "[" + item_indent + body + row_indent + "]"
-        sep = "," + row_indent
+    cells = _cell_texts(table)
+    width = table.shape[1]
+    opening = "[" + row_indent + "[" + item_indent
+    between = "," + row_indent + "[" + item_indent
+    for i in range(0, len(cells), _TABLE_CHUNK_ROWS):
+        chunk = cells[i:i + _TABLE_CHUNK_ROWS]
+        pieces = np.empty((len(chunk), 2 * width + 1), dtype=object)
+        pieces[:, 0] = between
+        pieces[0, 0] = opening
+        pieces[:, 1::2] = chunk
+        pieces[:, 2:-1:2] = "," + item_indent
+        pieces[:, -1] = row_indent + "]"
+        yield "".join(pieces.ravel().tolist())
+        opening = between
     yield "\n" + "  " * level + "]"
 
 
 def _iter_json(o, level: int):
     """The text of json.dumps(o, sort_keys=True, indent=2), nested `level`
-    deep. Dicts and mixed lists recurse here; scalar lists and tables go to
-    json.dumps whole, which runs the C encoder when there is no indent."""
+    deep. Dicts and mixed lists recurse here; scalar lists go to json.dumps
+    whole, which runs the C encoder when there is no indent, and 2-D float64
+    arrays to _iter_float_table."""
     if o is None or isinstance(o, (str, int, float)):
         yield json.dumps(o)
         return
@@ -514,6 +538,9 @@ def _iter_json(o, level: int):
             sep = "," + indent
         yield close + "}"
         return
+    if isinstance(o, np.ndarray) and o.ndim == 2 and o.dtype == np.float64:
+        yield from _iter_float_table(o, level)
+        return
     if not isinstance(o, (list, tuple)):
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
     if not o:
@@ -521,8 +548,6 @@ def _iter_json(o, level: int):
     elif {type(v) for v in o} <= _SCALARS:
         text = json.dumps(o, separators=_NUL_SEPARATORS)
         yield "[" + indent + text[1:-1].replace("\x00", indent) + close + "]"
-    elif _is_table(o):
-        yield from _iter_table(o, level)
     else:
         sep = "[" + indent
         for v in o:
@@ -533,19 +558,21 @@ def _iter_json(o, level: int):
 
 
 def write_json(path, doc) -> None:
-    """Write doc to path as the bytes of json.dumps(doc, sort_keys=True,
-    indent=2) + "\n": the one format of every JSON report. Keys must be str."""
+    """Write doc to path as the bytes of json.dumps(plain, sort_keys=True,
+    indent=2) + "\n": the one format of every JSON report. Keys must be str.
+    doc may hold 2-D float64 arrays as tables, such as the ROC; plain is doc
+    with each of them as its .tolist() rows, infinities as _num gives them."""
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(_iter_json(doc, 0))
         f.write("\n")
 
 
 def save_report(path, report: AttackReport) -> None:
-    write_json(path, report_to_json_dict(report))
+    write_json(path, _report_doc(report))
 
 
 def save_roc_csv(path, report: AttackReport) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f)
         w.writerow(["threshold", "fpr", "tpr"])
-        w.writerows(report.roc)
+        w.writerows(report.roc.tolist())

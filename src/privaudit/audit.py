@@ -20,6 +20,7 @@ from .attacks import (
     OperatingPoint,
     ScoredRuns,
     _num,
+    _report_doc,
     attack_dcr,
     attack_groundhog,
     attack_lira,
@@ -351,7 +352,8 @@ def estimate_mia_cost(n: int, t: int, cost_model_m: AffineCost, cost_model_b: Af
 # ---------------------------------------------------------------------------
 # serialization
 
-def verdict_to_json_dict(v: AuditVerdict) -> dict:
+def _verdict_doc(v: AuditVerdict) -> dict:
+    """The verdict's JSON document, its report's ROC left as an array."""
     return {
         "schema_version": 1,
         "audit": v.audit,
@@ -371,12 +373,18 @@ def verdict_to_json_dict(v: AuditVerdict) -> dict:
             "eps_point": _num(v.operating_point.eps_point),
             "eps_lower": _num(v.operating_point.eps_lower),
         },
-        "report": report_to_json_dict(v.report),
+        "report": _report_doc(v.report),
     }
 
 
+def verdict_to_json_dict(v: AuditVerdict) -> dict:
+    doc = _verdict_doc(v)
+    doc["report"] = report_to_json_dict(v.report)
+    return doc
+
+
 def save_verdict(path, v: AuditVerdict) -> None:
-    write_json(path, verdict_to_json_dict(v))
+    write_json(path, _verdict_doc(v))
 
 
 def exit_code(v: AuditVerdict) -> int:

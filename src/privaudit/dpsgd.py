@@ -649,9 +649,6 @@ class PredictiveTrainer:
         cfg = replace(self.config, bug_mode=BugMode.NONE)
         return claimed_privacy(cfg, n, delta).epsilon
 
-    def target_loss(self, artifact: TrainedArtifact, record) -> float:
-        return self.target_losses([artifact], record)[0]
-
     def target_losses(self, artifacts: list[TrainedArtifact], record) -> list[float]:
         """Each artifact's loss on record, which is encoded once: the
         artifacts must share one schema."""

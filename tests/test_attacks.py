@@ -18,7 +18,6 @@ from privaudit.attacks import (
     attack_lira,
     attack_loss_threshold,
     evaluate,
-    gower_distance,
     groundhog_features,
     min_gower_distance,
     report_to_json_dict,
@@ -143,6 +142,19 @@ def test_lira_indices_cover_evaluation_split():
 
 # ---------------------------------------------------------------------------
 # dcr
+
+def gower_distance(schema: Schema, a, b) -> float:
+    """Mean over columns: |delta|/range for numeric, 0/1 mismatch for
+    categorical. One pair of records at a time, the oracle of
+    min_gower_distance."""
+    total = 0.0
+    for col, va, vb in zip(schema.columns, a, b):
+        if isinstance(col, NumericColumn):
+            total += abs(va - vb) / (col.hi - col.lo)
+        else:
+            total += 0.0 if int(va) == int(vb) else 1.0
+    return total / len(schema.columns)
+
 
 @pytest.fixture
 def cat4_schema():
@@ -364,7 +376,7 @@ def _reference_evaluate(scored, delta, confidence, operating_points):
             eps_lower=effective_epsilon_lower_bound(c, delta, confidence),
             target_fpr=target))
     return AttackReport(attack=scored.attack, threat_model=None, delta=delta,
-                        confidence=confidence, auc=auc, roc=tuple(roc),
+                        confidence=confidence, auc=auc, roc=np.array(roc),
                         operating_points=tuple(ops), n_runs=len(bits))
 
 
@@ -463,8 +475,40 @@ def test_report_json_and_csv(tmp_path):
     assert len(lines) == 1 + len(rep.roc)
 
 
+def _plain(doc):
+    """doc with each float array as the nested lists of its .tolist(),
+    infinities as "unbounded": the JSON value write_json writes for it."""
+    if isinstance(doc, np.ndarray):
+        return [["unbounded" if math.isinf(v) else v for v in row] for row in doc.tolist()]
+    if isinstance(doc, dict):
+        return {k: _plain(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_plain(v) for v in doc]
+    return doc
+
+
 def _stdlib_bytes(doc) -> bytes:
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+    return (json.dumps(_plain(doc), sort_keys=True, indent=2) + "\n").encode()
+
+
+# signed zeros, subnormals, and the neighbours of 1e-4 and 1e16, where
+# float.__repr__ switches between positional and exponent notation
+_TABLE_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-4,
+                 9.999999999999999e-05, 1.0000000000000002e-04, 1e16,
+                 9999999999999998.0, 1.0000000000000002e16, -1e16, 0.5, 1.0, math.nan)
+
+
+@st.composite
+def _float_tables(draw):
+    """A (rows, width) float64 array whose cells come from a small pool, so
+    values repeat, with an infinity in column 0 at times, as an ROC has."""
+    rows, width = draw(st.integers(0, 12)), draw(st.integers(0, 4))
+    pool = draw(st.lists(st.sampled_from(_TABLE_VALUES) | st.floats(), min_size=1, max_size=6))
+    cells = draw(st.lists(st.sampled_from(pool), min_size=rows * width, max_size=rows * width))
+    table = np.array(cells, dtype=np.float64).reshape(rows, width)
+    if rows and width and draw(st.booleans()):
+        table[draw(st.integers(0, rows - 1)), 0] = draw(st.sampled_from([math.inf, -math.inf]))
+    return table
 
 
 _JSON_TEXT = st.text() | st.sampled_from(["", "\x00", "a\x00b", "],\x00[", "], [", "]", '"]'])
@@ -472,14 +516,14 @@ _JSON_SCALARS = (st.none() | st.booleans() | st.integers(-10**20, 10**20)
                  | st.floats(allow_nan=True, allow_infinity=True) | _JSON_TEXT)
 _ROWS = st.lists(_JSON_SCALARS, max_size=4) | st.lists(_JSON_SCALARS, max_size=4).map(tuple)
 _JSON_DOCS = st.recursive(
-    _JSON_SCALARS | st.lists(_ROWS, max_size=12),
+    _JSON_SCALARS | st.lists(_ROWS, max_size=12) | _float_tables(),
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
                    | st.dictionaries(_JSON_TEXT, inner, max_size=4)),
     max_leaves=30)
 
 
 @given(doc=_JSON_DOCS, chunk_rows=st.integers(1, 5))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_write_json_bytes_equal_stdlib_indent_2(tmp_path_factory, doc, chunk_rows):
     # small chunks put many chunk boundaries inside hypothesis-sized tables
     path = tmp_path_factory.mktemp("wj") / "doc.json"
@@ -489,11 +533,26 @@ def test_write_json_bytes_equal_stdlib_indent_2(tmp_path_factory, doc, chunk_row
 
 
 def test_write_json_table_longer_than_a_chunk(tmp_path):
+    # three chunks at the real chunk size, the last one short
     n = 2 * attacks._TABLE_CHUNK_ROWS + 3
-    roc = [["unbounded", 0.0, 0.0]] + [[1.0 / (i + 1), i / n, (i % 7) / 7] for i in range(n)]
+    roc = np.array([[math.inf, 0.0, 0.0]] + [[1.0 / (i + 1), i / n, (i % 7) / 7] for i in range(n)])
     doc = {"roc": roc, "ragged": [[i] * (1 + i % 3) for i in range(n)], "n": n}
     write_json(tmp_path / "t.json", doc)
     assert (tmp_path / "t.json").read_bytes() == _stdlib_bytes(doc)
+
+
+def test_saved_report_is_its_json_dict(tmp_path):
+    # an ROC of more rows than two chunks, ties and a signed-zero score included
+    rng = np.random.default_rng(21)
+    n = 2 * attacks._TABLE_CHUNK_ROWS + 50
+    scores = np.round(rng.normal(size=n), 3)
+    scores[:2] = (-0.0, 0.0)
+    rep = evaluate(ScoredRuns(bits=np.arange(n) % 2, scores=scores, attack="x"), delta=1e-3)
+    assert rep.roc.shape == (len(np.unique(scores)) + 1, 3) and rep.roc.dtype == np.float64
+    save_report(tmp_path / "r.json", rep)
+    doc = report_to_json_dict(rep)
+    assert json.loads((tmp_path / "r.json").read_text()) == doc
+    assert (tmp_path / "r.json").read_bytes() == _stdlib_bytes(doc)
 
 
 def test_write_json_rejects_non_str_keys(tmp_path):

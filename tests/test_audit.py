@@ -292,6 +292,10 @@ def test_verdict_serialization(tmp_path):
     assert doc["audit"] == "step_mechanism"
     assert doc["passed"] is True
     assert doc["report"]["attack"] == "step_mechanism"
+    # the nested report's ROC array is written as verdict_to_json_dict gives it
+    assert doc == verdict_to_json_dict(v)
+    assert (tmp_path / "v.json").read_text() == \
+        json.dumps(verdict_to_json_dict(v), sort_keys=True, indent=2) + "\n"
 
 
 def test_exit_codes(flag_pool):

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from privaudit import attacks, dpsgd, models, synthesizers
 from privaudit.core_stats import GdpParam, gdp_delta_of_epsilon
@@ -303,6 +303,11 @@ def factored_batch(draw):
 @settings(max_examples=300, deadline=None)
 @given(factors=factored_batch(), bug=st.sampled_from(list(BugMode)),
        clip=st.sampled_from([1e-3, 0.1, 1.0, 10.0, 1e4]))
+@example(  # a subnormal left factor: its clipped terms underflow on both paths
+    factors=GradientFactors(((np.array([[5.309225e-317, 1.0, -1.0]]),
+                              np.array([[358.57141709, -195.27493913, -1303.28026818,
+                                         -40.74625012, -612.79362601]])),)),
+    bug=BugMode.NONE, clip=1e-3)
 def test_factored_clip_and_sum_matches_dense(factors, bug, clip):
     # a sum's rounding error is relative to the sum of its terms' magnitudes
     config = cfg(clip_norm=clip, bug_mode=bug)
@@ -310,7 +315,18 @@ def test_factored_clip_and_sum_matches_dense(factors, bug, clip):
     got_sum, got_norm = clip_and_sum(factors, config)
     want_sum, want_norm = clip_and_sum(dense, config)
     assert got_sum.shape == want_sum.shape and np.shape(got_norm) == np.shape(want_norm)
-    assert np.all(np.abs(got_sum - want_sum) <= 1e-12 * np.abs(dense).sum(axis=-2))
+    # The relative bound misses underflow: below 2**-1022 a product keeps only
+    # an absolute accuracy of 2**-1075, half the least subnormal. A clipped
+    # term is (w * left) * right here, where the first rounding error is
+    # scaled by |right|, and w * (left * right) on the dense path, w <= 1; with
+    # two roundings a side, a term differs by at most 2**-1075 * (|right| + 3)
+    # <= 2**-1073 * (|right| + 1). A bias term has right = 1. The dense
+    # expansion of the factors with unit left factors lays out those |right|
+    # and 1 column by column.
+    unit = GradientFactors(tuple((np.ones_like(a), b) for a, b in factors.layers))
+    underflow = 2.0 ** -1073 * (np.abs(unit.dense()) + 1.0).sum(axis=-2)
+    assert np.all(np.abs(got_sum - want_sum)
+                  <= 1e-12 * np.abs(dense).sum(axis=-2) + underflow)
     # below 1.5e-154 a norm's squares are subnormal and lose bits on both paths
     assert np.allclose(got_norm, want_norm, rtol=1e-12, atol=1e-150)
     assert clip_and_sum(factors, config, max_norm=False)[0].tobytes() == got_sum.tobytes()
@@ -649,7 +665,7 @@ def test_predictive_trainer_fit_and_loss(labeled_ds):
     trainer = PredictiveTrainer(label_column="y", config=cfg(steps=10))
     art = trainer.fit(labeled_ds, seed=42)
     assert art.kind == "predictive"
-    loss = trainer.target_loss(art, labeled_ds.rows[0])
+    loss = trainer.target_losses([art], labeled_ds.rows[0])[0]
     assert loss >= 0.0
     art2 = trainer.fit(labeled_ds, seed=42)
     assert np.array_equal(art.params, art2.params)
@@ -659,7 +675,7 @@ def test_target_losses_encode_the_record_once(labeled_ds, monkeypatch):
     trainer = PredictiveTrainer(label_column="y", config=cfg(steps=3))
     arts = trainer.fit_runs(labeled_ds, [np.arange(30), np.arange(10)], [1, 2])
     record = labeled_ds.rows[4]
-    want = [trainer.target_loss(a, record) for a in arts]
+    want = [trainer.target_losses([a], record)[0] for a in arts]
     calls = []
     encode = dpsgd.features_and_labels
     monkeypatch.setattr(dpsgd, "features_and_labels", lambda *a: calls.append(1) or encode(*a))

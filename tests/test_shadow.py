@@ -150,7 +150,7 @@ def test_pred_loss_features(pool, target, trainer):
     assert np.array_equal(fb.bits, coll.bits)
     # recomputable from the stored artifacts
     for r, v in zip(coll.runs, fb.features):
-        assert trainer.target_loss(r.artifact, target) == pytest.approx(v)
+        assert trainer.target_losses([r.artifact], target)[0] == pytest.approx(v)
 
 
 def test_pred_loss_requires_predictive(pool, target, schema):
