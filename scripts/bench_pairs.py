@@ -14,12 +14,13 @@ removed on exit.
 
 With ``--interleave N`` the script instead imports the export's
 ``privaudit`` and this checkout's, under two package names, into its own
-process, writes the workload's inputs once for the first seed, and runs N
-pairs of ``cli.main`` ops, one op of each side per pair, the side that runs
-first alternating. It prints each pair's wall and CPU seconds, the median
-paired change/parent ratios of ``op_s`` and ``cpu_s``, and whether the two
-sides' reports are byte-identical. Separate runs, minutes apart, cannot
-cancel a drift in the host's speed; ops a second apart in one process can.
+process and, for each seed in turn, writes the workload's inputs once and
+runs N pairs of ``cli.main`` ops, one op of each side per pair, the side that
+runs first alternating. It prints each pair's wall and CPU seconds, and per
+seed the median paired change/parent ratios of ``op_s`` and ``cpu_s`` and
+whether the two sides' reports are byte-identical. Separate runs, minutes
+apart, cannot cancel a drift in the host's speed; ops a second apart in one
+process can.
 
 A gain is claimed only when the change wins at least nine tenths of the
 pairs (ties count for neither side) and the medians differ by more than the
@@ -207,7 +208,7 @@ def main(argv=None) -> int:
                    help="run length passed to bench/run.py (default: its own)")
     p.add_argument("--interleave", type=int, default=None, metavar="N",
                    help="alternate N pairs of ops of both trees in this process, "
-                        "on the first seed, instead of paired benchmark runs")
+                        "on each seed, instead of paired benchmark runs")
     args = p.parse_args(argv)
     if args.interleave is not None and (args.interleave < 1 or args.workload == "all"):
         p.error("--interleave needs N >= 1 and one workload")
@@ -218,7 +219,15 @@ def main(argv=None) -> int:
     try:
         export(args.parent, tmp)
         if args.interleave is not None:
-            interleave(tmp / "tree" / "src", args.workload, args.seeds[0], args.interleave)
+            results = {seed: interleave(tmp / "tree" / "src", args.workload, seed,
+                                        args.interleave)
+                       for seed in args.seeds}
+            print(f"\n{args.workload}, {args.interleave} interleaved pairs per seed, "
+                  f"parent {args.parent}")
+            for seed, r in results.items():
+                print(f"seed {seed:<4} median paired change/parent op_s {r['op_s']:.3f}, "
+                      f"cpu_s {r['cpu_s']:.3f}; report bytes equal: "
+                      f"{'yes' if r['digests_equal'] else 'no'}")
             return 0
         sides = {"parent": tmp / "tree", "change": ROOT}
         runs = {"parent": [], "change": []}

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ from .core_stats import (
     effective_epsilon_point,
     error_rates,
 )
-from .data import Dataset, NumericColumn, Schema
+from .data import Dataset, NumericColumn, Schema, run_chunks, stack_runs
 from .shadow import FeatureBundle
 
 __all__ = [
@@ -159,60 +160,51 @@ def attack_lira(fb: FeatureBundle, holdout_fraction: float = 0.5) -> ScoredRuns:
     )
 
 
-# Synthetic datasets whose features are computed together. A block copies
-# each column of its runs into one (runs, rows) array; small blocks keep that
-# copy small next to the synthetic data itself.
-_FEATURE_BLOCK = 8
-
-
-def _run_blocks(datasets):
-    """Consecutive datasets of equal length, at most _FEATURE_BLOCK at a time;
-    datasets of differing lengths give blocks of one."""
-    start = 0
-    for end in range(1, len(datasets) + 1):
-        if (end == len(datasets) or end - start == _FEATURE_BLOCK
-                or len(datasets[end]) != len(datasets[start])):
-            yield datasets[start:end]
-            start = end
-
-
-def _require_rows(datasets) -> None:
-    if any(len(ds) == 0 for ds in datasets):
+def _run_columns(fb: FeatureBundle) -> tuple[np.ndarray, ...]:
+    """The bundle's synthetic records as run-axis arrays, (runs, n) each: its
+    run_columns, or its datasets stacked once when it was built of them
+    alone, which then must all have the same number of rows."""
+    if any(len(ds) == 0 for ds in fb.features):
         raise ValueError("empty synthetic dataset")
+    return stack_runs(fb.features) if fb.run_columns is None else fb.run_columns
 
 
-def _min_gower_block(schema: Schema, target, block) -> np.ndarray:
-    """min_gower_distance of each dataset in a block of equal-length ones.
-    Each row of the block's arrays is one dataset and sees the arithmetic of
-    that dataset alone, so the distances are bit-equal to one at a time."""
-    acc = np.zeros((len(block), len(block[0])), dtype=np.float64)
-    for j, (col, v) in enumerate(zip(schema.columns, target)):
-        vals = np.stack([ds.columns[j] for ds in block])
-        if isinstance(col, NumericColumn):
-            # np.abs(vals - v) / (col.hi - col.lo), in place in the fresh stack
-            vals -= v
-            np.abs(vals, out=vals)
-            vals /= col.hi - col.lo
-            acc += vals
-        else:
-            acc += (vals != int(v)).astype(np.float64)
-    return acc.min(axis=1) / len(schema.columns)
+def _min_gower(schema: Schema, target, columns) -> np.ndarray:
+    """min_gower_distance of each run of the run-axis columns, read a chunk
+    of runs (run_chunks) at a time through row views. Each row of a chunk
+    sees the arithmetic of its run alone, so the distances are bit-equal to
+    one run at a time."""
+    runs, n = columns[0].shape
+    out = np.empty(runs)
+    for chunk in run_chunks(runs, n):
+        acc = np.zeros((chunk.stop - chunk.start, n))
+        d = np.empty_like(acc)
+        for col, vals, v in zip(schema.columns, columns, target):
+            if isinstance(col, NumericColumn):
+                # np.abs(vals - v) / (col.hi - col.lo), in one scratch array
+                np.subtract(vals[chunk], v, out=d)
+                np.abs(d, out=d)
+                d /= col.hi - col.lo
+                acc += d
+            else:
+                acc += vals[chunk] != int(v)
+        out[chunk] = acc.min(axis=1) / len(schema.columns)
+    return out
 
 
 def min_gower_distance(schema: Schema, target, ds: Dataset) -> float:
-    """Distance from the target to its closest record in ds, vectorized."""
-    _require_rows([ds])
-    return float(_min_gower_block(schema, target, [ds])[0])
+    """Distance from the target to its closest record in ds, vectorized: the
+    one-run case of the run-axis distances."""
+    if len(ds) == 0:
+        raise ValueError("empty synthetic dataset")
+    return float(_min_gower(schema, target, tuple(c[None] for c in ds.columns))[0])
 
 
 def attack_dcr(fb: FeatureBundle) -> ScoredRuns:
     """Distance to closest record: score = -min distance from target to the
-    run's synthetic dataset. Runs are scored in blocks (_run_blocks)."""
+    run's synthetic dataset, read from the bundle's run-axis arrays."""
     _require_mode(fb, "synth_dataset", "attack_dcr")
-    _require_rows(fb.features)
-    scores = -np.concatenate(
-        [_min_gower_block(fb.schema, fb.target, b) for b in _run_blocks(fb.features)]
-    )
+    scores = -_min_gower(fb.schema, fb.target, _run_columns(fb))
     return ScoredRuns(
         bits=fb.bits,
         scores=scores,
@@ -231,37 +223,42 @@ class GroundhogConfig:
 
 
 def _correlations(m: np.ndarray) -> np.ndarray:
-    """Upper triangle of the correlation matrix of m's rows."""
-    sd = m.std(axis=1)
-    # zero-variance columns get zero correlation rather than NaN
-    c = np.corrcoef(m) if np.all(sd > 0) else np.zeros((len(m),) * 2)
+    """Upper triangle of the correlation matrix of m's rows; the pairs of a
+    zero-variance row get zero correlation rather than NaN, as do all pairs
+    of a single observation."""
+    with np.errstate(divide="ignore", invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # degrees of freedom <= 0
+        c = np.corrcoef(m)
     return np.nan_to_num(c[np.triu_indices(len(m), k=1)])
 
 
-def _groundhog_block(block, include_correlations: bool) -> np.ndarray:
-    """groundhog_features of each dataset in a block of equal-length ones,
-    one row per dataset. Each statistic reduces along a row of the block's
-    (datasets, rows) arrays, which numpy does as it reduces one dataset's
-    column alone, so the rows are bit-equal to one dataset at a time."""
-    runs, n = len(block), len(block[0])
-    feats: list[np.ndarray] = []
-    numeric: list[np.ndarray] = []
-    for j, col in enumerate(block[0].schema.columns):
-        vals = np.stack([ds.columns[j] for ds in block])
-        if isinstance(col, NumericColumn):
-            feats += [vals.mean(axis=1), np.median(vals, axis=1), vals.var(axis=1)]
-            if include_correlations:
+def _groundhog(schema: Schema, columns, include_correlations: bool) -> np.ndarray:
+    """groundhog_features of each run of the run-axis columns, one row per
+    run, read a chunk of runs (run_chunks) at a time through row views. Each
+    statistic reduces along a row, which numpy does as it reduces one run's
+    column alone, so the rows are bit-equal to one run at a time."""
+    runs, n = columns[0].shape
+    blocks = []
+    for chunk in run_chunks(runs, n):
+        size = chunk.stop - chunk.start
+        feats: list[np.ndarray] = []
+        numeric: list[np.ndarray] = []
+        for col, c in zip(schema.columns, columns):
+            vals = c[chunk]
+            if isinstance(col, NumericColumn):
+                feats += [vals.mean(axis=1), np.median(vals, axis=1), vals.var(axis=1)]
                 numeric.append(vals)
-        else:
-            k = len(col.levels)
-            # run r's levels counted in cells r*k .. r*k + k - 1
-            flat = (vals + k * np.arange(runs)[:, None]).ravel()
-            feats += list((np.bincount(flat, minlength=runs * k).reshape(runs, k) / n).T)
-    out = np.stack(feats, axis=1)
-    if include_correlations and len(numeric) > 1:
-        corr = [_correlations(np.stack([v[r] for v in numeric])) for r in range(runs)]
-        out = np.concatenate([out, np.stack(corr)], axis=1)
-    return out
+            else:
+                k = len(col.levels)
+                # run r's levels counted in cells r*k .. r*k + k - 1
+                flat = (vals + k * np.arange(size)[:, None]).ravel()
+                feats += list((np.bincount(flat, minlength=size * k).reshape(size, k) / n).T)
+        block = np.stack(feats, axis=1)
+        if include_correlations and len(numeric) > 1:
+            corr = [_correlations(np.stack([v[r] for v in numeric])) for r in range(size)]
+            block = np.concatenate([block, np.stack(corr)], axis=1)
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
 def groundhog_features(ds: Dataset, include_correlations: bool = False) -> np.ndarray:
@@ -269,9 +266,9 @@ def groundhog_features(ds: Dataset, include_correlations: bool = False) -> np.nd
 
     Numeric columns contribute (mean, median, variance); categorical columns
     contribute level frequencies. Optionally appends the upper triangle of the
-    numeric correlation matrix.
+    numeric correlation matrix. The one-run case of the run-axis features.
     """
-    return _groundhog_block([ds], include_correlations)[0]
+    return _groundhog(ds.schema, tuple(c[None] for c in ds.columns), include_correlations)[0]
 
 
 def attack_groundhog(fb: FeatureBundle, config: GroundhogConfig | None = None) -> ScoredRuns:
@@ -280,17 +277,14 @@ def attack_groundhog(fb: FeatureBundle, config: GroundhogConfig | None = None) -
     A logistic regression (zero-initialized, full-batch gradient descent) is
     trained on the calibration split labeled by the membership bit; evaluation
     runs are scored by their member-vs-non-member logit difference. The
-    features are computed in blocks of runs (_run_blocks).
+    features are read from the bundle's run-axis arrays.
     """
     _require_mode(fb, "synth_dataset", "attack_groundhog")
     cfg = config or GroundhogConfig()
     bits = fb.bits
     cal = _split_stratified(bits, cfg.holdout_fraction, min_per_class=2)
-    _require_rows(fb.features)
 
-    feats = np.concatenate(
-        [_groundhog_block(b, cfg.include_correlations) for b in _run_blocks(fb.features)]
-    )
+    feats = _groundhog(fb.schema, _run_columns(fb), cfg.include_correlations)
     # standardize with calibration statistics for stable fixed-budget SGD
     mu = feats[cal].mean(axis=0)
     sd = np.maximum(feats[cal].std(axis=0), 1e-8)

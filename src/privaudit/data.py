@@ -5,6 +5,10 @@ Schema-typed ingestion into columnar datasets, canonical whole-column
 selection. Datasets are immutable after construction. This module alone
 decides how a column is checked (`_checked`), encoded (`encode`) and binned
 (`histogram_cells`), and it imports no other privaudit module.
+
+Many datasets of one schema and length, one per shadow run, are held as
+run-axis arrays: one (runs, n) array per schema column, row r holding run r's
+n values (`run_datasets`, `stack_runs`, `run_chunks`).
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import operator
 from dataclasses import InitVar, dataclass
 
@@ -30,6 +35,9 @@ __all__ = [
     "encode_record",
     "row_keys",
     "histogram_cells",
+    "run_chunks",
+    "run_datasets",
+    "stack_runs",
     "select_targets",
 ]
 
@@ -51,8 +59,13 @@ class NumericColumn:
     hi: float
 
     def __post_init__(self):
+        bounds = f"[{self.lo}, {self.hi}]"
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise SchemaError(f"column {self.name!r}: min and max must be finite, got {bounds}")
         if not (self.lo < self.hi):
-            raise SchemaError(f"column {self.name!r}: need min < max, got [{self.lo}, {self.hi}]")
+            raise SchemaError(f"column {self.name!r}: need min < max, got {bounds}")
+        if not math.isfinite(self.hi - self.lo):
+            raise SchemaError(f"column {self.name!r}: max - min must be finite, got {bounds}")
 
     kind = "numeric"
 
@@ -379,6 +392,39 @@ def histogram_cells(data: Dataset, bins: int) -> tuple[np.ndarray, np.ndarray]:
             cell = vals
         cells[:, j] = starts[j] + cell
     return cells, starts
+
+
+# Code that fills or reads run-axis arrays takes a chunk of runs at a time,
+# at most this many cells of one array, so that its temporaries stay small
+# next to the arrays themselves.
+RUN_CHUNK_CELLS = 8192
+
+
+def run_chunks(runs: int, n: int) -> list[slice]:
+    """Consecutive runs of a (runs, n) array as slices of at most
+    RUN_CHUNK_CELLS cells each, and of one run at least."""
+    step = max(1, RUN_CHUNK_CELLS // max(n, 1))
+    return [slice(a, min(a + step, runs)) for a in range(0, runs, step)]
+
+
+def run_datasets(schema: Schema, columns, runs: int, provenance: str = "") -> tuple[Dataset, ...]:
+    """Each run of the run-axis columns as a Dataset whose columns are
+    read-only row views of them, not copies. The columns are frozen too."""
+    for c in columns:
+        c.setflags(write=False)
+    return tuple(Dataset(schema, tuple(c[r] for c in columns), provenance, copy=False)
+                 for r in range(runs))
+
+
+def stack_runs(datasets) -> tuple[np.ndarray, ...]:
+    """Datasets of one schema and length as read-only run-axis columns,
+    copied."""
+    if len({len(ds) for ds in datasets}) > 1:
+        raise DataError("the runs' datasets must all have the same number of rows")
+    columns = tuple(np.stack(c) for c in zip(*(ds.columns for ds in datasets)))
+    for c in columns:
+        c.setflags(write=False)
+    return columns
 
 
 def _marginal_outlier_scores(ds: Dataset, bins: int = 10) -> np.ndarray:

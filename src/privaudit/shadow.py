@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, row_keys
+from .data import Dataset, row_keys, run_datasets
 from .models import count_value
 from .seeds import derive_seed
-from .synthesizers import GanTrainer, disc_loss, sample
+from .synthesizers import GanTrainer, disc_loss, sample_runs
 
 __all__ = [
     "ThreatModel",
@@ -78,7 +78,12 @@ class ShadowCollection:
 
 @dataclass(frozen=True)
 class FeatureBundle:
-    """Per-run attack features, aligned with the collection's run order."""
+    """Per-run attack features, aligned with the collection's run order.
+
+    For synth_dataset the features are the runs' synthetic datasets, and
+    query_features also sets run_columns: the same records as read-only
+    run-axis arrays, one (runs, n) array per schema column, which the attacks
+    read. A bundle built of the datasets alone leaves it None."""
 
     mode: str
     features: tuple
@@ -86,6 +91,7 @@ class FeatureBundle:
     target: tuple
     schema: object
     threat_model: ThreatModel | None = None
+    run_columns: tuple | None = None
 
 
 def dataset_fingerprint(ds: Dataset) -> str:
@@ -225,24 +231,27 @@ def query_features(collection: ShadowCollection, mode: str, query_config: dict |
     """Extract per-run attack features, once check_features allows the mode.
 
     pred_loss: loss of the target under each trained model.
-    synth_dataset: a synthetic dataset of query_config['n_samples'] rows per run.
+    synth_dataset: a synthetic dataset of query_config['n_samples'] rows per
+    run, all runs sampled into one set of run-axis arrays (sample_runs); each
+    run's Dataset is a read-only row view of them.
     disc_loss: discriminator loss at the target (white-box GAN only).
     """
     qc = dict(query_config or {})
     trainer = collection.trainer
     check_features(mode, trainer, collection.threat_model)
 
+    run_columns = None
     if mode == "pred_loss":
         feats = tuple(trainer.target_losses([r.artifact for r in collection.runs],
                                             collection.target))
         schema = collection.runs[0].artifact.meta["schema"]
     elif mode == "synth_dataset":
         n = query_sample_count(qc.get("n_samples", 100))
-        feats = tuple(
-            sample(r.artifact, n, derive_seed(collection.master_seed, "query", r.index))
-            for r in collection.runs
-        )
-        schema = collection.runs[0].artifact.schema
+        arts = [r.artifact for r in collection.runs]
+        schema = arts[0].schema
+        run_columns = sample_runs(
+            arts, n, [derive_seed(collection.master_seed, "query", r.index) for r in collection.runs])
+        feats = run_datasets(schema, run_columns, len(arts), f"synthetic:{arts[0].kind}")
     else:
         feats = tuple(disc_loss(r.artifact, collection.target) for r in collection.runs)
         schema = collection.runs[0].artifact.schema
@@ -254,4 +263,5 @@ def query_features(collection: ShadowCollection, mode: str, query_config: dict |
         target=collection.target,
         schema=schema,
         threat_model=collection.threat_model,
+        run_columns=run_columns,
     )

@@ -9,6 +9,7 @@ pure post-processing.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -25,6 +26,8 @@ from .data import (
     encode,
     encode_record,
     histogram_cells,
+    run_chunks,
+    run_datasets,
 )
 from .dpsgd import (BugMode, DpSgdConfig, _poisson_rows, _stream, claimed_privacy,
                     noisy_batch_update)
@@ -40,6 +43,7 @@ __all__ = [
     "fit_gan",
     "sample",
     "sample_count",
+    "sample_runs",
     "disc_loss",
     "gan_spec_for_schema",
     "calibrate_marginal_noise",
@@ -140,33 +144,52 @@ class GenerativeArtifact:
 def _fit_marginal_runs(data: Dataset, run_rows, seeds, spec: MarginalSynthSpec):
     """One artifact per run: run k's histograms count data's rows run_rows[k]
     and take their noise from default_rng(seeds[k]). Every row's cells are
-    found once, and a run's counts are one bincount of its rows' cells."""
+    found once, and each distinct row set's counts are one bincount of its
+    rows' cells. The noisy counts are one (runs, cells) array, clamped and
+    normalized column by column over all runs at once; run k's probabilities
+    are row views of it."""
     cells, starts = histogram_cells(data, spec.bins)
     n_cells = int(starts[-1])
-    arts = []
-    for rows, seed in zip(run_rows, seeds):
+    counted = {}
+    noisy = np.empty((len(seeds), n_cells))
+    fitted = len(seeds)  # the runs before the first one with no rows
+    for k, (rows, seed) in enumerate(zip(run_rows, seeds)):
+        rows = np.asarray(rows)
         if len(rows) == 0:
-            raise ValueError("cannot fit a marginal synthesizer on an empty dataset")
-        counts = np.bincount(cells[rows].ravel(), minlength=n_cells + 1)[:n_cells]
-        rng = np.random.default_rng(seed)
+            fitted = k
+            break
+        key = rows.dtype.str, rows.tobytes()
+        if key not in counted:
+            counted[key] = np.bincount(cells[rows].ravel(), minlength=n_cells + 1)[:n_cells]
         # one draw of every column's noise is the per-column draws end to end
-        noisy = np.maximum(counts + rng.normal(0.0, spec.noise_std, size=n_cells), 0.0)
-        probs = []
-        for col, a, b in zip(data.schema.columns, starts[:-1], starts[1:]):
-            cell = noisy[a:b]
-            total = cell.sum()
-            if total <= 0.0:
-                raise DegenerateMarginalError(
-                    f"degenerate marginal for column {col.name!r}: all cells zero after clamping"
-                )
-            probs.append(cell / total)
-        arts.append(GenerativeArtifact(
+        np.add(counted[key], np.random.default_rng(seed).normal(0.0, spec.noise_std, size=n_cells),
+               out=noisy[k])
+    noisy = np.maximum(noisy[:fitted], 0.0, out=noisy[:fitted])
+    bounds = list(zip(starts[:-1], starts[1:]))
+    totals = np.empty((fitted, len(bounds)))
+    for j, (a, b) in enumerate(bounds):
+        totals[:, j] = noisy[:, a:b].sum(axis=1)
+    bad = totals <= 0.0
+    if bad.any():
+        # the first run, then its first column, that fitting one run after
+        # another would fail at
+        k = int(bad.any(axis=1).argmax())
+        col = data.schema.columns[int(bad[k].argmax())]
+        raise DegenerateMarginalError(
+            f"degenerate marginal for column {col.name!r}: all cells zero after clamping"
+        )
+    if fitted < len(seeds):
+        raise ValueError("cannot fit a marginal synthesizer on an empty dataset")
+    probs = [noisy[:, a:b] / totals[:, [j]] for j, (a, b) in enumerate(bounds)]
+    return [
+        GenerativeArtifact(
             kind="marginal",
             schema=data.schema,
-            state={"probs": probs, "bins": spec.bins},
+            state={"probs": [p[k] for p in probs], "bins": spec.bins},
             meta={"noise_std": spec.noise_std, "seed": seed},
-        ))
-    return arts
+        )
+        for k, seed in enumerate(seeds)
+    ]
 
 
 def fit_marginal(ds: Dataset, spec: MarginalSynthSpec) -> GenerativeArtifact:
@@ -174,29 +197,64 @@ def fit_marginal(ds: Dataset, spec: MarginalSynthSpec) -> GenerativeArtifact:
     return _fit_marginal_runs(ds, [np.arange(len(ds))], [spec.seed], spec)[0]
 
 
-def _sample_marginal(art: GenerativeArtifact, n: int, rng: np.random.Generator) -> Dataset:
-    """Per column, n cells drawn from its probabilities, then for a numeric
-    column n uniform offsets within the cell. The uniforms are one draw, and
-    a cell is drawn by inverting the column's CDF as Generator.choice(p=)
-    does: cumsum, divide by the last entry, searchsorted(side="right")."""
-    cols = art.schema.columns
-    bins = art.state["bins"]
-    draws = sum(2 if isinstance(col, NumericColumn) else 1 for col in cols)
-    u = rng.random(draws * n).reshape(draws, n)
-    columns_out = []
-    at = 0
-    for col, p in zip(cols, art.state["probs"]):
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
-        idx = cdf.searchsorted(u[at], side="right")
-        at += 1
-        if isinstance(col, NumericColumn):
-            width = (col.hi - col.lo) / bins
-            columns_out.append(col.lo + (idx + u[at]) * width)
-            at += 1
-        else:
-            columns_out.append(idx)
-    return Dataset(art.schema, tuple(columns_out), "synthetic:marginal", copy=False)
+def _run_arrays(schema: Schema, runs: int, n: int) -> tuple[np.ndarray, ...]:
+    """Empty run-axis arrays of the schema's column dtypes."""
+    return tuple(np.empty((runs, n), dtype=np.float64 if isinstance(col, NumericColumn)
+                          else np.int64) for col in schema.columns)
+
+
+def _cells_at_or_below(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each run r and uniform u[r, i], the number of entries of cdf[r] at
+    or below it: searchsorted(cdf[r], u[r, i], side="right") for an ascending
+    cdf[r]. One entry of every run is compared at a time, so the only
+    temporary is one boolean per uniform."""
+    count = np.zeros(u.shape, dtype=np.min_scalar_type(cdf.shape[1]))
+    for entry in cdf.T:
+        count += (entry[:, None] <= u).view(np.uint8)
+    return count
+
+
+def _sample_marginal_runs(arts, n: int, rngs) -> tuple[np.ndarray, ...]:
+    """Run r's n rows from arts[r] and the r-th generator of the iterator
+    rngs, as one (runs, n) array per schema column.
+
+    Per run and column, n cells are drawn from the column's probabilities,
+    then for a numeric column n uniform offsets within the cell, each run's
+    uniforms in that order from its own generator. A cell is drawn by
+    inverting the column's CDF as Generator.choice(p=) does: cumsum, divide
+    by the last entry, searchsorted(side="right"). The runs go a chunk at a
+    time (run_chunks), column by column: the chunk's cell uniforms are drawn
+    into one small buffer and found at once by _cells_at_or_below, and its
+    offsets straight into the output, where lo + (cell + offset) * width is
+    then formed elementwise.
+    """
+    schema, bins = arts[0].schema, arts[0].state["bins"]
+    if any(a.schema != schema or a.state["bins"] != bins for a in arts):
+        raise ValueError("the runs' artifacts must share one schema and bins")
+    out = _run_arrays(schema, len(arts), n)
+    chunks = run_chunks(len(arts), n)
+    u = np.empty((chunks[0].stop, n))  # the first chunk is the largest
+    for chunk in chunks:
+        gens = list(itertools.islice(rngs, chunk.stop - chunk.start))
+        uc = u[:len(gens)]
+        for j, col in enumerate(schema.columns):
+            for row, rng in zip(uc, gens):
+                rng.random(out=row)
+            cdf = np.stack([a.state["probs"][j] for a in arts[chunk]]).cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+            # the last entry is 1.0, above every uniform, so it never counts
+            cell = _cells_at_or_below(cdf[:, :-1], uc)
+            dest = out[j][chunk]
+            if isinstance(col, NumericColumn):
+                for row, rng in zip(dest, gens):
+                    rng.random(out=row)
+                # lo + (cell + offset) * width, in place
+                dest += cell
+                dest *= (col.hi - col.lo) / bins
+                dest += col.lo
+            else:
+                dest[...] = cell
+    return out
 
 
 def marginal_epsilon(schema: Schema, noise_std: float, delta: float) -> float:
@@ -309,15 +367,32 @@ def sample_count(value) -> int:
     return n
 
 
-def sample(artifact: GenerativeArtifact, n: int, seed: int) -> Dataset:
-    """Draw n schema-valid synthetic records, deterministic given seed."""
+def sample_runs(artifacts, n: int, seeds) -> tuple[np.ndarray, ...]:
+    """Run r's n synthetic records from artifacts[r], drawn from
+    default_rng(seeds[r]), as run-axis arrays: one (runs, n) array per schema
+    column. The artifacts are all marginal or all GAN ones; marginal runs are
+    sampled together, GAN runs one at a time into the arrays."""
     sample_count(n)
-    rng = np.random.default_rng(seed)
-    if artifact.kind == "marginal":
-        return _sample_marginal(artifact, n, rng)
-    if artifact.kind == "gan":
-        return _sample_gan(artifact, n, rng)
-    raise ValueError(f"unknown artifact kind {artifact.kind!r}")
+    rngs = map(np.random.default_rng, seeds)
+    kind = artifacts[0].kind
+    if any(a.kind != kind for a in artifacts):
+        raise ValueError("the runs' artifacts must all be of one kind")
+    if kind == "marginal":
+        return _sample_marginal_runs(artifacts, n, rngs)
+    if kind == "gan":
+        out = _run_arrays(artifacts[0].schema, len(artifacts), n)
+        for r, (art, rng) in enumerate(zip(artifacts, rngs)):
+            for dest, c in zip(out, _sample_gan(art, n, rng).columns):
+                dest[r] = c
+        return out
+    raise ValueError(f"unknown artifact kind {kind!r}")
+
+
+def sample(artifact: GenerativeArtifact, n: int, seed: int) -> Dataset:
+    """Draw n schema-valid synthetic records, deterministic given seed: the
+    one-run case of sample_runs."""
+    columns = sample_runs([artifact], n, [seed])
+    return run_datasets(artifact.schema, columns, 1, f"synthetic:{artifact.kind}")[0]
 
 
 def disc_loss(artifact: GenerativeArtifact, record) -> float:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from privaudit import attacks
+from privaudit import data as data_mod
 from privaudit.attacks import (
     AttackReport,
     GroundhogConfig,
@@ -193,7 +195,7 @@ def test_min_gower_matches_scalar(cat4_schema):
 def test_dcr_target_present_max_score(cat4_schema):
     target = (0, 1, 0, 1)
     hit = Dataset.from_rows(cat4_schema, [(1, 1, 1, 1), target])
-    miss = Dataset.from_rows(cat4_schema, [(1, 0, 1, 0)])
+    miss = Dataset.from_rows(cat4_schema, [(1, 0, 1, 0)] * 2)
     fb = synth_bundle([hit, miss], [1, 0], target, cat4_schema)
     sc = attack_dcr(fb)
     assert sc.scores[0] == 0.0
@@ -561,7 +563,7 @@ def test_write_json_rejects_non_str_keys(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# features in run blocks against the per-run references
+# features on run-axis arrays against the per-run references
 
 def min_gower_per_run(schema, target, ds):
     """The per-run reference for one synthetic dataset."""
@@ -584,10 +586,21 @@ def groundhog_features_per_run(ds, include_correlations=False):
         else:
             feats += (np.bincount(vals, minlength=len(col.levels)) / len(ds)).tolist()
     if include_correlations and len(numeric) > 1:
-        m = np.stack(numeric)
-        c = np.corrcoef(m) if np.all(m.std(axis=1) > 0) else np.zeros((len(numeric),) * 2)
+        # only the pairs of a constant column have no correlation; they read 0
+        with np.errstate(divide="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            c = np.corrcoef(np.stack(numeric))
         feats += np.nan_to_num(c[np.triu_indices(len(numeric), k=1)]).tolist()
     return np.array(feats, dtype=np.float64)
+
+
+def test_correlations_zero_only_the_pairs_of_a_constant_column():
+    schema = Schema(tuple(NumericColumn(name, 0.0, 10.0) for name in "abc"))
+    ds = Dataset(schema, ([1, 2, 3, 4], [2, 4, 6, 8.1], [5, 5, 5, 5]))
+    corr = groundhog_features(ds, include_correlations=True)[9:]
+    assert corr[0] == pytest.approx(0.9999, abs=1e-4) and corr[0] < 1.0
+    assert corr[1:].tolist() == [0.0, 0.0]
+    assert attacks._correlations(np.stack(ds.columns)).tobytes() == corr.tobytes()
 
 
 MIXED = Schema((
@@ -596,50 +609,61 @@ MIXED = Schema((
     NumericColumn("y", 0.0, 1.0),
     NumericColumn("z", -1.0, 1.0),
 ))
-BLOCK = attacks._FEATURE_BLOCK
 
 
 @st.composite
 def synthetic_runs(draw):
-    t_runs = draw(st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]))
+    """Runs of one length, and a chunk size in cells that gives chunks of
+    one run, of a few runs with a short last chunk, or of every run."""
+    t_runs = draw(st.sampled_from([1, 2, 3, 7, 8, 9, 19]))
+    n = draw(st.sampled_from([1, 2, 7, 8, 33, 300]))
+    chunk_cells = draw(st.sampled_from([1, 3 * n, data_mod.RUN_CHUNK_CELLS]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    if draw(st.booleans()):
-        # ragged: lengths change between neighbouring runs, with some repeats
-        lengths = rng.choice([1, 2, 7, 8, 33], size=t_runs)
-    else:
-        lengths = [draw(st.sampled_from([1, 2, 7, 8, 33, 300]))] * t_runs
     runs = []
-    for n in lengths:
+    for _ in range(t_runs):
         # few distinct values: ties, repeated medians and constant columns
         y = rng.choice([0.0, 0.25, 1.0], size=n) if rng.random() < 0.3 else rng.random(n)
         runs.append(Dataset(MIXED, (rng.uniform(-2, 6, n), rng.integers(0, 3, n), y,
                                     np.full(n, -0.5) if rng.random() < 0.3
                                     else rng.uniform(-1, 1, n))))
-    return tuple(runs)
+    return tuple(runs), chunk_cells
 
 
 @settings(max_examples=60, deadline=None)
-@given(runs=synthetic_runs(), corr=st.booleans())
-def test_features_in_run_blocks_bit_equal_to_per_run(runs, corr):
-    blocks = list(attacks._run_blocks(runs))
-    assert sum(blocks, ()) == runs
-    assert all(len(b) <= BLOCK and len({len(ds) for ds in b}) == 1 for b in blocks)
-
+@given(case=synthetic_runs(), corr=st.booleans())
+def test_run_axis_features_bit_equal_to_per_run(case, corr):
+    runs, chunk_cells = case
     target = (0.5, 1, 0.25, 0.0)
     want = np.stack([groundhog_features_per_run(ds, corr) for ds in runs])
-    got = np.concatenate([attacks._groundhog_block(b, corr) for b in blocks])
-    assert got.tobytes() == want.tobytes()
-    assert [groundhog_features(ds, corr).tobytes() for ds in runs] == [w.tobytes() for w in want]
     want_dcr = [min_gower_per_run(MIXED, target, ds) for ds in runs]
+    # the one-run cases
+    assert [groundhog_features(ds, corr).tobytes() for ds in runs] == [w.tobytes() for w in want]
     assert [min_gower_distance(MIXED, target, ds) for ds in runs] == want_dcr
 
-    if len(runs) < 2:
-        return
     fb = synth_bundle(runs, [k % 2 for k in range(len(runs))], target, MIXED)
-    assert attack_dcr(fb).scores.tobytes() == np.array([-d for d in want_dcr]).tobytes()
-    if len(runs) >= 8:
-        cfg = GroundhogConfig(steps=5, include_correlations=corr)
-        with mock.patch.object(attacks, "_groundhog_block", lambda b, c: np.stack(
-                [groundhog_features_per_run(ds, c) for ds in b])):
-            want_scores = attack_groundhog(fb, cfg).scores
-        assert attack_groundhog(fb, cfg).scores.tobytes() == want_scores.tobytes()
+    columns = attacks._run_columns(fb)
+    assert [c.shape for c in columns] == [(len(runs), len(runs[0]))] * 4
+    assert not any(c.flags.writeable for c in columns)
+    with mock.patch.object(data_mod, "RUN_CHUNK_CELLS", chunk_cells):
+        got = attacks._groundhog(MIXED, columns, corr)
+        assert got.tobytes() == want.tobytes()
+        if len(runs) < 2:
+            return
+        assert attack_dcr(fb).scores.tobytes() == np.array([-d for d in want_dcr]).tobytes()
+        if len(runs) >= 8:
+            cfg = GroundhogConfig(steps=5, include_correlations=corr)
+            with mock.patch.object(attacks, "_groundhog", lambda schema, cols, c: want):
+                want_scores = attack_groundhog(fb, cfg).scores
+            assert attack_groundhog(fb, cfg).scores.tobytes() == want_scores.tobytes()
+
+
+def test_synthetic_datasets_of_differing_lengths_are_refused():
+    runs = [Dataset.from_rows(MIXED, [(0.0, 0, 0.5, 0.0)] * n) for n in (3, 4) * 4]
+    fb = synth_bundle(runs, [0, 1] * 4, (0.0, 0, 0.5, 0.0), MIXED)
+    for attack in (attack_dcr, attack_groundhog):
+        with pytest.raises(ValueError, match="same number of rows"):
+            attack(fb)
+    fb = synth_bundle([Dataset.from_rows(MIXED, [])] * 8, [0, 1] * 4, (0.0, 0, 0.5, 0.0), MIXED)
+    for attack in (attack_dcr, attack_groundhog):
+        with pytest.raises(ValueError, match="empty synthetic dataset"):
+            attack(fb)

@@ -59,3 +59,23 @@ def test_interleave_runs_both_trees_in_one_process(monkeypatch, capsys):
         cli = sys.modules[f"privaudit_{side}.cli"]
         assert Path(cli.__file__).resolve().is_relative_to(src)
         assert sys.modules[f"privaudit_{side}.dpsgd"] is not sys.modules.get("privaudit.dpsgd")
+
+
+def test_interleave_runs_every_seed(monkeypatch, capsys):
+    calls = []
+
+    def fake_interleave(src, name, seed, pairs):
+        calls.append((name, seed, pairs))
+        return {"op_s": 0.5 + seed / 100, "cpu_s": 0.6, "digests_equal": seed != 4}
+
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, into: None)
+    monkeypatch.setattr(bench_pairs, "interleave", fake_interleave)
+    assert bench_pairs.main(["--parent", "HEAD", "--workload", "marginal_attack",
+                             "--interleave", "3", "--seeds", "1,4-5"]) == 0
+    assert calls == [("marginal_attack", seed, 3) for seed in (1, 4, 5)]
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("seed ")]
+    assert lines == [
+        "seed 1    median paired change/parent op_s 0.510, cpu_s 0.600; report bytes equal: yes",
+        "seed 4    median paired change/parent op_s 0.540, cpu_s 0.600; report bytes equal: no",
+        "seed 5    median paired change/parent op_s 0.550, cpu_s 0.600; report bytes equal: yes",
+    ]

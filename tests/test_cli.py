@@ -602,6 +602,31 @@ def test_dataset_with_no_rows_exits_3(workspace, capsys, command, over):
     assert not (workspace / "results").exists()
 
 
+@pytest.mark.parametrize("command, over", [
+    ("train", {}),
+    ("synthesize", {"trainer": {"kind": "marginal", "noise_std": 1.0}}),
+    ("attack", {"attack": {"attacks": ["lira"], "t_runs": 4}}),
+    ("audit", {"audit": {"mode": "end_to_end", "t_runs": 20}}),
+])
+@pytest.mark.parametrize("lo, hi, message", [
+    (0.0, float("inf"), "min and max must be finite, got [0.0, inf]"),
+    (float("-inf"), 1.0, "min and max must be finite, got [-inf, 1.0]"),
+    (float("nan"), 1.0, "min and max must be finite, got [nan, 1.0]"),
+    (-1e308, 1e308, "max - min must be finite, got [-1e+308, 1e+308]"),
+])
+def test_schema_with_non_finite_numeric_bounds_exits_3(workspace, capsys, command, over,
+                                                       lo, hi, message):
+    schema = {"columns": [{"name": "x", "kind": "numeric", "min": lo, "max": hi},
+                          {"name": "y", "kind": "categorical", "levels": ["a", "b"]}]}
+    (workspace / "schema.json").write_text(json.dumps(schema))
+    path = write_config(workspace, base_config(workspace, **over))
+    assert main([command, "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert f"error: schema: column 'x': {message}" in err
+    assert "Traceback" not in err
+    assert not (workspace / "results").exists()
+
+
 def test_unknown_key_in_generative_trainer_exits_3(workspace, capsys):
     for trainer in ({"kind": "marginal", "noise_sd": 1.0},
                     {"kind": "gan", "dpsgd": DPSGD_ALL_KEYS, "hidden_dim": 4}):

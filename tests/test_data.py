@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import json
 import math
 import tracemalloc
 
@@ -47,6 +48,21 @@ def test_schema_rejects_duplicate_names():
 def test_schema_rejects_bad_bounds():
     with pytest.raises(SchemaError):
         NumericColumn("x", 5.0, 5.0)
+
+
+@pytest.mark.parametrize("lo, hi, message", [
+    (0.0, float("inf"), "min and max must be finite"),
+    (float("-inf"), 0.0, "min and max must be finite"),
+    (float("nan"), 1.0, "min and max must be finite"),
+    (0.0, float("nan"), "min and max must be finite"),
+    (-1e308, 1e308, "max - min must be finite"),
+])
+def test_schema_rejects_non_finite_bounds(lo, hi, message):
+    with pytest.raises(SchemaError, match=f"column 'x': {message}"):
+        NumericColumn("x", lo, hi)
+    doc = {"columns": [{"name": "x", "kind": "numeric", "min": lo, "max": hi}]}
+    with pytest.raises(SchemaError, match=message):
+        Schema.from_json_dict(json.loads(json.dumps(doc)))
 
 
 def test_schema_rejects_empty_levels():

@@ -171,6 +171,22 @@ def test_synth_dataset_features(pool, target, schema):
     assert fb.features[0].rows != fb.features[1].rows
 
 
+@pytest.mark.parametrize("kind", ["marginal", "gan"])
+def test_synth_dataset_features_are_row_views_of_run_axis_arrays(pool, target, schema, kind):
+    tr = (MarginalTrainer(MarginalSynthSpec(noise_std=1.0), schema=schema) if kind == "marginal"
+          else gan_trainer(schema))
+    coll = run_shadow_experiment(target, pool, tr, ThreatModel(), 5, 2)
+    fb = query_features(coll, "synth_dataset", {"n_samples": 7})
+    assert [c.shape for c in fb.run_columns] == [(5, 7), (5, 7)]
+    assert not any(c.flags.writeable for c in fb.run_columns)
+    for r, (ds, run) in enumerate(zip(fb.features, coll.runs)):
+        assert ds.provenance == f"synthetic:{kind}"
+        for c, rows in zip(ds.columns, fb.run_columns):
+            assert not c.flags.writeable and c.base is rows and np.shares_memory(c, rows[r])
+        seed = shadow.derive_seed(coll.master_seed, "query", run.index)
+        assert ds.rows == synthesizers.sample(run.artifact, 7, seed).rows
+
+
 def test_disc_loss_requires_white_box(pool, target, trainer):
     coll = run_shadow_experiment(target, pool, trainer, ThreatModel(), 4, 1)
     with pytest.raises(ValueError, match="white_box"):

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from privaudit.data import (
     NumericColumn,
     Schema,
 )
-from privaudit import models, synthesizers
+from privaudit import data as data_mod, models, synthesizers
 from privaudit.dpsgd import BugMode, DpSgdConfig, claimed_privacy
 from privaudit.seeds import derive_seed
 from privaudit.synthesizers import (
@@ -28,6 +29,7 @@ from privaudit.synthesizers import (
     load_artifact,
     marginal_epsilon,
     sample,
+    sample_runs,
     save_artifact,
 )
 
@@ -444,8 +446,100 @@ def test_sampler_zero_probability_cells_never_drawn():
         """Uniforms exactly at the CDF's steps, where only side="right"
         skips the zero-probability cells."""
 
-        def random(self, size):
-            return np.resize([0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(1.0, 0.0)], size)
+        def random(self, out):
+            out[...] = np.resize([0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(1.0, 0.0)],
+                                 out.shape)
 
-    got = synthesizers._sample_marginal(art, 4, Uniforms())
-    assert got.columns[0].tolist() == [1, 3, 1, 3]
+    got = synthesizers._sample_marginal_runs([art], 4, iter([Uniforms()]))
+    assert got[0].tolist() == [[1, 3, 1, 3]]
+
+
+# ---------------------------------------------------------------------------
+# run-axis sampling against the one-run sampler and the per-run reference
+
+SAMPLER_SCHEMAS = {
+    "mixed": Schema((NumericColumn("x", -3.0, 10.0), CategoricalColumn("c", ("a", "b", "z")),
+                     NumericColumn("w", 0.0, 1e-3))),
+    "numeric": Schema((NumericColumn("x", -3.0, 10.0), NumericColumn("w", 0.0, 1e-3))),
+    "categorical": Schema((CategoricalColumn("c", ("a", "b", "z")),
+                           CategoricalColumn("d", ("p", "q")))),
+    "one_level": Schema((CategoricalColumn("k", ("only",)), NumericColumn("x", 0.0, 1.0))),
+}
+
+
+def _random_dataset(schema, rng, n):
+    return Dataset(schema, tuple(
+        rng.uniform(col.lo, col.hi, n) if isinstance(col, NumericColumn)
+        else rng.integers(0, len(col.levels), n) for col in schema.columns))
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(SAMPLER_SCHEMAS)), bins=st.sampled_from([1, 2, 9, 12]),
+       noise_std=st.sampled_from([0.0, 1.0, 3.0]), n=st.sampled_from([1, 2, 7, 100]),
+       t_runs=st.sampled_from([1, 2, 3, 5, 7]), chunk_runs=st.sampled_from([1, 2, 3, None]),
+       seed=st.integers(0, 2**32))
+def test_run_axis_sampler_rows_bit_equal_to_one_run_samples(name, bins, noise_std, n, t_runs,
+                                                           chunk_runs, seed):
+    schema = SAMPLER_SCHEMAS[name]
+    rng = np.random.default_rng(seed)
+    data = _random_dataset(schema, rng, 30)
+    run_rows = [np.sort(rng.choice(30, size=20, replace=False)) for _ in range(t_runs)]
+    seeds = [seed + k for k in range(t_runs)]
+    arts = MarginalTrainer(MarginalSynthSpec(noise_std=noise_std, bins=bins), schema).fit_runs(
+        data, run_rows, seeds)
+    # chunks of chunk_runs runs, the last one short when it does not divide
+    # t_runs, or every run in one chunk
+    cells = chunk_runs * n if chunk_runs else data_mod.RUN_CHUNK_CELLS
+    with mock.patch.object(data_mod, "RUN_CHUNK_CELLS", cells):
+        got = sample_runs(arts, n, seeds)
+    assert [(c.shape, c.dtype) for c in got] == [
+        ((t_runs, n), np.float64 if isinstance(col, NumericColumn) else np.int64)
+        for col in schema.columns]
+    for r, (art, s) in enumerate(zip(arts, seeds)):
+        one = sample(art, n, s)
+        want = sample_marginal_per_run(art, n, s)
+        assert [c[r].tobytes() for c in got] == [c.tobytes() for c in one.columns] == [
+            np.asarray(w, dtype=c.dtype).tobytes() for w, c in zip(want, one.columns)]
+
+
+def test_gan_run_axis_rows_equal_one_run_samples(mixed_ds, mixed_schema):
+    trainer = GanTrainer(small_gan_spec(mixed_schema, steps=2))
+    rows = np.arange(len(mixed_ds))
+    arts = trainer.fit_runs(mixed_ds, [rows, rows[::2], rows[1::2]], [4, 5, 6])
+    got = sample_runs(arts, 9, [7, 8, 9])
+    for r, (art, s) in enumerate(zip(arts, [7, 8, 9])):
+        assert [c[r].tobytes() for c in got] == [c.tobytes() for c in sample(art, 9, s).columns]
+    with pytest.raises(ValueError, match="one kind"):
+        sample_runs([arts[0], fit_marginal(mixed_ds, MarginalSynthSpec())], 5, [1, 2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(t_runs=st.integers(1, 40), resampled=st.booleans(), seed=st.integers(0, 2**32))
+def test_degenerate_marginal_names_the_first_failing_run_and_column(t_runs, resampled, seed):
+    # noise this large zeroes whole columns now and then: the run-axis fit
+    # raises for the run and column where fitting one run after another
+    # first fails, and fits every run before it
+    sch = Schema((NumericColumn("x", 0.0, 1.0), CategoricalColumn("y", ("a", "b")),
+                  CategoricalColumn("z", ("p",))))
+    rng = np.random.default_rng(seed)
+    data = _random_dataset(sch, rng, 6)
+    run_rows = [np.sort(rng.choice(6, size=3, replace=False)) if resampled else np.arange(6)
+                for _ in range(t_runs)]
+    seeds = [seed + k for k in range(t_runs)]
+    spec = MarginalSynthSpec(noise_std=1e4, bins=3)
+    trainer = MarginalTrainer(spec, schema=sch)
+    first = None
+    for k, (rows, s) in enumerate(zip(run_rows, seeds)):
+        try:
+            fit_marginal(data.take(rows), replace(spec, seed=derive_seed(s, "marginal")))
+        except DegenerateMarginalError as e:
+            first = k, str(e)
+            break
+    if first is None:
+        assert len(trainer.fit_runs(data, run_rows, seeds)) == t_runs
+        return
+    k, message = first
+    with pytest.raises(DegenerateMarginalError) as got:
+        trainer.fit_runs(data, run_rows, seeds)
+    assert str(got.value) == message
+    assert len(trainer.fit_runs(data, run_rows[:k], seeds[:k])) == k
