@@ -28,9 +28,9 @@ from .attacks import (
     report_to_json_dict,
     write_json,
 )
-from .core_stats import PrivacyParams
+from .core_stats import PrivacyParams, gdp_epsilon_of_delta, subsampled_gdp_mu
 from .data import Dataset, NumericColumn, Record, Schema
-from .dpsgd import BugMode, DpSgdConfig, claimed_privacy, clip_and_sum, privatize
+from .dpsgd import DpSgdConfig, clip_and_sum, privatize
 from .models import count_value
 from .seeds import derive_seed
 from .shadow import (
@@ -50,7 +50,6 @@ __all__ = [
     "audit_end_to_end",
     "audit_run_count",
     "audit_slack",
-    "end_to_end_claim",
     "estimate_mia_cost",
     "verdict_to_json_dict",
     "save_verdict",
@@ -162,8 +161,9 @@ def audit_step_mechanism(
     audit_slack(slack)
     if trials < 100:
         raise ValueError("trials must be >= 100")
-    if config.noise_multiplier <= 0:
-        raise ValueError("audit needs noise_multiplier > 0 to form a claim")
+    # the single-step claim (T=1, p=1) ignores any bug; without noise it raises
+    mu = subsampled_gdp_mu(config.noise_multiplier, 1.0, 1)
+    claimed = PrivacyParams(epsilon=gdp_epsilon_of_delta(mu, delta), delta=delta)
     c = config.clip_norm
     if direction is None:
         direction = np.eye(dim)[0]
@@ -197,8 +197,6 @@ def audit_step_mechanism(
     scored = ScoredRuns(bits=bits, scores=stats, attack="step_mechanism")
     report, op = _audit_point(scored, delta, confidence)
 
-    claimed = claimed_privacy(
-        replace(config, sample_rate=1.0, steps=1, bug_mode=BugMode.NONE), 1, delta)
     provenance = {
         "bug_mode": config.bug_mode.value,
         "noise_multiplier": config.noise_multiplier,
@@ -251,17 +249,6 @@ def audit_run_count(value) -> int:
     return t_runs
 
 
-def end_to_end_claim(trainer, pool_size: int, delta: float | None = None) -> PrivacyParams:
-    """The claim an end-to-end audit tests: the trainer's epsilon at delta
-    for the pool plus the canary, N = pool_size + 1 records, with delta 1/N
-    by default. Raises when the configuration has no valid guarantee, so
-    callers ask for it before training anything."""
-    n = pool_size + 1
-    if delta is None:
-        delta = 1.0 / n
-    return PrivacyParams(epsilon=trainer.claimed_epsilon(n, delta), delta=delta)
-
-
 def audit_end_to_end(
     trainer,
     pool: Dataset,
@@ -285,7 +272,11 @@ def audit_end_to_end(
     """
     audit_run_count(t_runs)
     audit_slack(slack)
-    claimed = end_to_end_claim(trainer, len(pool), delta)
+    # N counts the pool plus the canary; a config without a claim stops before training
+    n = len(pool) + 1
+    if delta is None:
+        delta = 1.0 / n
+    claimed = PrivacyParams(epsilon=trainer.claimed_epsilon(n, delta), delta=delta)
 
     tm = ThreatModel(data_knowledge=FIXED_DATASET)
     coll = run_shadow_experiment(

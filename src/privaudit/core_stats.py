@@ -17,6 +17,7 @@ __all__ = [
     "ConfusionCounts",
     "GdpParam",
     "ConfidenceInterval",
+    "NoValidGuaranteeError",
     "UNBOUNDED",
     "confidence_level",
     "error_rates",
@@ -39,6 +40,10 @@ _SQRT2 = math.sqrt(2.0)
 
 class DegenerateCountsError(ValueError):
     """Raised when confusion counts cannot support rate computation."""
+
+
+class NoValidGuaranteeError(ValueError):
+    """Raised when asking for a privacy claim of a mechanism without noise."""
 
 
 @dataclass(frozen=True)
@@ -472,10 +477,15 @@ def subsampled_gdp_mu(
     behavior (mu -> sqrt(T)/sigma at p=1, large sigma) is validated in tests.
     """
     if noise_multiplier <= 0.0:
-        raise ValueError("noise_multiplier must be > 0; sigma=0 has no finite mu")
+        raise NoValidGuaranteeError(
+            f"no valid guarantee exists without noise (noise_multiplier={noise_multiplier})")
     if not (0.0 < sample_rate <= 1.0):
         raise ValueError(f"sample_rate must be in (0, 1], got {sample_rate}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    mu = sample_rate * math.sqrt(steps * math.expm1(1.0 / noise_multiplier**2))
-    return GdpParam(mu=mu)
+    try:
+        growth = math.expm1(1.0 / noise_multiplier**2)
+    except (OverflowError, ZeroDivisionError):
+        # e^(1/sigma^2) overflows below sigma ~0.0375, sigma^2 above ~1e154
+        growth = math.inf if noise_multiplier < 1.0 else 0.0
+    return GdpParam(mu=sample_rate * math.sqrt(steps * growth))

@@ -1,10 +1,10 @@
 """DP-SGD training loop with deliberately breakable internals.
 
-Per-sample clipping, Gaussian noising of the aggregated batch gradient,
-Poisson subsampling, and a Gaussian-DP accountant. The bug modes are
-first-class configuration: they reproduce, exactly as named, the classic
-implementation mistakes that privacy audits are supposed to catch, and the
-audit module uses them as positive controls.
+Per-sample clipping, Gaussian noising of the aggregated batch gradient and
+Poisson subsampling. The bug modes are first-class configuration: they
+reproduce, exactly as named, the classic implementation mistakes that privacy
+audits are supposed to catch, and the audit module uses them as positive
+controls.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from . import models
-from .core_stats import PrivacyParams, gdp_epsilon_of_delta, subsampled_gdp_mu
+from .core_stats import gdp_epsilon_of_delta, subsampled_gdp_mu
 from .data import CategoricalColumn, Dataset, Schema, encode
 from .models import ModelSpec, check_finite, count_value
 from .seeds import derive_seed
@@ -28,15 +28,12 @@ __all__ = [
     "StepTrace",
     "TrainingTrace",
     "TrainedArtifact",
-    "NoValidGuaranteeError",
     "clip_per_sample",
     "clip_and_sum",
     "privatize",
     "noisy_aggregate",
-    "noisy_batch_update",
     "train",
     "train_lockstep",
-    "claimed_privacy",
     "features_and_labels",
     "PredictiveTrainer",
 ]
@@ -44,10 +41,6 @@ __all__ = [
 # stream tags for the counter-based Philox noise/sampling streams
 _TAG_NOISE = 0xA11CE
 _TAG_SAMPLE = 0xB0B
-
-
-class NoValidGuaranteeError(RuntimeError):
-    """Raised when asking for a privacy claim from a broken configuration."""
 
 
 class BugMode(str, Enum):
@@ -317,34 +310,6 @@ def _update(spec, params, x, y, sizes, config, n_total, step, seeds, ws, max_nor
     return params - config.learning_rate * update, grad_sum, noise, max_sample_norm
 
 
-def noisy_batch_update(
-    spec: ModelSpec,
-    params: np.ndarray,
-    batch_x: np.ndarray,
-    batch_y: np.ndarray,
-    indices: np.ndarray,
-    config: DpSgdConfig,
-    n_total: int,
-    step: int,
-    workspace: models.Workspace | None = None,
-) -> tuple[np.ndarray, StepTrace]:
-    """One DP-SGD step on an already-sampled batch. A caller that steps in a
-    loop passes one workspace for the step's scratch arrays to every call."""
-    new_params, grad_sum, noise, max_sample_norm = _update(
-        spec, params[None], np.asarray(batch_x, dtype=np.float64)[None],
-        np.asarray(batch_y, dtype=int)[None], [len(indices)], config,
-        [n_total], step, [config.seed], workspace,
-    )
-    trace = StepTrace(
-        indices=np.asarray(indices, dtype=np.int64),
-        grad_sum=grad_sum[0],
-        noise=noise[0],
-        params_after=new_params[0],
-        max_sample_norm=float(max_sample_norm[0]),
-    )
-    return new_params[0], trace
-
-
 def _check_observability(observability: str) -> None:
     if observability not in ("black_box", "white_box"):
         raise ValueError(f"unknown observability {observability!r}")
@@ -492,8 +457,10 @@ def _fan_out(fn, tasks: list, workers: int) -> list:
             out.extend(result)
         return out
     except BaseException:
+        # SIGKILL: a child that inherited a Python-level SIGTERM handler can
+        # drop a SIGTERM sent just after the fork and run its whole range
         for child, _ in children:
-            child.terminate()
+            child.kill()
         raise
     finally:
         for child, receive in children:
@@ -557,24 +524,6 @@ def _train_block(specs, x, y, run_rows, configs, white_box, ws):
                                    noise=noise[k], params_after=params[k],
                                    max_sample_norm=float(max_norm[k])))
     return params, traces
-
-
-def claimed_privacy(config: DpSgdConfig, n: int, delta: float) -> PrivacyParams:
-    """Accountant output for a correct configuration: the one place a DP-SGD
-    claim is computed.
-
-    Composes the per-step Gaussian mechanisms in mu-GDP and inverts the
-    delta(eps) curve at the caller's delta.
-    """
-    if config.bug_mode != BugMode.NONE:
-        raise NoValidGuaranteeError(
-            f"no valid guarantee exists for bug_mode={config.bug_mode.value}"
-        )
-    if config.noise_multiplier <= 0:
-        raise NoValidGuaranteeError("no valid guarantee exists without noise")
-    mu = subsampled_gdp_mu(config.noise_multiplier, config.sample_rate, config.steps)
-    eps = gdp_epsilon_of_delta(mu, delta)
-    return PrivacyParams(epsilon=eps, delta=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -645,9 +594,11 @@ class PredictiveTrainer:
         )
 
     def claimed_epsilon(self, n: int, delta: float) -> float:
-        """Accountant claim, computed as if any configured bug were absent."""
-        cfg = replace(self.config, bug_mode=BugMode.NONE)
-        return claimed_privacy(cfg, n, delta).epsilon
+        """Accountant claim at delta for the configured sigma, rate and steps,
+        as if any configured bug were absent; n does not enter it."""
+        c = self.config
+        return gdp_epsilon_of_delta(
+            subsampled_gdp_mu(c.noise_multiplier, c.sample_rate, c.steps), delta)
 
     def target_losses(self, artifacts: list[TrainedArtifact], record) -> list[float]:
         """Each artifact's loss on record, which is encoded once: the

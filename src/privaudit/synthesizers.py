@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import models
-from .core_stats import GdpParam, gdp_epsilon_of_delta
+from .core_stats import GdpParam, NoValidGuaranteeError, gdp_epsilon_of_delta, subsampled_gdp_mu
 from .data import (
     Dataset,
     NumericColumn,
@@ -29,8 +29,7 @@ from .data import (
     run_chunks,
     run_datasets,
 )
-from .dpsgd import (BugMode, DpSgdConfig, _poisson_rows, _stream, claimed_privacy,
-                    noisy_batch_update)
+from .dpsgd import DpSgdConfig, _poisson_rows, _stream, _update
 from .models import ModelSpec, check_finite, count_value
 from .seeds import derive_seed
 
@@ -265,7 +264,7 @@ def marginal_epsilon(schema: Schema, noise_std: float, delta: float) -> float:
     to mu = sqrt(k)/noise_std.
     """
     if noise_std <= 0:
-        raise ValueError("noise_std must be > 0 for a finite guarantee")
+        raise NoValidGuaranteeError("noise_std must be > 0 for a finite guarantee")
     mu = math.sqrt(len(schema.columns)) / noise_std
     return gdp_epsilon_of_delta(GdpParam(mu), delta)
 
@@ -318,10 +317,10 @@ def fit_gan(ds: Dataset, spec: GanSpec) -> GenerativeArtifact:
     for step in range(spec.n_steps):
         # ---- discriminator ----
         idx = _poisson_rows(_stream(derive_seed(spec.seed, "sample"), 0, step), n, cfg.sample_rate)
-        real_labels = np.ones(len(idx), dtype=int)
-        disc_params, _ = noisy_batch_update(
-            disc_spec, disc_params, x_real[idx], real_labels, idx, cfg, n, step, ws
-        )
+        disc_params = _update(
+            disc_spec, disc_params[None], x_real[idx][None], np.ones((1, len(idx)), dtype=int),
+            [len(idx)], cfg, [n], step, [cfg.seed], ws, max_norm=False,
+        )[0][0]
         z, z2 = _stream(derive_seed(spec.seed, "latent"), _TAG_LATENT, step).standard_normal(
             (2, fake_batch, spec.latent_dim))
         x_fake = models.forward_logits(gen_spec, gen_params, z)
@@ -449,9 +448,9 @@ class GanTrainer:
         step the released generator never sees the data."""
         if self.spec.n_steps == 0:
             return 0.0
-        cfg = replace(self.spec.disc_config, bug_mode=BugMode.NONE,
-                      steps=self.spec.n_steps)
-        return claimed_privacy(cfg, n, delta).epsilon
+        c = self.spec.disc_config
+        return gdp_epsilon_of_delta(
+            subsampled_gdp_mu(c.noise_multiplier, c.sample_rate, self.spec.n_steps), delta)
 
 
 # ---------------------------------------------------------------------------

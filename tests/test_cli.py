@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from privaudit import dpsgd
-from privaudit.cli import _pick_target, main
+from privaudit.cli import _pick_target, build_trainer, main
+from privaudit.core_stats import GdpParam, gdp_epsilon_of_delta
 from privaudit.data import CategoricalColumn, Dataset, NumericColumn, Schema, load_csv
 
 
@@ -402,6 +404,101 @@ def test_audit_gan_zero_steps_claims_zero(workspace):
     assert main(["train", "--config", path]) == 0
     acct = json.loads((workspace / "results" / "accountant.json").read_text())
     assert acct["claimed"]["epsilon"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# claims
+
+def _refuse_constant(name):
+    raise AssertionError(f"{name} is not valid JSON")
+
+
+def _strict_json(path):
+    """path's JSON document, refusing the non-standard NaN and Infinity."""
+    return json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
+def _dpsgd_mu(sigma, rate, steps):
+    """The closed-form mu of T Poisson-subsampled Gaussian steps."""
+    return rate * math.sqrt(steps * math.expm1(1 / sigma**2))
+
+
+CLAIM_CASES = [(kind, steps, bug.value)
+               for kind, steps in [("predictive", None), ("gan", None), ("gan", 0),
+                                   ("gan", 1), ("gan", 5), ("marginal", None), ("step", None)]
+               for bug in dpsgd.BugMode if kind != "marginal" or bug == dpsgd.BugMode.NONE]
+
+
+@pytest.mark.parametrize("kind, steps, bug", CLAIM_CASES)
+def test_every_claim_site_matches_the_gdp_oracle(workspace, kind, steps, bug):
+    # trainer.claimed_epsilon, accountant.json and audit.json against
+    # gdp_epsilon_of_delta of the closed-form mu; every claim ignores the bug
+    # mode, and the accountant names it instead of a claim
+    cfg = base_config(workspace)
+    dp = cfg["trainer"]["dpsgd"] | {"bug_mode": bug}
+    cfg["trainer"] = {
+        "predictive": {"kind": "predictive", "label_column": "y", "dpsgd": dp},
+        "gan": {"kind": "gan", "dpsgd": dp} | ({} if steps is None else {"steps": steps}),
+        "marginal": {"kind": "marginal", "noise_std": 2.0},
+        "step": {"dpsgd": dp},
+    }[kind]
+    # base_config's sigma 1, rate 0.2 and 3 steps; the step audit claims one
+    # step at rate 1, and the marginal synthesizer's mu is sqrt(k)/noise_std
+    mu = GdpParam({
+        "predictive": _dpsgd_mu(1.0, 0.2, 3),
+        "gan": _dpsgd_mu(1.0, 0.2, 3 if steps is None else steps),
+        "marginal": math.sqrt(2) / 2.0,
+        "step": _dpsgd_mu(1.0, 1.0, 1),
+    }[kind])
+    out = workspace / "results"
+    if kind == "step":
+        cfg["audit"] = {"mode": "step_mechanism", "trials": 100, "audit_delta": 0.1}
+        assert main(["audit", "--config", write_config(workspace, cfg)]) in (0, 1, 2)
+        claimed = _strict_json(out / "audit.json")["claimed"]
+        assert claimed == {"epsilon": gdp_epsilon_of_delta(mu, 0.1), "delta": 0.1}
+        return
+    n = 60
+    trainer = build_trainer(cfg, Schema.from_json_file(workspace / "schema.json"))
+    assert trainer.claimed_epsilon(n, 1 / n) == gdp_epsilon_of_delta(mu, 1 / n)
+
+    cfg["audit"] = {"mode": "end_to_end", "t_runs": 20}
+    path = write_config(workspace, cfg)
+    assert main(["train", "--config", path]) == 0
+    acct = _strict_json(out / "accountant.json")
+    if bug == "none":
+        assert acct["claimed"] == {"epsilon": gdp_epsilon_of_delta(mu, 1 / n), "delta": 1 / n}
+    else:
+        assert acct == {"schema_version": 1, "no_valid_guarantee": True,
+                        "reason": f"bug_mode={bug}"}
+    # the audit's records are the pool plus the canary
+    assert main(["audit", "--config", path]) in (0, 1, 2)
+    claimed = _strict_json(out / "audit.json")["claimed"]
+    assert claimed == {"epsilon": gdp_epsilon_of_delta(mu, 1 / (n + 1)), "delta": 1 / (n + 1)}
+
+
+def _predictive(sigma):
+    return {"kind": "predictive", "label_column": "y",
+            "dpsgd": ZERO_NOISE_DPSGD | {"noise_multiplier": sigma}}
+
+
+@pytest.mark.parametrize("command, audit, trainer", [
+    # sigma 0.03: e^(1/sigma^2) overflows a float; sigma 0.05 and noise_std
+    # 1e-3 give a finite mu whose epsilon is past the accountant's range
+    ("train", None, _predictive(0.03)),
+    ("train", None, _predictive(0.05)),
+    ("train", None, {"kind": "marginal", "noise_std": 1e-3}),
+    ("audit", {"mode": "step_mechanism", "trials": 100}, _predictive(0.03)),
+    ("audit", {"mode": "end_to_end", "t_runs": 20}, _predictive(0.03)),
+    ("audit", {"mode": "end_to_end", "t_runs": 20}, {"kind": "marginal", "noise_std": 1e-3}),
+], ids=["train-sigma0.03", "train-sigma0.05", "train-marginal", "step-sigma0.03",
+        "end_to_end-sigma0.03", "end_to_end-marginal"])
+def test_unbounded_claim_is_written_as_valid_json(workspace, command, audit, trainer):
+    cfg = base_config(workspace, trainer=trainer)
+    if audit is not None:
+        cfg["audit"] = audit
+    assert main([command, "--config", write_config(workspace, cfg)]) == 0
+    name = "accountant.json" if command == "train" else "audit.json"
+    assert _strict_json(workspace / "results" / name)["claimed"]["epsilon"] == "unbounded"
 
 
 # ---------------------------------------------------------------------------

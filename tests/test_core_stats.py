@@ -13,6 +13,7 @@ from privaudit.core_stats import (
     DegenerateCountsError,
     ErrorRates,
     GdpParam,
+    NoValidGuaranteeError,
     PrivacyParams,
     accuracy_bound,
     clopper_pearson,
@@ -454,6 +455,47 @@ def test_subsampled_mu_taylor_limit():
 def test_subsampled_mu_sigma_zero_errors():
     with pytest.raises(ValueError):
         subsampled_gdp_mu(0.0, 0.5, 10)
+    with pytest.raises(NoValidGuaranteeError, match=r"without noise \(noise_multiplier=0.0\)"):
+        subsampled_gdp_mu(0.0, 0.5, 10)
+
+
+@pytest.mark.parametrize("sigma, mu", [
+    (1e-200, math.inf),  # 1/sigma^2 divides by an underflowed 0
+    (0.03, math.inf),    # e^(1/sigma^2) overflows
+    (1e200, 0.0),        # sigma^2 overflows
+])
+def test_subsampled_mu_past_the_float_range(sigma, mu):
+    assert subsampled_gdp_mu(sigma, 0.5, 10).mu == mu
+
+
+def test_subsampled_claim_unbounded_at_tiny_noise():
+    for sigma in (0.03, 0.04):
+        assert gdp_epsilon_of_delta(subsampled_gdp_mu(sigma, 0.2, 3), 1e-3) == UNBOUNDED
+
+
+def test_subsampled_claim_vanishes_with_large_noise():
+    eps = gdp_epsilon_of_delta(subsampled_gdp_mu(1e4, 0.5, 5), 1e-3)
+    assert eps == pytest.approx(0.0, abs=1e-6)
+
+
+def test_subsampled_claim_matches_bisection_oracle():
+    eps = gdp_epsilon_of_delta(subsampled_gdp_mu(1.0, 1.0, 1), 0.1)
+    mu = GdpParam(math.sqrt(math.e - 1.0))
+    # independent bisection against the delta curve
+    lo, hi = 0.0, 20.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if gdp_delta_of_epsilon(mu, mid) > 0.1:
+            lo = mid
+        else:
+            hi = mid
+    assert eps == pytest.approx(hi, abs=1e-8)
+
+
+def test_subsampled_claim_monotonic():
+    def eps(sigma, steps):
+        return gdp_epsilon_of_delta(subsampled_gdp_mu(sigma, 0.1, steps), 1e-5)
+    assert eps(2.0, 100) < eps(1.0, 100) < eps(1.0, 200)
 
 
 CLI_RUNS_WITHOUT_SCIPY = """

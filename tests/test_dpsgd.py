@@ -10,24 +10,21 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from privaudit import attacks, dpsgd, models, synthesizers
-from privaudit.core_stats import GdpParam, gdp_delta_of_epsilon
 from privaudit.data import CategoricalColumn, Dataset, NumericColumn, Schema
 from privaudit.dpsgd import (
     _TAG_NOISE,
     _TAG_SAMPLE,
     BugMode,
     DpSgdConfig,
-    NoValidGuaranteeError,
     PredictiveTrainer,
-    claimed_privacy,
     clip_and_sum,
     clip_per_sample,
     features_and_labels,
-    noisy_batch_update,
     train,
     train_lockstep,
     _poisson_rows,
     _stream,
+    _update,
 )
 from privaudit.models import LOGISTIC, MLP, GradientFactors, ModelSpec, init_params, n_params
 from privaudit.shadow import FeatureBundle
@@ -38,6 +35,15 @@ def cfg(**kw):
                 steps=5, learning_rate=0.1, seed=3)
     base.update(kw)
     return DpSgdConfig(**base)
+
+
+def one_step(spec, params, x, y, config, n_total, step):
+    """One DP-SGD step of one run through _update, in fresh arrays: (new
+    params, grad_sum, noise, max_sample_norm), each without the run axis."""
+    out = _update(spec, params[None], np.asarray(x, dtype=np.float64)[None],
+                  np.asarray(y, dtype=int)[None], [len(y)], config, [n_total], step,
+                  [config.seed], None)
+    return tuple(a[0] for a in out)
 
 
 @pytest.fixture
@@ -348,9 +354,9 @@ def test_clipped_norms_stay_within_the_clip_norm(bug):
     spec = ModelSpec(LOGISTIC, input_dim=4, num_classes=3, init_scale=0.0)
     x = rng.normal(size=(49, 4)) * (scales / c)[:, None]
     for k in range(0, 49, 7):
-        _, st = noisy_batch_update(spec, init_params(spec), x[k : k + 7],
-                                   rng.integers(0, 3, size=7), np.arange(7), config, 49, k)
-        assert st.max_sample_norm <= c * (1 + 1e-12)
+        *_, max_norm = one_step(spec, init_params(spec), x[k : k + 7],
+                                rng.integers(0, 3, size=7), config, 49, k)
+        assert max_norm <= c * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("bug, kind", [
@@ -385,7 +391,7 @@ def test_training_never_builds_dense_gradients(toy_xy, monkeypatch, kind, bug):
 
 
 # ---------------------------------------------------------------------------
-# noisy_batch_update
+# one DP-SGD step
 
 def test_plain_sgd_step_when_no_noise():
     spec = ModelSpec(LOGISTIC, input_dim=2, num_classes=2, seed=1)
@@ -396,9 +402,9 @@ def test_plain_sgd_step_when_no_noise():
     y = np.array([1])
     from privaudit.models import per_sample_gradient
     g = per_sample_gradient(spec, params, x[0], 1)
-    new, st = noisy_batch_update(spec, params, x, y, np.array([0]), config, 1, 0)
+    new, _, noise, _ = one_step(spec, params, x, y, config, 1, 0)
     assert new == pytest.approx(params - 0.1 * g)
-    assert st.noise == pytest.approx(np.zeros(params.size))
+    assert noise == pytest.approx(np.zeros(params.size))
 
 
 def test_empty_batch_is_pure_noise_update():
@@ -406,11 +412,11 @@ def test_empty_batch_is_pure_noise_update():
     params = init_params(spec)
     config = cfg(sample_rate=0.5)
     n_total = 10
-    new, st = noisy_batch_update(spec, params, np.zeros((0, 2)), np.zeros(0, dtype=int),
-                                 np.array([], dtype=int), config, n_total, 0)
-    expected = params - config.learning_rate * st.noise / (0.5 * n_total)
+    new, grad_sum, noise, _ = one_step(spec, params, np.zeros((0, 2)), np.zeros(0, dtype=int),
+                                       config, n_total, 0)
+    expected = params - config.learning_rate * noise / (0.5 * n_total)
     assert new == pytest.approx(expected)
-    assert np.all(st.grad_sum == 0.0)
+    assert np.all(grad_sum == 0.0)
 
 
 def test_update_noise_std_monte_carlo():
@@ -424,9 +430,8 @@ def test_update_noise_std_monte_carlo():
     for r in range(reps):
         config = cfg(noise_multiplier=sigma, clip_norm=c, sample_rate=p,
                      learning_rate=lr, seed=r)
-        new, _ = noisy_batch_update(spec, params, np.zeros((0, 2)),
-                                    np.zeros(0, dtype=int), np.array([], dtype=int),
-                                    config, n_total, 0)
+        new = one_step(spec, params, np.zeros((0, 2)), np.zeros(0, dtype=int),
+                       config, n_total, 0)[0]
         updates[r] = new - params
     want = sigma * c * lr / (p * n_total)
     got = updates.std(axis=0)
@@ -437,15 +442,12 @@ def test_static_noise_bug_repeats_step0_noise():
     spec = ModelSpec(LOGISTIC, input_dim=2, num_classes=2, seed=1)
     params = init_params(spec)
     config = cfg(bug_mode=BugMode.STATIC_NOISE)
-    _, st0 = noisy_batch_update(spec, params, np.zeros((0, 2)), np.zeros(0, dtype=int),
-                                np.array([], dtype=int), config, 10, 0)
-    _, st5 = noisy_batch_update(spec, params, np.zeros((0, 2)), np.zeros(0, dtype=int),
-                                np.array([], dtype=int), config, 10, 5)
-    assert np.array_equal(st0.noise, st5.noise)
+    empty = np.zeros((0, 2)), np.zeros(0, dtype=int)
+    noise0 = one_step(spec, params, *empty, config, 10, 0)[2]
+    noise5 = one_step(spec, params, *empty, config, 10, 5)[2]
+    assert np.array_equal(noise0, noise5)
     good = cfg(bug_mode=BugMode.NONE, seed=config.seed)
-    _, ok5 = noisy_batch_update(spec, params, np.zeros((0, 2)), np.zeros(0, dtype=int),
-                                np.array([], dtype=int), good, 10, 5)
-    assert not np.array_equal(st0.noise, ok5.noise)
+    assert not np.array_equal(noise0, one_step(spec, params, *empty, good, 10, 5)[2])
 
 
 def test_aggregate_clipping_bug():
@@ -457,12 +459,12 @@ def test_aggregate_clipping_bug():
     y = np.array([1, 1])
     base = cfg(noise_multiplier=0.0, bug_mode=BugMode.NO_NOISE, clip_norm=0.1,
                sample_rate=1.0)
-    _, st_good = noisy_batch_update(spec, params, x, y, np.array([0, 1]), base, 2, 0)
-    assert np.linalg.norm(st_good.grad_sum) == pytest.approx(0.2, abs=1e-9)
+    sum_good = one_step(spec, params, x, y, base, 2, 0)[1]
+    assert np.linalg.norm(sum_good) == pytest.approx(0.2, abs=1e-9)
     buggy = replace(base, bug_mode=BugMode.NO_PER_SAMPLE_CLIPPING)
     # NO_PER_SAMPLE_CLIPPING still zeroes no noise here (sigma=0 draws noise):
-    _, st_bug = noisy_batch_update(spec, params, x, y, np.array([0, 1]), buggy, 2, 0)
-    assert np.linalg.norm(st_bug.grad_sum) <= 0.1 + 1e-9
+    sum_bug = one_step(spec, params, x, y, buggy, 2, 0)[1]
+    assert np.linalg.norm(sum_bug) <= 0.1 + 1e-9
 
 
 def test_noise_not_scaled_to_batch_bug():
@@ -473,16 +475,15 @@ def test_noise_not_scaled_to_batch_bug():
     bug = cfg(sample_rate=p, seed=9, bug_mode=BugMode.NOISE_NOT_SCALED_TO_BATCH)
     # realized batch of 50 >> p*N = 10 shrinks the noise under the bug
     x = np.zeros((50, 2)); y = np.zeros(50, dtype=int)
-    idx = np.arange(50)
     spec0 = ModelSpec(LOGISTIC, input_dim=2, num_classes=2, init_scale=0.0, seed=1)
     p0 = init_params(spec0)
-    new_g, st_g = noisy_batch_update(spec0, p0, x, y, idx, good, n_total, 0)
-    new_b, st_b = noisy_batch_update(spec0, p0, x, y, idx, bug, n_total, 0)
-    assert np.array_equal(st_g.noise, st_b.noise)
+    new_g, sum_g, noise_g, _ = one_step(spec0, p0, x, y, good, n_total, 0)
+    new_b, sum_b, noise_b, _ = one_step(spec0, p0, x, y, bug, n_total, 0)
+    assert np.array_equal(noise_g, noise_b)
     lr = good.learning_rate
-    expected_g = p0 - lr * (st_g.grad_sum + st_g.noise) / (p * n_total)
+    expected_g = p0 - lr * (sum_g + noise_g) / (p * n_total)
     # buggy mode divides only the noise by the realized batch size (50)
-    expected_b = p0 - lr * (st_b.grad_sum / (p * n_total) + st_b.noise / 50)
+    expected_b = p0 - lr * (sum_b / (p * n_total) + noise_b / 50)
     assert new_g == pytest.approx(expected_g, abs=1e-12)
     assert new_b == pytest.approx(expected_b, abs=1e-12)
 
@@ -590,51 +591,6 @@ def test_poisson_inclusion_frequency():
     freq = counts / steps
     sd = math.sqrt(p * (1 - p) / steps)
     assert np.all(np.abs(freq - p) <= 3 * sd)
-
-
-def test_large_noise_accountant_epsilon_vanishes():
-    pp = claimed_privacy(cfg(noise_multiplier=1e4), 40, 1e-3)
-    assert pp.epsilon == pytest.approx(0.0, abs=1e-6)
-
-
-def test_accountant_matches_bisection_oracle():
-    config = cfg(noise_multiplier=1.0, sample_rate=1.0, steps=1)
-    pp = claimed_privacy(config, 10, 0.1)
-    mu = GdpParam(math.sqrt(math.e - 1.0))
-    # independent bisection against the delta curve
-    lo, hi = 0.0, 20.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if gdp_delta_of_epsilon(mu, mid) > 0.1:
-            lo = mid
-        else:
-            hi = mid
-    assert pp.epsilon == pytest.approx(hi, abs=1e-8)
-
-
-def test_accountant_monotonic():
-    base = dict(clip_norm=1.0, sample_rate=0.1, learning_rate=0.1, seed=0)
-    e1 = claimed_privacy(DpSgdConfig(noise_multiplier=1.0, steps=100, **base), 1000, 1e-5).epsilon
-    e2 = claimed_privacy(DpSgdConfig(noise_multiplier=2.0, steps=100, **base), 1000, 1e-5).epsilon
-    e3 = claimed_privacy(DpSgdConfig(noise_multiplier=1.0, steps=200, **base), 1000, 1e-5).epsilon
-    assert e2 < e1 < e3
-
-
-def test_accountant_hand_composition():
-    # recompute mu directly from the closed form for sigma=2, p=0.01, T=100
-    sigma, p, steps, delta = 2.0, 0.01, 100, 1e-5
-    mu = p * math.sqrt(steps * (math.exp(1.0 / sigma**2) - 1.0))
-    from privaudit.core_stats import gdp_epsilon_of_delta
-    want = gdp_epsilon_of_delta(GdpParam(mu), delta)
-    got = claimed_privacy(DpSgdConfig(clip_norm=1.0, noise_multiplier=sigma,
-                                      sample_rate=p, steps=steps,
-                                      learning_rate=0.1), 10_000, delta)
-    assert got.epsilon == pytest.approx(want, abs=1e-10)
-
-
-def test_claimed_privacy_refuses_bug_modes():
-    with pytest.raises(NoValidGuaranteeError, match="no valid guarantee"):
-        claimed_privacy(cfg(bug_mode=BugMode.NO_NOISE), 100, 1e-3)
 
 
 # ---------------------------------------------------------------------------
