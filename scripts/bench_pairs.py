@@ -213,8 +213,9 @@ def main(argv=None) -> int:
     if args.interleave is not None and (args.interleave < 1 or args.workload == "all"):
         p.error("--interleave needs N >= 1 and one workload")
 
-    # a terminated run still removes its export
-    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
+    # a terminated run still removes its export; the caller's handler comes
+    # back on return, so an in-process caller does not keep this one
+    previous = signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         export(args.parent, tmp)
@@ -259,6 +260,7 @@ def main(argv=None) -> int:
         return 0
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from .core_stats import (
     effective_epsilon_point,
     error_rates,
 )
-from .data import Dataset, NumericColumn, Schema, run_chunks, stack_runs
+from .data import Dataset, NumericColumn, Schema, run_chunks
 from .shadow import FeatureBundle
 
 __all__ = [
@@ -48,12 +48,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScoredRuns:
-    """Per-run membership scores; higher score means 'predict member'."""
+    """Per-run membership scores; higher score means 'predict member'.
+    indices holds the scored runs' indices in the bundle, None when the
+    scores are not of shadow runs."""
 
     bits: np.ndarray
     scores: np.ndarray
     attack: str
-    indices: tuple[int, ...] = ()
+    indices: np.ndarray | None = None
     threat_model: object = None
 
     def __post_init__(self):
@@ -103,14 +105,19 @@ def attack_loss_threshold(fb: FeatureBundle) -> ScoredRuns:
     _require_mode(fb, "pred_loss", "attack_loss_threshold")
     return ScoredRuns(
         bits=fb.bits,
-        scores=-np.asarray(fb.features, dtype=np.float64),
+        scores=-fb.features,
         attack="loss_threshold",
-        indices=tuple(range(len(fb.features))),
+        indices=np.arange(len(fb.bits)),
         threat_model=fb.threat_model,
     )
 
 
-def _split_stratified(bits: np.ndarray, holdout_fraction: float, min_per_class: int):
+# the share of each membership class that calibrates lira and groundhog
+_HOLDOUT_FRACTION = 0.5
+
+
+def _split_stratified(bits: np.ndarray, holdout_fraction: float = _HOLDOUT_FRACTION,
+                      min_per_class: int = 2):
     """Leading holdout_fraction of each class (by run order) calibrates."""
     if not (0.0 < holdout_fraction < 1.0):
         raise ValueError("holdout_fraction must be in (0, 1)")
@@ -129,7 +136,7 @@ def _split_stratified(bits: np.ndarray, holdout_fraction: float, min_per_class: 
     return cal
 
 
-def attack_lira(fb: FeatureBundle, holdout_fraction: float = 0.5) -> ScoredRuns:
+def attack_lira(fb: FeatureBundle, holdout_fraction: float = _HOLDOUT_FRACTION) -> ScoredRuns:
     """Likelihood-ratio test on the target's loss.
 
     Gaussians are fitted to the calibration losses of the in-group and the
@@ -137,9 +144,9 @@ def attack_lira(fb: FeatureBundle, holdout_fraction: float = 0.5) -> ScoredRuns:
     returned runs cover the evaluation split only.
     """
     _require_mode(fb, "pred_loss", "attack_lira")
-    losses = np.asarray(fb.features, dtype=np.float64)
+    losses = fb.features
     bits = fb.bits
-    cal = _split_stratified(bits, holdout_fraction, min_per_class=2)
+    cal = _split_stratified(bits, holdout_fraction)
 
     def fit(group: np.ndarray):
         return float(group.mean()), float(group.var()) + 1e-12
@@ -155,18 +162,9 @@ def attack_lira(fb: FeatureBundle, holdout_fraction: float = 0.5) -> ScoredRuns:
         bits=bits[ev],
         scores=log_in - log_out,
         attack="lira",
-        indices=tuple(int(i) for i in np.flatnonzero(ev)),
+        indices=np.flatnonzero(ev),
         threat_model=fb.threat_model,
     )
-
-
-def _run_columns(fb: FeatureBundle) -> tuple[np.ndarray, ...]:
-    """The bundle's synthetic records as run-axis arrays, (runs, n) each: its
-    run_columns, or its datasets stacked once when it was built of them
-    alone, which then must all have the same number of rows."""
-    if any(len(ds) == 0 for ds in fb.features):
-        raise ValueError("empty synthetic dataset")
-    return stack_runs(fb.features) if fb.run_columns is None else fb.run_columns
 
 
 def _min_gower(schema: Schema, target, columns) -> np.ndarray:
@@ -175,6 +173,8 @@ def _min_gower(schema: Schema, target, columns) -> np.ndarray:
     sees the arithmetic of its run alone, so the distances are bit-equal to
     one run at a time."""
     runs, n = columns[0].shape
+    if n == 0:
+        raise ValueError("empty synthetic dataset")
     out = np.empty(runs)
     for chunk in run_chunks(runs, n):
         acc = np.zeros((chunk.stop - chunk.start, n))
@@ -195,8 +195,6 @@ def _min_gower(schema: Schema, target, columns) -> np.ndarray:
 def min_gower_distance(schema: Schema, target, ds: Dataset) -> float:
     """Distance from the target to its closest record in ds, vectorized: the
     one-run case of the run-axis distances."""
-    if len(ds) == 0:
-        raise ValueError("empty synthetic dataset")
     return float(_min_gower(schema, target, tuple(c[None] for c in ds.columns))[0])
 
 
@@ -204,12 +202,11 @@ def attack_dcr(fb: FeatureBundle) -> ScoredRuns:
     """Distance to closest record: score = -min distance from target to the
     run's synthetic dataset, read from the bundle's run-axis arrays."""
     _require_mode(fb, "synth_dataset", "attack_dcr")
-    scores = -_min_gower(fb.schema, fb.target, _run_columns(fb))
     return ScoredRuns(
         bits=fb.bits,
-        scores=scores,
+        scores=-_min_gower(fb.schema, fb.target, fb.features),
         attack="dcr",
-        indices=tuple(range(len(fb.features))),
+        indices=np.arange(len(fb.bits)),
         threat_model=fb.threat_model,
     )
 
@@ -218,7 +215,7 @@ def attack_dcr(fb: FeatureBundle) -> ScoredRuns:
 class GroundhogConfig:
     steps: int = 300
     learning_rate: float = 0.5
-    holdout_fraction: float = 0.5
+    holdout_fraction: float = _HOLDOUT_FRACTION
     include_correlations: bool = False
 
 
@@ -238,6 +235,8 @@ def _groundhog(schema: Schema, columns, include_correlations: bool) -> np.ndarra
     statistic reduces along a row, which numpy does as it reduces one run's
     column alone, so the rows are bit-equal to one run at a time."""
     runs, n = columns[0].shape
+    if n == 0:
+        raise ValueError("empty synthetic dataset")
     blocks = []
     for chunk in run_chunks(runs, n):
         size = chunk.stop - chunk.start
@@ -282,9 +281,9 @@ def attack_groundhog(fb: FeatureBundle, config: GroundhogConfig | None = None) -
     _require_mode(fb, "synth_dataset", "attack_groundhog")
     cfg = config or GroundhogConfig()
     bits = fb.bits
-    cal = _split_stratified(bits, cfg.holdout_fraction, min_per_class=2)
+    cal = _split_stratified(bits, cfg.holdout_fraction)
 
-    feats = _groundhog(fb.schema, _run_columns(fb), cfg.include_correlations)
+    feats = _groundhog(fb.schema, fb.features, cfg.include_correlations)
     # standardize with calibration statistics for stable fixed-budget SGD
     mu = feats[cal].mean(axis=0)
     sd = np.maximum(feats[cal].std(axis=0), 1e-8)
@@ -306,7 +305,7 @@ def attack_groundhog(fb: FeatureBundle, config: GroundhogConfig | None = None) -
         bits=bits[ev],
         scores=logits[:, 1] - logits[:, 0],
         attack="groundhog",
-        indices=tuple(int(i) for i in np.flatnonzero(ev)),
+        indices=np.flatnonzero(ev),
         threat_model=fb.threat_model,
     )
 
@@ -316,9 +315,9 @@ def attack_disc_loss(fb: FeatureBundle) -> ScoredRuns:
     _require_mode(fb, "disc_loss", "attack_disc_loss")
     return ScoredRuns(
         bits=fb.bits,
-        scores=-np.asarray(fb.features, dtype=np.float64),
+        scores=-fb.features,
         attack="disc_loss",
-        indices=tuple(range(len(fb.features))),
+        indices=np.arange(len(fb.bits)),
         threat_model=fb.threat_model,
     )
 

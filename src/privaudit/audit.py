@@ -220,8 +220,7 @@ def _generative_scores(fb) -> ScoredRuns:
     groundhog scores, over the groundhog evaluation split."""
     d = attack_dcr(fb)
     g = attack_groundhog(fb)
-    pos = {idx: k for k, idx in enumerate(d.indices)}
-    dz = _zscore(d.scores)[[pos[i] for i in g.indices]]
+    dz = _zscore(d.scores)[g.indices]  # dcr scores every run, in run order
     gz = _zscore(g.scores)
     return ScoredRuns(
         bits=g.bits,

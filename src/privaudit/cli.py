@@ -35,6 +35,7 @@ from .dpsgd import BugMode, DpSgdConfig, PredictiveTrainer
 from .models import count_value, save_params
 from .shadow import (
     ThreatModel,
+    _stratified_bits,
     check_features,
     query_features,
     query_sample_count,
@@ -289,9 +290,9 @@ ATTACK_FNS = {
 }
 
 
-def _check_attack_compat(names, trainer, tm: ThreatModel) -> None:
-    """Reject incompatible attack/trainer/threat-model combinations before
-    any training starts."""
+def _check_attack_compat(names, trainer, tm: ThreatModel, t_runs: int) -> None:
+    """Reject incompatible attack/trainer/threat-model combinations, and too
+    few runs for an attack's calibration split, before any training starts."""
     if not names:
         raise ConfigError("attack.attacks: missing or empty")
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
@@ -300,6 +301,10 @@ def _check_attack_compat(names, trainer, tm: ThreatModel) -> None:
         if name not in ATTACK_FNS:
             raise ConfigError(f"attack.attacks: unknown attack {name!r}")
         _build(f"attack.attacks: {name}", check_features, ATTACK_FEATURES[name], trainer, tm)
+        if name in ("lira", "groundhog"):
+            # the split depends only on the class sizes, which the seed does not change
+            _build(f"attack.t_runs: {name}", attacks_mod._split_stratified,
+                   _stratified_bits(t_runs, 0))
 
 
 def _pick_target(cfg: dict, ds: Dataset):
@@ -324,8 +329,8 @@ def cmd_attack(cfg: dict, args) -> int:
     trainer = build_trainer(cfg, ds.schema)
     tm = _threat_model(cfg)
     names = kw.get("attacks")
-    _check_attack_compat(names, trainer, tm)
     t_runs = kw.get("t_runs", 64)
+    _check_attack_compat(names, trainer, tm, t_runs)
 
     if args.dry_run:
         est = audit_mod.estimate_mia_cost(

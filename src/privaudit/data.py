@@ -6,9 +6,9 @@ selection. Datasets are immutable after construction. This module alone
 decides how a column is checked (`_checked`), encoded (`encode`) and binned
 (`histogram_cells`), and it imports no other privaudit module.
 
-Many datasets of one schema and length, one per shadow run, are held as
-run-axis arrays: one (runs, n) array per schema column, row r holding run r's
-n values (`run_datasets`, `stack_runs`, `run_chunks`).
+Many datasets of one schema and length, one per shadow run, are not Datasets
+but run-axis arrays: one (runs, n) array per schema column, row r holding run
+r's n values, which code reads a chunk of runs at a time (`run_chunks`).
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ __all__ = [
     "row_keys",
     "histogram_cells",
     "run_chunks",
-    "run_datasets",
-    "stack_runs",
     "select_targets",
 ]
 
@@ -405,26 +403,6 @@ def run_chunks(runs: int, n: int) -> list[slice]:
     RUN_CHUNK_CELLS cells each, and of one run at least."""
     step = max(1, RUN_CHUNK_CELLS // max(n, 1))
     return [slice(a, min(a + step, runs)) for a in range(0, runs, step)]
-
-
-def run_datasets(schema: Schema, columns, runs: int, provenance: str = "") -> tuple[Dataset, ...]:
-    """Each run of the run-axis columns as a Dataset whose columns are
-    read-only row views of them, not copies. The columns are frozen too."""
-    for c in columns:
-        c.setflags(write=False)
-    return tuple(Dataset(schema, tuple(c[r] for c in columns), provenance, copy=False)
-                 for r in range(runs))
-
-
-def stack_runs(datasets) -> tuple[np.ndarray, ...]:
-    """Datasets of one schema and length as read-only run-axis columns,
-    copied."""
-    if len({len(ds) for ds in datasets}) > 1:
-        raise DataError("the runs' datasets must all have the same number of rows")
-    columns = tuple(np.stack(c) for c in zip(*(ds.columns for ds in datasets)))
-    for c in columns:
-        c.setflags(write=False)
-    return columns
 
 
 def _marginal_outlier_scores(ds: Dataset, bins: int = 10) -> np.ndarray:

@@ -4,8 +4,9 @@ Repeatedly trains target-in/target-out artifacts under controlled randomness
 and hands labeled material to the attacks. Every trainer fits the independent
 runs in one ``fit_runs`` call: the predictive one in lockstep blocks, which
 forked processes may share, the marginal one from one binning pass and the GAN
-run by run, both in the calling thread. The collection is ordered by run
-index and each run depends only on the master seed and its index.
+run by run, both in the calling thread. Each run depends only on the master
+seed and its index t, and the collection and the attack features hold the runs
+as run-axis values: entry t of each field belongs to run t.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, row_keys, run_datasets
+from .data import Dataset, row_keys
 from .models import count_value
 from .seeds import derive_seed
 from .synthesizers import GanTrainer, disc_loss, sample_runs
 
 __all__ = [
     "ThreatModel",
-    "ShadowRun",
     "ShadowCollection",
     "FeatureBundle",
     "run_shadow_experiment",
@@ -55,43 +55,34 @@ class ThreatModel:
 
 
 @dataclass(frozen=True)
-class ShadowRun:
-    index: int
-    bit: int
-    artifact: object
-    seed: int
-    fingerprint: str
-
-
-@dataclass(frozen=True)
 class ShadowCollection:
+    """The trained runs: run t's membership bit (a read-only int array),
+    seed, artifact and training-set fingerprint are entry t of each field."""
+
     target: tuple
     threat_model: ThreatModel
-    runs: tuple[ShadowRun, ...]
+    bits: np.ndarray
+    seeds: tuple[int, ...]
+    artifacts: tuple
+    fingerprints: tuple[str, ...]
     master_seed: int
     trainer: object = None
-
-    @property
-    def bits(self) -> np.ndarray:
-        return np.array([r.bit for r in self.runs], dtype=int)
 
 
 @dataclass(frozen=True)
 class FeatureBundle:
     """Per-run attack features, aligned with the collection's run order.
 
-    For synth_dataset the features are the runs' synthetic datasets, and
-    query_features also sets run_columns: the same records as read-only
-    run-axis arrays, one (runs, n) array per schema column, which the attacks
-    read. A bundle built of the datasets alone leaves it None."""
+    features is a float64 (runs,) array for pred_loss and disc_loss, and for
+    synth_dataset the runs' synthetic records as read-only run-axis arrays,
+    one (runs, n) array per schema column."""
 
     mode: str
-    features: tuple
+    features: np.ndarray | tuple[np.ndarray, ...]
     bits: np.ndarray
     target: tuple
     schema: object
     threat_model: ThreatModel | None = None
-    run_columns: tuple | None = None
 
 
 def dataset_fingerprint(ds: Dataset) -> str:
@@ -194,20 +185,14 @@ def run_shadow_experiment(
         return fingerprints[key]
 
     artifacts = trainer.fit_runs(with_target, run_rows, seeds, workers)
-    runs = tuple(
-        ShadowRun(
-            index=t,
-            bit=int(bits[t]),
-            artifact=artifacts[t],
-            seed=seeds[t],
-            fingerprint=fingerprint(run_rows[t]),
-        )
-        for t in range(t_runs)
-    )
+    bits.setflags(write=False)
     return ShadowCollection(
         target=target,
         threat_model=tm,
-        runs=runs,
+        bits=bits,
+        seeds=tuple(seeds),
+        artifacts=tuple(artifacts),
+        fingerprints=tuple(map(fingerprint, run_rows)),
         master_seed=master_seed,
         trainer=trainer,
     )
@@ -228,40 +213,36 @@ def check_features(mode: str, trainer, tm: ThreatModel) -> None:
 
 
 def query_features(collection: ShadowCollection, mode: str, query_config: dict | None = None) -> FeatureBundle:
-    """Extract per-run attack features, once check_features allows the mode.
+    """Extract per-run attack features, once check_features allows the mode,
+    as read-only run-axis values.
 
     pred_loss: loss of the target under each trained model.
-    synth_dataset: a synthetic dataset of query_config['n_samples'] rows per
-    run, all runs sampled into one set of run-axis arrays (sample_runs); each
-    run's Dataset is a read-only row view of them.
+    synth_dataset: query_config['n_samples'] synthetic records per run, all
+    runs sampled into one set of run-axis arrays (sample_runs).
     disc_loss: discriminator loss at the target (white-box GAN only).
     """
     qc = dict(query_config or {})
     trainer = collection.trainer
     check_features(mode, trainer, collection.threat_model)
 
-    run_columns = None
-    if mode == "pred_loss":
-        feats = tuple(trainer.target_losses([r.artifact for r in collection.runs],
-                                            collection.target))
-        schema = collection.runs[0].artifact.meta["schema"]
-    elif mode == "synth_dataset":
+    arts = collection.artifacts
+    if mode == "synth_dataset":
         n = query_sample_count(qc.get("n_samples", 100))
-        arts = [r.artifact for r in collection.runs]
-        schema = arts[0].schema
-        run_columns = sample_runs(
-            arts, n, [derive_seed(collection.master_seed, "query", r.index) for r in collection.runs])
-        feats = run_datasets(schema, run_columns, len(arts), f"synthetic:{arts[0].kind}")
+        feats = sample_runs(arts, n, [derive_seed(collection.master_seed, "query", t)
+                                      for t in range(len(arts))])
+        for c in feats:
+            c.setflags(write=False)
     else:
-        feats = tuple(disc_loss(r.artifact, collection.target) for r in collection.runs)
-        schema = collection.runs[0].artifact.schema
+        losses = (trainer.target_losses(arts, collection.target) if mode == "pred_loss"
+                  else [disc_loss(a, collection.target) for a in arts])
+        feats = np.array(losses, dtype=np.float64)
+        feats.setflags(write=False)
 
     return FeatureBundle(
         mode=mode,
         features=feats,
         bits=collection.bits,
         target=collection.target,
-        schema=schema,
+        schema=arts[0].meta["schema"] if mode == "pred_loss" else arts[0].schema,
         threat_model=collection.threat_model,
-        run_columns=run_columns,
     )

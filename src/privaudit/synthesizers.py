@@ -27,7 +27,6 @@ from .data import (
     encode_record,
     histogram_cells,
     run_chunks,
-    run_datasets,
 )
 from .dpsgd import DpSgdConfig, _poisson_rows, _stream, _update
 from .models import ModelSpec, check_finite, count_value
@@ -391,7 +390,8 @@ def sample(artifact: GenerativeArtifact, n: int, seed: int) -> Dataset:
     """Draw n schema-valid synthetic records, deterministic given seed: the
     one-run case of sample_runs."""
     columns = sample_runs([artifact], n, [seed])
-    return run_datasets(artifact.schema, columns, 1, f"synthetic:{artifact.kind}")[0]
+    return Dataset(artifact.schema, tuple(c[0] for c in columns), f"synthetic:{artifact.kind}",
+                   copy=False)
 
 
 def disc_loss(artifact: GenerativeArtifact, record) -> float:

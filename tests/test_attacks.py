@@ -42,7 +42,7 @@ from privaudit.shadow import FeatureBundle
 def pred_bundle(losses, bits):
     return FeatureBundle(
         mode="pred_loss",
-        features=tuple(float(v) for v in losses),
+        features=np.asarray(losses, dtype=np.float64),
         bits=np.asarray(bits, dtype=int),
         target=(0.0,),
         schema=None,
@@ -50,9 +50,10 @@ def pred_bundle(losses, bits):
 
 
 def synth_bundle(datasets, bits, target, schema):
+    """A bundle of datasets of one length, as run-axis arrays."""
     return FeatureBundle(
         mode="synth_dataset",
-        features=tuple(datasets),
+        features=tuple(np.stack(c) for c in zip(*(ds.columns for ds in datasets))),
         bits=np.asarray(bits, dtype=int),
         target=target,
         schema=schema,
@@ -97,7 +98,7 @@ def test_loss_threshold_monotone_transform_invariant():
 
 
 def test_loss_threshold_wrong_mode():
-    fb = FeatureBundle(mode="disc_loss", features=(1.0, 2.0),
+    fb = FeatureBundle(mode="disc_loss", features=np.array([1.0, 2.0]),
                        bits=np.array([0, 1]), target=(), schema=None)
     with pytest.raises(ValueError, match="pred_loss"):
         attack_loss_threshold(fb)
@@ -138,6 +139,7 @@ def test_lira_too_few_runs():
 def test_lira_indices_cover_evaluation_split():
     bits = [1, 0] * 8
     sc = attack_lira(pred_bundle(np.arange(16.0), bits))
+    assert sc.indices.dtype.kind == "i"
     assert len(sc.indices) == len(sc.scores) == 8
     assert all(b == bits[i] for i, b in zip(sc.indices, sc.bits))
 
@@ -203,11 +205,14 @@ def test_dcr_target_present_max_score(cat4_schema):
 
 
 def test_dcr_empty_dataset_errors(cat4_schema):
-    fb = synth_bundle(
-        [Dataset.from_rows(cat4_schema, []), Dataset.from_rows(cat4_schema, [(0, 0, 0, 0)])],
-        [1, 0], (0, 0, 0, 0), cat4_schema)
-    with pytest.raises(ValueError, match="empty"):
-        attack_dcr(fb)
+    fb = synth_bundle([Dataset.from_rows(cat4_schema, [])] * 8, [1, 0] * 4, (0, 0, 0, 0),
+                      cat4_schema)
+    # groundhog, which reads the same arrays, refuses them too
+    for attack in (attack_dcr, attack_groundhog):
+        with pytest.raises(ValueError, match="empty synthetic dataset"):
+            attack(fb)
+    with pytest.raises(ValueError, match="empty synthetic dataset"):
+        min_gower_distance(cat4_schema, (0, 0, 0, 0), Dataset.from_rows(cat4_schema, []))
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +267,13 @@ def test_groundhog_too_few_runs(num_schema):
 # disc loss
 
 def test_disc_loss_equal_scores_auc_half():
-    fb = FeatureBundle(mode="disc_loss", features=(0.7,) * 8,
+    fb = FeatureBundle(mode="disc_loss", features=np.full(8, 0.7),
                        bits=np.array([1, 0] * 4), target=(), schema=None)
     assert evaluate(attack_disc_loss(fb), delta=0.0).auc == pytest.approx(0.5)
 
 
 def test_disc_loss_separating():
-    fb = FeatureBundle(mode="disc_loss", features=(0.1, 0.9, 0.2, 0.8),
+    fb = FeatureBundle(mode="disc_loss", features=np.array([0.1, 0.9, 0.2, 0.8]),
                        bits=np.array([1, 0, 1, 0]), target=(), schema=None)
     assert evaluate(attack_disc_loss(fb), delta=0.0).auc == pytest.approx(1.0)
 
@@ -613,8 +618,9 @@ MIXED = Schema((
 
 @st.composite
 def synthetic_runs(draw):
-    """Runs of one length, and a chunk size in cells that gives chunks of
-    one run, of a few runs with a short last chunk, or of every run."""
+    """Run-axis columns of MIXED, read-only, and a chunk size in cells that
+    gives chunks of one run, of a few runs with a short last chunk, or of
+    every run."""
     t_runs = draw(st.sampled_from([1, 2, 3, 7, 8, 9, 19]))
     n = draw(st.sampled_from([1, 2, 7, 8, 33, 300]))
     chunk_cells = draw(st.sampled_from([1, 3 * n, data_mod.RUN_CHUNK_CELLS]))
@@ -623,27 +629,30 @@ def synthetic_runs(draw):
     for _ in range(t_runs):
         # few distinct values: ties, repeated medians and constant columns
         y = rng.choice([0.0, 0.25, 1.0], size=n) if rng.random() < 0.3 else rng.random(n)
-        runs.append(Dataset(MIXED, (rng.uniform(-2, 6, n), rng.integers(0, 3, n), y,
-                                    np.full(n, -0.5) if rng.random() < 0.3
-                                    else rng.uniform(-1, 1, n))))
-    return tuple(runs), chunk_cells
+        runs.append((rng.uniform(-2, 6, n), rng.integers(0, 3, n), y,
+                     np.full(n, -0.5) if rng.random() < 0.3 else rng.uniform(-1, 1, n)))
+    columns = tuple(np.stack(c) for c in zip(*runs))
+    for c in columns:
+        c.setflags(write=False)
+    return columns, chunk_cells
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=synthetic_runs(), corr=st.booleans())
 def test_run_axis_features_bit_equal_to_per_run(case, corr):
-    runs, chunk_cells = case
+    columns, chunk_cells = case
     target = (0.5, 1, 0.25, 0.0)
-    want = np.stack([groundhog_features_per_run(ds, corr) for ds in runs])
-    want_dcr = [min_gower_per_run(MIXED, target, ds) for ds in runs]
-    # the one-run cases
-    assert [groundhog_features(ds, corr).tobytes() for ds in runs] == [w.tobytes() for w in want]
-    assert [min_gower_distance(MIXED, target, ds) for ds in runs] == want_dcr
+    runs = [Dataset(MIXED, tuple(c[r] for c in columns)) for r in range(len(columns[0]))]
+    # the one-run cases against the per-run references, then the run-axis
+    # values against the one-run cases
+    want = np.stack([groundhog_features(ds, corr) for ds in runs])
+    want_dcr = [min_gower_distance(MIXED, target, ds) for ds in runs]
+    assert [w.tobytes() for w in want] == [
+        groundhog_features_per_run(ds, corr).tobytes() for ds in runs]
+    assert want_dcr == [min_gower_per_run(MIXED, target, ds) for ds in runs]
 
-    fb = synth_bundle(runs, [k % 2 for k in range(len(runs))], target, MIXED)
-    columns = attacks._run_columns(fb)
-    assert [c.shape for c in columns] == [(len(runs), len(runs[0]))] * 4
-    assert not any(c.flags.writeable for c in columns)
+    fb = FeatureBundle(mode="synth_dataset", features=columns,
+                       bits=np.arange(len(runs)) % 2, target=target, schema=MIXED)
     with mock.patch.object(data_mod, "RUN_CHUNK_CELLS", chunk_cells):
         got = attacks._groundhog(MIXED, columns, corr)
         assert got.tobytes() == want.tobytes()
@@ -655,15 +664,3 @@ def test_run_axis_features_bit_equal_to_per_run(case, corr):
             with mock.patch.object(attacks, "_groundhog", lambda schema, cols, c: want):
                 want_scores = attack_groundhog(fb, cfg).scores
             assert attack_groundhog(fb, cfg).scores.tobytes() == want_scores.tobytes()
-
-
-def test_synthetic_datasets_of_differing_lengths_are_refused():
-    runs = [Dataset.from_rows(MIXED, [(0.0, 0, 0.5, 0.0)] * n) for n in (3, 4) * 4]
-    fb = synth_bundle(runs, [0, 1] * 4, (0.0, 0, 0.5, 0.0), MIXED)
-    for attack in (attack_dcr, attack_groundhog):
-        with pytest.raises(ValueError, match="same number of rows"):
-            attack(fb)
-    fb = synth_bundle([Dataset.from_rows(MIXED, [])] * 8, [0, 1] * 4, (0.0, 0, 0.5, 0.0), MIXED)
-    for attack in (attack_dcr, attack_groundhog):
-        with pytest.raises(ValueError, match="empty synthetic dataset"):
-            attack(fb)

@@ -1,5 +1,6 @@
 import json
 import math
+import statistics
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from privaudit import audit as audit_mod, dpsgd
+from privaudit.attacks import attack_dcr, attack_groundhog
 from privaudit.audit import (
     AffineCost,
     audit_end_to_end,
@@ -28,6 +30,13 @@ from privaudit.dpsgd import (
     noisy_aggregate,
 )
 from privaudit.seeds import derive_seed
+from privaudit.shadow import (
+    FIXED_DATASET,
+    RESAMPLED_DATASET,
+    ThreatModel,
+    query_features,
+    run_shadow_experiment,
+)
 from privaudit.synthesizers import MarginalSynthSpec, MarginalTrainer
 
 
@@ -253,6 +262,35 @@ def test_e2e_generative_path(flag_pool):
     assert v.audit == "end_to_end"
     assert v.provenance["attack"] == "dcr+groundhog"
     assert math.isfinite(v.measured_lower_bound)
+
+
+@pytest.mark.parametrize("knowledge", [FIXED_DATASET, RESAMPLED_DATASET])
+def test_generative_score_is_the_max_of_standardized_dcr_and_groundhog(knowledge):
+    sch = Schema((NumericColumn("x", 0.0, 1.0), CategoricalColumn("y", ("a", "b"))))
+    rng = np.random.default_rng(4)
+    pool = Dataset.from_rows(sch, [(float(u), int(u > 0.5)) for u in rng.uniform(size=60)])
+    tr = MarginalTrainer(MarginalSynthSpec(noise_std=2.0), schema=sch)
+    coll = run_shadow_experiment((1.0, 1), pool, tr, ThreatModel(data_knowledge=knowledge), 24, 6)
+    fb = query_features(coll, "synth_dataset", {"n_samples": 20})
+    d, g = attack_dcr(fb), attack_groundhog(fb)
+    got = audit_mod._generative_scores(fb)
+
+    def z(scores):
+        v = scores.tolist()
+        mean, sd = statistics.fmean(v), statistics.pstdev(v)
+        return [(x - mean) / (sd if sd > 0 else 1.0) for x in v]
+
+    # groundhog scores only its evaluation split, which is not a prefix of
+    # the runs, so each run's DCR score is found by its run index
+    assert len(set(d.scores.tolist())) > 2
+    assert g.indices.tolist() != list(range(len(g.indices)))
+    dz, gz = z(d.scores), z(g.scores)
+    dcr_position = {int(i): k for k, i in enumerate(d.indices)}
+    want = [max(dz[dcr_position[int(i)]], gz[k]) for k, i in enumerate(g.indices)]
+    assert got.attack == "dcr+groundhog"
+    assert got.indices.tolist() == g.indices.tolist()
+    assert got.bits.tolist() == [int(coll.bits[i]) for i in g.indices]
+    assert got.scores.tolist() == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_e2e_deterministic(flag_pool):

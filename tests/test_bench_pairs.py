@@ -1,4 +1,5 @@
 import importlib.util
+import signal
 import sys
 from pathlib import Path
 
@@ -79,3 +80,23 @@ def test_interleave_runs_every_seed(monkeypatch, capsys):
         "seed 4    median paired change/parent op_s 0.540, cpu_s 0.600; report bytes equal: no",
         "seed 5    median paired change/parent op_s 0.550, cpu_s 0.600; report bytes equal: yes",
     ]
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_main_restores_the_callers_sigterm_handler(monkeypatch, fails):
+    def fake_interleave(src, name, seed, pairs):
+        if fails:
+            raise RuntimeError("op failed")
+        return {"op_s": 0.5, "cpu_s": 0.6, "digests_equal": True}
+
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, into: None)
+    monkeypatch.setattr(bench_pairs, "interleave", fake_interleave)
+    before = signal.getsignal(signal.SIGTERM)
+    argv = ["--parent", "HEAD", "--workload", "marginal_attack", "--interleave", "1",
+            "--seeds", "1"]
+    if fails:
+        with pytest.raises(RuntimeError, match="op failed"):
+            bench_pairs.main(argv)
+    else:
+        assert bench_pairs.main(argv) == 0
+    assert signal.getsignal(signal.SIGTERM) is before

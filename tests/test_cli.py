@@ -287,6 +287,33 @@ def test_every_incompatible_attack_exits_3_before_training(workspace, capsys, mo
     assert not (workspace / "results").exists()
 
 
+@pytest.mark.parametrize("trainer, attack", [("predictive", "lira"), ("marginal", "groundhog")])
+@pytest.mark.parametrize("t_runs", [4, 7, 8])
+def test_attack_that_splits_its_runs_needs_8_before_training(workspace, capsys, monkeypatch,
+                                                            trainer, attack, t_runs):
+    trainers = {"predictive": PREDICTIVE, "marginal": {"kind": "marginal", "noise_std": 1.0}}
+    cfg = base_config(workspace, trainer=trainers[trainer])
+    cfg["attack"] = {"attacks": [attack], "t_runs": t_runs, "n_samples": 10}
+    path = write_config(workspace, cfg)
+    # t_runs // 2 members; each class calibrates on its leading half
+    too_few = {4: "class 0 has 1 calibration / 1 evaluation runs",
+               7: "class 1 has 2 calibration / 1 evaluation runs"}.get(t_runs)
+    if too_few is None:
+        assert main(["attack", "--config", path]) == 0
+        assert (workspace / "results" / f"attack_{attack}.json").exists()
+        return
+
+    def no_training(*args):
+        raise AssertionError("trained before the run count was checked")
+
+    monkeypatch.setattr("privaudit.cli.run_shadow_experiment", no_training)
+    assert main(["attack", "--config", path]) == 3
+    err = capsys.readouterr().err
+    assert f"error: attack.t_runs: {attack}: too few runs: {too_few}, need >= 2 each" in err
+    assert "Traceback" not in err
+    assert not (workspace / "results").exists()
+
+
 @pytest.mark.parametrize("kind", ["predictive", "marginal"])
 @pytest.mark.parametrize("rows, knowledge", [
     # the target is the only row, so the pool is empty
@@ -300,8 +327,9 @@ def test_attack_with_an_empty_training_run_exits_3(tmp_path, capsys, kind, rows,
     Dataset.from_rows(sch, rows).to_csv(tmp_path / "data.csv")
     trainer = PREDICTIVE if kind == "predictive" else {"kind": "marginal", "noise_std": 1.0}
     cfg = base_config(tmp_path, trainer=trainer, threat_model={"data_knowledge": knowledge})
-    cfg["attack"] = {"attacks": ["lira" if kind == "predictive" else "dcr"],
-                     "t_runs": 4, "target": {"record": [0.5, "a"]}}
+    # lira needs 8 runs for its calibration split; dcr does not split them
+    attack, t_runs = ("lira", 8) if kind == "predictive" else ("dcr", 4)
+    cfg["attack"] = {"attacks": [attack], "t_runs": t_runs, "target": {"record": [0.5, "a"]}}
     assert main(["attack", "--config", write_config(tmp_path, cfg)]) == 3
     err = capsys.readouterr().err
     pool = len(rows) - 1

@@ -379,9 +379,8 @@ def test_training_never_builds_dense_gradients(toy_xy, monkeypatch, kind, bug):
     elif kind == "attack_groundhog":
         schema = Schema((NumericColumn("x", -5.0, 5.0),))
         bits = np.arange(24) % 2
-        runs = [Dataset.from_rows(schema, [(float(v + b),) for v in x[:, k % 3]])
-                for k, b in enumerate(bits)]
-        fb = FeatureBundle(mode="synth_dataset", features=tuple(runs), bits=bits,
+        runs = np.stack([x[:, k % 3] + b for k, b in enumerate(bits)])
+        fb = FeatureBundle(mode="synth_dataset", features=(runs,), bits=bits,
                            target=(0.0,), schema=schema)
         assert np.all(np.isfinite(attacks.attack_groundhog(fb).scores))
     else:

@@ -70,8 +70,12 @@ def test_bits_stratified(pool, target, trainer):
         coll = run_shadow_experiment(target, pool, trainer, ThreatModel(),
                                      t_runs, master_seed=5)
         assert int(coll.bits.sum()) == t_runs // 2
-        assert len(coll.runs) == t_runs
-        assert [r.index for r in coll.runs] == list(range(t_runs))
+        assert coll.bits.shape == (t_runs,) and coll.bits.dtype.kind == "i"
+        for field in (coll.seeds, coll.artifacts, coll.fingerprints):
+            assert len(field) == t_runs
+        assert list(coll.seeds) == [shadow.derive_seed(5, t) for t in range(t_runs)]
+        with pytest.raises(ValueError, match="read-only"):
+            coll.bits[0] = 1 - coll.bits[0]
 
 
 def test_target_in_pool_rejected(pool, trainer):
@@ -81,8 +85,8 @@ def test_target_in_pool_rejected(pool, trainer):
 
 def test_fixed_dataset_fingerprints(pool, target, trainer):
     coll = run_shadow_experiment(target, pool, trainer, ThreatModel(), 10, 2)
-    fp_out = {r.fingerprint for r in coll.runs if r.bit == 0}
-    fp_in = {r.fingerprint for r in coll.runs if r.bit == 1}
+    fp_out = {fp for fp, b in zip(coll.fingerprints, coll.bits) if b == 0}
+    fp_in = {fp for fp, b in zip(coll.fingerprints, coll.bits) if b == 1}
     # fixed-dataset runs train on exactly two datasets: pool and pool+target
     assert fp_out == {dataset_fingerprint(pool)}
     assert len(fp_in) == 1
@@ -93,7 +97,7 @@ def test_resampled_dataset_fingerprints(pool, target, trainer):
     tm = ThreatModel(data_knowledge=RESAMPLED_DATASET)
     coll = run_shadow_experiment(target, pool, trainer, tm, 10, 2)
     # half-size subsamples drawn per run: fingerprints should not all collide
-    assert len({r.fingerprint for r in coll.runs}) > 2
+    assert len(set(coll.fingerprints)) > 2
 
 
 def test_fingerprint_order_invariant(pool):
@@ -106,12 +110,12 @@ def test_master_seed_determinism(pool, target, trainer):
     b = run_shadow_experiment(target, pool, trainer, ThreatModel(), 6, 17)
     c = run_shadow_experiment(target, pool, trainer, ThreatModel(), 6, 18)
     assert np.array_equal(a.bits, b.bits)
-    for ra, rb in zip(a.runs, b.runs):
-        assert ra.seed == rb.seed
-        assert np.array_equal(ra.artifact.params, rb.artifact.params)
+    assert a.seeds == b.seeds
+    for ra, rb in zip(a.artifacts, b.artifacts):
+        assert np.array_equal(ra.params, rb.params)
     assert any(
-        not np.array_equal(ra.artifact.params, rc.artifact.params)
-        for ra, rc in zip(a.runs, c.runs)
+        not np.array_equal(ra.params, rc.params)
+        for ra, rc in zip(a.artifacts, c.artifacts)
     )
 
 
@@ -120,10 +124,9 @@ def test_worker_count_invariance(pool, target, trainer):
     a = run_shadow_experiment(target, pool, trainer, tm, 8, 23, workers=1)
     b = run_shadow_experiment(target, pool, trainer, tm, 8, 23, workers=4)
     assert np.array_equal(a.bits, b.bits)
-    for ra, rb in zip(a.runs, b.runs):
-        assert ra.index == rb.index
-        assert ra.fingerprint == rb.fingerprint
-        assert np.array_equal(ra.artifact.params, rb.artifact.params)
+    assert a.fingerprints == b.fingerprints
+    for ra, rb in zip(a.artifacts, b.artifacts, strict=True):
+        assert np.array_equal(ra.params, rb.params)
 
 
 def test_every_run_trains_in_the_calling_thread(pool, target, trainer):
@@ -138,7 +141,7 @@ def test_every_run_trains_in_the_calling_thread(pool, target, trainer):
     coll = run_shadow_experiment(target, pool, RecordingTrainer(), ThreatModel(), 6, 3,
                                  workers=4)
     assert fit_threads == [threading.get_ident()]
-    assert len(coll.runs) == 6
+    assert len(coll.artifacts) == 6
 
 
 def test_pred_loss_features(pool, target, trainer):
@@ -149,8 +152,8 @@ def test_pred_loss_features(pool, target, trainer):
     assert all(np.isfinite(v) and v >= 0.0 for v in fb.features)
     assert np.array_equal(fb.bits, coll.bits)
     # recomputable from the stored artifacts
-    for r, v in zip(coll.runs, fb.features):
-        assert trainer.target_losses([r.artifact], target)[0] == pytest.approx(v)
+    for art, v in zip(coll.artifacts, fb.features, strict=True):
+        assert trainer.target_losses([art], target)[0] == pytest.approx(v)
 
 
 def test_pred_loss_requires_predictive(pool, target, schema):
@@ -164,27 +167,48 @@ def test_synth_dataset_features(pool, target, schema):
     tr = MarginalTrainer(MarginalSynthSpec(noise_std=0.0), schema=schema)
     coll = run_shadow_experiment(target, pool, tr, ThreatModel(), 4, 9)
     fb = query_features(coll, "synth_dataset", {"n_samples": 25})
-    assert all(isinstance(d, Dataset) and len(d) == 25 for d in fb.features)
+    assert [c.shape for c in fb.features] == [(4, 25), (4, 25)]
     # deterministic per run, distinct across runs
     fb2 = query_features(coll, "synth_dataset", {"n_samples": 25})
-    assert all(a.rows == b.rows for a, b in zip(fb.features, fb2.features))
-    assert fb.features[0].rows != fb.features[1].rows
+    assert all(np.array_equal(a, b) for a, b in zip(fb.features, fb2.features))
+    assert not np.array_equal(fb.features[0][0], fb.features[0][1])
 
 
-@pytest.mark.parametrize("kind", ["marginal", "gan"])
-def test_synth_dataset_features_are_row_views_of_run_axis_arrays(pool, target, schema, kind):
-    tr = (MarginalTrainer(MarginalSynthSpec(noise_std=1.0), schema=schema) if kind == "marginal"
-          else gan_trainer(schema))
-    coll = run_shadow_experiment(target, pool, tr, ThreatModel(), 5, 2)
-    fb = query_features(coll, "synth_dataset", {"n_samples": 7})
-    assert [c.shape for c in fb.run_columns] == [(5, 7), (5, 7)]
-    assert not any(c.flags.writeable for c in fb.run_columns)
-    for r, (ds, run) in enumerate(zip(fb.features, coll.runs)):
-        assert ds.provenance == f"synthetic:{kind}"
-        for c, rows in zip(ds.columns, fb.run_columns):
-            assert not c.flags.writeable and c.base is rows and np.shares_memory(c, rows[r])
-        seed = shadow.derive_seed(coll.master_seed, "query", run.index)
-        assert ds.rows == synthesizers.sample(run.artifact, 7, seed).rows
+@pytest.mark.parametrize("mode, kind, knowledge", [
+    ("pred_loss", "predictive", FIXED_DATASET),
+    ("pred_loss", "predictive", RESAMPLED_DATASET),
+    ("synth_dataset", "marginal", FIXED_DATASET),
+    ("synth_dataset", "marginal", RESAMPLED_DATASET),
+    ("synth_dataset", "gan", FIXED_DATASET),
+    ("disc_loss", "gan", RESAMPLED_DATASET),
+])
+def test_features_are_read_only_run_axis_values_aligned_with_bits(
+        pool, target, schema, trainer, mode, kind, knowledge):
+    tr = {"predictive": trainer, "gan": gan_trainer(schema),
+          "marginal": MarginalTrainer(MarginalSynthSpec(noise_std=1.0), schema=schema)}[kind]
+    t_runs = 5
+    coll = run_shadow_experiment(target, pool, tr,
+                                 ThreatModel(model_access=WHITE_BOX, data_knowledge=knowledge),
+                                 t_runs, 2)
+    for field in (coll.bits, coll.seeds, coll.artifacts, coll.fingerprints):
+        assert len(field) == t_runs
+    fb = query_features(coll, mode, {"n_samples": 7})
+    assert fb.bits is coll.bits and not fb.bits.flags.writeable
+    if mode == "synth_dataset":
+        assert [c.shape for c in fb.features] == [(t_runs, 7), (t_runs, 7)]
+        assert not any(c.flags.writeable for c in fb.features)
+        # run t's records are the ones sample draws from its artifact alone
+        for t, art in enumerate(coll.artifacts):
+            ds = synthesizers.sample(art, 7, shadow.derive_seed(coll.master_seed, "query", t))
+            assert ds.provenance == f"synthetic:{kind}"
+            for c, rows in zip(ds.columns, fb.features):
+                assert c.tobytes() == rows[t].tobytes()
+        return
+    assert fb.features.shape == (t_runs,) and fb.features.dtype == np.float64
+    assert not fb.features.flags.writeable
+    one = ((lambda art: tr.target_losses([art], target)[0]) if mode == "pred_loss"
+           else (lambda art: synthesizers.disc_loss(art, target)))
+    assert fb.features.tolist() == [one(art) for art in coll.artifacts]
 
 
 def test_disc_loss_requires_white_box(pool, target, trainer):
@@ -248,8 +272,7 @@ def test_pool_that_leaves_a_run_no_rows_is_rejected_before_training(
     two = Dataset.from_rows(schema, [(0.25, 0), (0.75, 1)])
     coll = run_shadow_experiment(target, two, MarginalTrainer(MarginalSynthSpec(1.0), schema),
                                  ThreatModel(data_knowledge=RESAMPLED_DATASET), 4, 1)
-    assert len(coll.runs) == 4
-
+    assert len(coll.artifacts) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +305,12 @@ class FitEachRun:
         return out
 
 
-def run_bytes(run):
-    art = run.artifact
-    steps = [(st.indices.tobytes(), st.grad_sum.tobytes(), st.noise.tobytes(),
-              st.params_after.tobytes(), st.max_sample_norm) for st in art.trace.steps]
-    return run.fingerprint, art.params.tobytes(), steps
+def run_bytes(coll):
+    """Each run's fingerprint, parameters and traced steps, as bytes."""
+    return [(fp, art.params.tobytes(),
+             [(st.indices.tobytes(), st.grad_sum.tobytes(), st.noise.tobytes(),
+               st.params_after.tobytes(), st.max_sample_norm) for st in art.trace.steps])
+            for fp, art in zip(coll.fingerprints, coll.artifacts, strict=True)]
 
 
 @pytest.mark.parametrize("bug", list(BugMode))
@@ -314,8 +338,8 @@ def test_run_bit_equal_alone_and_at_every_block_size(bug, model_kind, hidden_dim
         tm = ThreatModel(data_knowledge=knowledge)
         each = FitEachRun(trainer)
         alone = run_shadow_experiment(target, pool, each, tm, t_runs, master_seed)
-        assert [r.fingerprint for r in alone.runs] == each.fingerprints
-        want = [run_bytes(r) for r in alone.runs]
+        assert list(alone.fingerprints) == each.fingerprints
+        want = run_bytes(alone)
         for block, sizes in ((1, [1] * 7), (3, [3, 3, 1]), (t_runs, [7])):
             blocks.clear()
             with pytest.MonkeyPatch.context() as mp:
@@ -324,7 +348,7 @@ def test_run_bit_equal_alone_and_at_every_block_size(bug, model_kind, hidden_dim
                 mp.setattr(dpsgd, "_BLOCK_ROWS", (block + 0.5) * largest * cfg.sample_rate)
                 coll = run_shadow_experiment(target, pool, trainer, tm, t_runs, master_seed)
             assert blocks == sizes
-            assert [run_bytes(r) for r in coll.runs] == want
+            assert run_bytes(coll) == want
 
 
 @pytest.mark.parametrize("model_kind, hidden_dim", [("logistic_regression", 0), ("mlp", 34)])
@@ -340,20 +364,20 @@ def test_runs_bit_equal_at_every_worker_count(monkeypatch, model_kind, hidden_di
     target, t_runs = (0.5, 3, 1), 7
     for knowledge, largest in ((FIXED_DATASET, 31), (RESAMPLED_DATASET, 16)):
         tm = ThreatModel(model_access=WHITE_BOX, data_knowledge=knowledge)
-        want = [run_bytes(r) for r in run_shadow_experiment(target, pool, trainer, tm, t_runs, 9).runs]
+        want = run_bytes(run_shadow_experiment(target, pool, trainer, tm, t_runs, 9))
         # 7 blocks of one run, or 3 blocks of (3, 3, 1) runs
         for block in (1, 3):
             monkeypatch.setattr(dpsgd, "_BLOCK_ROWS", (block + 0.5) * largest * cfg.sample_rate)
             for workers in (1, 2, 3, 5):
                 coll = run_shadow_experiment(target, pool, trainer, tm, t_runs, 9, workers=workers)
-                assert [run_bytes(r) for r in coll.runs] == want
+                assert run_bytes(coll) == want
 
 
 # ---------------------------------------------------------------------------
 # marginal runs and fingerprints
 
-def _probs_bytes(run):
-    return [p.tobytes() for p in run.artifact.state["probs"]], run.artifact.meta
+def _probs_bytes(art):
+    return [p.tobytes() for p in art.state["probs"]], art.meta
 
 
 @pytest.mark.parametrize("knowledge", [FIXED_DATASET, RESAMPLED_DATASET])
@@ -363,8 +387,8 @@ def test_marginal_fit_runs_bit_equal_to_fitting_each_run(pool, target, schema, k
     each = FitEachRun(tr)
     alone = run_shadow_experiment(target, pool, each, tm, 9, 5)
     coll = run_shadow_experiment(target, pool, tr, tm, 9, 5, workers=3)
-    assert [_probs_bytes(r) for r in coll.runs] == [_probs_bytes(r) for r in alone.runs]
-    assert [r.fingerprint for r in coll.runs] == each.fingerprints
+    assert list(map(_probs_bytes, coll.artifacts)) == list(map(_probs_bytes, alone.artifacts))
+    assert list(coll.fingerprints) == each.fingerprints
 
 
 def test_fixed_dataset_hashes_each_distinct_training_set_once(pool, target, schema, monkeypatch):
@@ -382,18 +406,17 @@ def test_fixed_dataset_hashes_each_distinct_training_set_once(pool, target, sche
     # pool alone and pool plus target
     assert sorted(hashed) == [len(pool), len(pool) + 1]
     with_target = pool.with_record(target)
-    for r in coll.runs:
-        ds = with_target if r.bit else pool
-        assert r.fingerprint == dataset_fingerprint(ds)
+    for fp, b in zip(coll.fingerprints, coll.bits, strict=True):
+        ds = with_target if b else pool
+        assert fp == dataset_fingerprint(ds)
 
 
 # ---------------------------------------------------------------------------
 # GAN runs
 
-def _gan_bytes(run):
-    st = run.artifact.state
-    return (run.fingerprint, st["gen_params"].tobytes(), st["disc_params"].tobytes(),
-            run.artifact.meta)
+def _gan_bytes(coll):
+    return [(fp, art.state["gen_params"].tobytes(), art.state["disc_params"].tobytes(), art.meta)
+            for fp, art in zip(coll.fingerprints, coll.artifacts, strict=True)]
 
 
 @pytest.mark.parametrize("knowledge", [FIXED_DATASET, RESAMPLED_DATASET])
@@ -402,7 +425,7 @@ def test_gan_fit_runs_bit_equal_to_fitting_each_run(pool, target, schema, knowle
     tr = gan_trainer(schema)
     tm = ThreatModel(model_access=WHITE_BOX, data_knowledge=knowledge)
     each = FitEachRun(tr)
-    want = [_gan_bytes(r) for r in run_shadow_experiment(target, pool, each, tm, 7, 5).runs]
+    want = _gan_bytes(run_shadow_experiment(target, pool, each, tm, 7, 5))
     assert [w[0] for w in want] == each.fingerprints
     fits = []
     fit_gan = synthesizers.fit_gan
@@ -413,7 +436,7 @@ def test_gan_fit_runs_bit_equal_to_fitting_each_run(pool, target, schema, knowle
 
     monkeypatch.setattr(synthesizers, "fit_gan", counting)
     coll = run_shadow_experiment(target, pool, tr, tm, 7, 5, workers=3)
-    assert [_gan_bytes(r) for r in coll.runs] == want
+    assert _gan_bytes(coll) == want
     # every run was fit here, in this process: workers forks nothing
     baseline = len(pool) // 2 if knowledge == RESAMPLED_DATASET else len(pool)
-    assert fits == [baseline + r.bit for r in coll.runs]
+    assert fits == [baseline + b for b in coll.bits]
