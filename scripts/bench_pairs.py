@@ -17,14 +17,16 @@ With ``--interleave N`` the script instead imports the export's
 process and, for each seed in turn, writes the workload's inputs once and
 runs N pairs of ``cli.main`` ops, one op of each side per pair, the side that
 runs first alternating. It prints each pair's wall and CPU seconds, and per
-seed the median paired change/parent ratios of ``op_s`` and ``cpu_s`` and
-whether the two sides' reports are byte-identical. Separate runs, minutes
-apart, cannot cancel a drift in the host's speed; ops a second apart in one
-process can.
+seed the median paired change/parent ratios of ``op_s`` and ``cpu_s``, each
+metric's wins, losses and gain verdict over the seed's pairs, and whether
+the two sides' reports are byte-identical. Separate runs, minutes apart,
+cannot cancel a drift in the host's speed; ops a second apart in one process
+can.
 
 A gain is claimed only when the change wins at least nine tenths of the
 pairs (ties count for neither side) and the medians differ by more than the
-parent's interquartile range.
+parent's interquartile range. In either mode the script exits 1 when the
+two sides' report bytes differ in any pair or seed, and 0 otherwise.
 
 The verdict holds a metric to the relative bound BENCHMARK.json sets for
 it: "regressed" when the change's median is worse than the parent's by more
@@ -161,9 +163,10 @@ def load_bench():
 def interleave(parent_src: Path, name: str, seed: int, pairs: int, size=None) -> dict:
     """pairs interleaved ops of the workload name on the parent tree's
     privaudit and this checkout's, in this process, each op timed and
-    checked by the benchmark's Runner; prints every pair and returns the
-    median paired change/parent ratios of op_s and cpu_s and whether the two
-    sides' report digests are equal."""
+    checked by the benchmark's Runner; prints every pair and returns each
+    side's op_s and cpu_s per pair ("parent", "change"), the median paired
+    change/parent ratios of op_s and cpu_s, and whether the two sides'
+    report digests are equal."""
     bench = load_bench()
     size = size or bench.W.FULL
     clis = {"parent": load_tree_cli(parent_src, "privaudit_parent"),
@@ -176,20 +179,23 @@ def interleave(parent_src: Path, name: str, seed: int, pairs: int, size=None) ->
             (tmp / side).mkdir()
             workload = bench.W.Workload(name, seed, tmp / "inputs", size)
             runners[side] = bench.Runner(cli, workload, tmp / side)
-        ratios = {"op_s": [], "cpu_s": []}
+        sides = {side: {"op_s": [], "cpu_s": []} for side in clis}
         for k in range(pairs):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             times = {side: runners[side].op(k) for side in order}
             if None in times.values():
                 raise RuntimeError(f"pair {k}: an op failed")
+            for side, (wall, cpu, _) in times.items():
+                sides[side]["op_s"].append(wall)
+                sides[side]["cpu_s"].append(cpu)
             (pw, pc, _), (cw, cc, _) = times["parent"], times["change"]
-            ratios["op_s"].append(cw / pw)
-            ratios["cpu_s"].append(cc / pc)
             print(f"pair {k:<3} {order[0]} first  op_s {pw:.4g} -> {cw:.4g}  "
                   f"cpu_s {pc:.4g} -> {cc:.4g}", flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    result = {m: statistics.median(r) for m, r in ratios.items()}
+    result = {m: statistics.median(c / p for p, c in zip(sides["parent"][m], sides["change"][m]))
+              for m in ("op_s", "cpu_s")}
+    result.update(sides)
     result["digests_equal"] = runners["parent"].wl.digests == runners["change"].wl.digests
     print(f"\n{name}, {pairs} interleaved pairs, seed {seed}: median paired change/parent "
           f"op_s {result['op_s']:.3f}, cpu_s {result['cpu_s']:.3f}; report bytes equal: "
@@ -229,7 +235,9 @@ def main(argv=None) -> int:
                 print(f"seed {seed:<4} median paired change/parent op_s {r['op_s']:.3f}, "
                       f"cpu_s {r['cpu_s']:.3f}; report bytes equal: "
                       f"{'yes' if r['digests_equal'] else 'no'}")
-            return 0
+                for m in ("op_s", "cpu_s"):
+                    print("  " + summarize(m, r["parent"][m], r["change"][m]))
+            return 0 if all(r["digests_equal"] for r in results.values()) else 1
         sides = {"parent": tmp / "tree", "change": ROOT}
         runs = {"parent": [], "change": []}
         for k, seed in enumerate(args.seeds):
@@ -257,7 +265,7 @@ def main(argv=None) -> int:
         for seed, a, b in zip(args.seeds, runs["parent"], runs["change"]):
             if a["digests"] != b["digests"]:
                 print(f"  seed {seed}: parent {a['digests']} change {b['digests']}")
-        return 0
+        return 0 if same else 1
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
         signal.signal(signal.SIGTERM, previous)

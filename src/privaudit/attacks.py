@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import models
 from .core_stats import (
     ConfusionCounts,
     effective_epsilon_lower_bound,
@@ -229,6 +228,27 @@ def _correlations(m: np.ndarray) -> np.ndarray:
     return np.nan_to_num(c[np.triu_indices(len(m), k=1)])
 
 
+def _row_medians(vals: np.ndarray) -> np.ndarray:
+    """np.median(vals, axis=1) from one single-kth partition, which numpy
+    selects with its SIMD kernel where np.median's several kth values take
+    its generic introselect. For even n the two middle values are summed
+    and halved, as np.median's mean of them is; a row holding a NaN reads
+    NaN, as there. Where a row's middle values are zeros of both signs, the
+    sign of its zero median is unspecified here as it is in np.median, whose
+    partition leaves their order unspecified too."""
+    n = vals.shape[1]
+    h = n // 2
+    part = np.partition(vals, h, axis=1)
+    if n % 2:
+        med = part[:, h]
+    else:
+        med = (part[:, :h].max(axis=1) + part[:, h]) / 2.0
+    # a NaN sorts above every number, so a row's NaN is in its upper part
+    top = part[:, h:].max(axis=1)
+    np.copyto(med, top, where=np.isnan(top))
+    return med
+
+
 def _groundhog(schema: Schema, columns, include_correlations: bool) -> np.ndarray:
     """groundhog_features of each run of the run-axis columns, one row per
     run, read a chunk of runs (run_chunks) at a time through row views. Each
@@ -245,7 +265,7 @@ def _groundhog(schema: Schema, columns, include_correlations: bool) -> np.ndarra
         for col, c in zip(schema.columns, columns):
             vals = c[chunk]
             if isinstance(col, NumericColumn):
-                feats += [vals.mean(axis=1), np.median(vals, axis=1), vals.var(axis=1)]
+                feats += [vals.mean(axis=1), _row_medians(vals), vals.var(axis=1)]
                 numeric.append(vals)
             else:
                 k = len(col.levels)
@@ -270,6 +290,45 @@ def groundhog_features(ds: Dataset, include_correlations: bool = False) -> np.nd
     return _groundhog(ds.schema, tuple(c[None] for c in ds.columns), include_correlations)[0]
 
 
+def _fit_logistic(x: np.ndarray, y: np.ndarray, steps: int, lr: float) -> np.ndarray:
+    """The 2-class logistic regression on (x, y) after steps full-batch
+    gradient steps from zero, as [w | b], one row per class.
+
+    Each step takes the float operations of models.batch_gradient_factors(
+    spec, params, x, y).weighted_sum(ones) and then params - lr * (g / m),
+    in their order: x @ w.T and the bias add; the softmax's max, subtract,
+    exp, sum and divide; p - onehot; the gradient as the one
+    (1, 2, m) @ (1, m, d+1) batched matmul over [x | 1] that weighted_sum
+    makes. So the parameters keep the bits of that generic path, while
+    every array is allocated once.
+    """
+    m, d = x.shape
+    theta = np.zeros((2, d + 1))  # zero, as init_scale 0 gives the parameters
+    w, b = theta[:, :d], theta[:, d]
+    augmented = np.empty((1, m, d + 1))  # [x | 1]: its ones column sums the bias
+    augmented[0, :, :d] = x
+    augmented[0, :, d] = 1.0
+    onehot = (y[:, None] == np.arange(2)).astype(np.float64)
+    logits = np.empty((m, 2))  # the logits, then the probabilities, then p - onehot
+    column = np.empty(m)  # the max, then the sum
+    step = np.empty((1, 2, d + 1))
+    left = logits.reshape(1, m, 2).swapaxes(1, 2)
+    for _ in range(steps):
+        np.matmul(x, w.T, out=logits)
+        logits += b
+        np.maximum(logits[:, 0], logits[:, 1], out=column)
+        np.subtract(logits, column[:, None], out=logits)
+        np.exp(logits, out=logits)
+        np.add(logits[:, 0], logits[:, 1], out=column)
+        np.divide(logits, column[:, None], out=logits)
+        logits -= onehot
+        np.matmul(left, augmented, out=step)
+        step /= m
+        step *= lr
+        theta -= step[0]
+    return theta
+
+
 def attack_groundhog(fb: FeatureBundle, config: GroundhogConfig | None = None) -> ScoredRuns:
     """Classify summary-statistic features of each synthetic dataset.
 
@@ -289,18 +348,10 @@ def attack_groundhog(fb: FeatureBundle, config: GroundhogConfig | None = None) -
     sd = np.maximum(feats[cal].std(axis=0), 1e-8)
     z = (feats - mu) / sd
 
-    spec = models.ModelSpec(
-        kind=models.LOGISTIC, input_dim=z.shape[1], num_classes=2, init_scale=0.0
-    )
-    params = models.init_params(spec)
-    x_cal, y_cal = z[cal], bits[cal]
-    ones = np.ones(len(y_cal))
-    for _ in range(cfg.steps):
-        g = models.batch_gradient_factors(spec, params, x_cal, y_cal).weighted_sum(ones)
-        params = params - cfg.learning_rate * (g / len(y_cal))
+    theta = _fit_logistic(z[cal], bits[cal], cfg.steps, cfg.learning_rate)
 
     ev = ~cal
-    logits = models.forward_logits(spec, params, z[ev])
+    logits = np.matmul(z[ev], theta[:, :-1].T) + theta[:, -1]
     return ScoredRuns(
         bits=bits[ev],
         scores=logits[:, 1] - logits[:, 0],

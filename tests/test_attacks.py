@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import warnings
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from privaudit import attacks
+from privaudit import attacks, models
 from privaudit import data as data_mod
 from privaudit.attacks import (
     AttackReport,
@@ -36,7 +37,20 @@ from privaudit.core_stats import (
     gdp_epsilon_of_delta,
 )
 from privaudit.data import CategoricalColumn, Dataset, NumericColumn, Schema
-from privaudit.shadow import FeatureBundle
+from privaudit.shadow import (
+    FIXED_DATASET,
+    RESAMPLED_DATASET,
+    FeatureBundle,
+    ThreatModel,
+    query_features,
+    run_shadow_experiment,
+)
+from privaudit.synthesizers import (
+    GanTrainer,
+    MarginalSynthSpec,
+    MarginalTrainer,
+    gan_spec_for_schema,
+)
 
 
 def pred_bundle(losses, bits):
@@ -662,5 +676,105 @@ def test_run_axis_features_bit_equal_to_per_run(case, corr):
         if len(runs) >= 8:
             cfg = GroundhogConfig(steps=5, include_correlations=corr)
             with mock.patch.object(attacks, "_groundhog", lambda schema, cols, c: want):
-                want_scores = attack_groundhog(fb, cfg).scores
+                want_scores = groundhog_scores_generic(fb, cfg)
             assert attack_groundhog(fb, cfg).scores.tobytes() == want_scores.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# groundhog's row medians and fit against their generic references
+
+@st.composite
+def median_rows(draw):
+    """A (runs, n) array: rows of distinct values, of ties, or constant,
+    some holding NaN or ±inf, and a chunk size in cells that hands the rows
+    out one, a few or all at a time."""
+    n = draw(st.sampled_from([1, 2, 3, 8, 999, 1000]))
+    runs = draw(st.integers(1, 9))
+    chunk_cells = draw(st.sampled_from([1, 3 * n, data_mod.RUN_CHUNK_CELLS]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    rows = []
+    for _ in range(runs):
+        kind = rng.integers(0, 3)
+        if kind == 0:  # near overflow and subnormal magnitudes included
+            with np.errstate(over="ignore"):
+                row = rng.normal(size=n) * rng.choice([1.0, 1e308, 1e-310])
+        elif kind == 1:  # ties, zeros of both signs among them
+            row = rng.choice([-1.5, -0.0, 0.0, 0.25, 3.0], size=n)
+        else:
+            row = np.full(n, rng.choice([-2.0, 0.0, 7.5]))
+        for special in (np.nan, np.inf, -np.inf):
+            if rng.random() < 0.2:
+                row[rng.integers(0, n, size=rng.integers(1, 3))] = special
+        rows.append(row)
+    return np.stack(rows), chunk_cells
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=median_rows())
+@example(case=(np.array([[np.nan, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]]), 8))
+@example(case=(np.array([[1.0, np.inf, -np.inf]]), 3))
+@example(case=(np.array([[1.7e308, 1.6e308], [5e-324, 5e-324]]), 2))  # sum, then halve
+def test_row_medians_equal_np_median(case):
+    vals, chunk_cells = case
+    vals.setflags(write=False)  # as run-axis features are
+    with mock.patch.object(data_mod, "RUN_CHUNK_CELLS", chunk_cells):
+        chunks = data_mod.run_chunks(*vals.shape)
+    for chunk in chunks:
+        view = vals[chunk]  # the row views _groundhog reads
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf, overflow
+            want = np.median(view, axis=1)
+            got = attacks._row_medians(view)
+        assert np.array_equal(got, want, equal_nan=True)
+        # bit for bit, but for the sign of a zero median, which np.median
+        # leaves unspecified too (see _row_medians)
+        number = ~np.isnan(want) & (want != 0)
+        assert got[number].tobytes() == want[number].tobytes()
+
+
+def groundhog_scores_generic(fb, cfg):
+    """The reference: groundhog's scores from the generic gradient path,
+    models.batch_gradient_factors(...).weighted_sum(ones) per step."""
+    cal = attacks._split_stratified(fb.bits, cfg.holdout_fraction)
+    feats = attacks._groundhog(fb.schema, fb.features, cfg.include_correlations)
+    mu = feats[cal].mean(axis=0)
+    sd = np.maximum(feats[cal].std(axis=0), 1e-8)
+    z = (feats - mu) / sd
+    spec = models.ModelSpec(kind=models.LOGISTIC, input_dim=z.shape[1], num_classes=2,
+                            init_scale=0.0)
+    params = models.init_params(spec)
+    x, y = z[cal], fb.bits[cal]
+    ones = np.ones(len(y))
+    for _ in range(cfg.steps):
+        g = models.batch_gradient_factors(spec, params, x, y).weighted_sum(ones)
+        params = params - cfg.learning_rate * (g / len(y))
+    logits = models.forward_logits(spec, params, z[~cal])
+    return logits[:, 1] - logits[:, 0]
+
+
+@functools.cache
+def generative_bundle(kind, knowledge):
+    rng = np.random.default_rng(11)
+    pool = Dataset.from_rows(MIXED, [
+        (float(rng.uniform(-2, 6)), int(rng.integers(0, 3)), float(rng.random()),
+         float(rng.uniform(-1, 1))) for _ in range(40)])
+    if kind == "marginal":
+        trainer = MarginalTrainer(MarginalSynthSpec(noise_std=2.0), schema=MIXED)
+    else:
+        trainer = GanTrainer(gan_spec_for_schema(MIXED, latent_dim=2, gen_hidden=4,
+                                                 disc_hidden=4, steps=3))
+    coll = run_shadow_experiment((5.5, 2, 0.95, -0.9), pool, trainer,
+                                 ThreatModel(data_knowledge=knowledge), 24, 3)
+    return query_features(coll, "synth_dataset", {"n_samples": 30})
+
+
+@pytest.mark.parametrize("kind", ["marginal", "gan"])
+@pytest.mark.parametrize("knowledge", [FIXED_DATASET, RESAMPLED_DATASET])
+@pytest.mark.parametrize("steps", [0, 1, 5, 300])
+@pytest.mark.parametrize("lr", [0.05, 0.5, 1, 3.0])
+@pytest.mark.parametrize("corr", [False, True])
+def test_groundhog_fit_bit_equal_to_generic_path(kind, knowledge, steps, lr, corr):
+    fb = generative_bundle(kind, knowledge)
+    cfg = GroundhogConfig(steps=steps, learning_rate=lr, include_correlations=corr)
+    got = attack_groundhog(fb, cfg).scores
+    assert got.tobytes() == groundhog_scores_generic(fb, cfg).tobytes()

@@ -56,10 +56,20 @@ def test_interleave_runs_both_trees_in_one_process(monkeypatch, capsys):
         ["parent", "change", "parent"]
     assert "3 interleaved pairs" in out and result["digests_equal"]
     assert result["op_s"] > 0 and result["cpu_s"] > 0
+    assert [len(result[side][m]) for side in ("parent", "change") for m in ("op_s", "cpu_s")] \
+        == [3] * 4
     for side in ("parent", "change"):
         cli = sys.modules[f"privaudit_{side}.cli"]
         assert Path(cli.__file__).resolve().is_relative_to(src)
         assert sys.modules[f"privaudit_{side}.dpsgd"] is not sys.modules.get("privaudit.dpsgd")
+
+
+def interleaved(op_s=0.5, digests_equal=True, parent=TIGHT, change=None):
+    """An interleave result: each side's times per pair and the ratios."""
+    change = shifted(TIGHT, 0.5) if change is None else change
+    return {"op_s": op_s, "cpu_s": 0.6, "digests_equal": digests_equal,
+            "parent": {"op_s": parent, "cpu_s": parent},
+            "change": {"op_s": change, "cpu_s": shifted(parent, 0.6)}}
 
 
 def test_interleave_runs_every_seed(monkeypatch, capsys):
@@ -67,12 +77,13 @@ def test_interleave_runs_every_seed(monkeypatch, capsys):
 
     def fake_interleave(src, name, seed, pairs):
         calls.append((name, seed, pairs))
-        return {"op_s": 0.5 + seed / 100, "cpu_s": 0.6, "digests_equal": seed != 4}
+        return interleaved(op_s=0.5 + seed / 100, digests_equal=seed != 4)
 
     monkeypatch.setattr(bench_pairs, "export", lambda rev, into: None)
     monkeypatch.setattr(bench_pairs, "interleave", fake_interleave)
+    # one seed's report bytes differ: exit 1
     assert bench_pairs.main(["--parent", "HEAD", "--workload", "marginal_attack",
-                             "--interleave", "3", "--seeds", "1,4-5"]) == 0
+                             "--interleave", "3", "--seeds", "1,4-5"]) == 1
     assert calls == [("marginal_attack", seed, 3) for seed in (1, 4, 5)]
     lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("seed ")]
     assert lines == [
@@ -82,12 +93,52 @@ def test_interleave_runs_every_seed(monkeypatch, capsys):
     ]
 
 
+@pytest.mark.parametrize("change, verdict", [
+    (shifted(TIGHT, 0.5), "wins 10/10 (losses 0)  gap 0.5 vs parent IQR 0.02  "
+                          "gain claimable: yes"),
+    # every pair won, but by less than the parent's spread
+    (shifted(TIGHT, 0.995), "wins 10/10 (losses 0)  gap 0.005 vs parent IQR 0.02  "
+                            "gain claimable: no"),
+    # a median far better, but two pairs lost
+    ([0.5] * 8 + [1.5, 1.5], "wins 8/10 (losses 2)  gap 0.5 vs parent IQR 0.02  "
+                             "gain claimable: no"),
+])
+def test_interleave_prints_each_seeds_gain_verdict(monkeypatch, capsys, change, verdict):
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, into: None)
+    monkeypatch.setattr(bench_pairs, "interleave",
+                        lambda src, name, seed, pairs: interleaved(change=change))
+    assert bench_pairs.main(["--parent", "HEAD", "--workload", "marginal_attack",
+                             "--interleave", "10", "--seeds", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    at = out.index("seed 2    median paired change/parent op_s 0.500, cpu_s 0.600; "
+                   "report bytes equal: yes")
+    assert out[at + 1].startswith("  op_s ") and out[at + 1].endswith(verdict)
+    assert out[at + 2].startswith("  cpu_s ") and out[at + 2].endswith("gain claimable: yes")
+
+
+@pytest.mark.parametrize("differ, code", [(False, 0), (True, 1)])
+def test_separate_runs_exit_1_on_a_report_byte_difference(monkeypatch, capsys, differ, code):
+    def fake_run_bench(root, workload, seed, seconds):
+        side = "parent" if root != bench_pairs.ROOT else "change"
+        digest = "b" if differ and side == "change" and seed == 3 else "a"
+        return {"metrics": {"op_s": 1.0}, "failed": 0,
+                "digests": [["marginal", digest]]}
+
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, into: None)
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run_bench)
+    assert bench_pairs.main(["--parent", "HEAD", "--workload", "marginal_attack",
+                             "--seeds", "1-4"]) == code
+    out = capsys.readouterr().out
+    assert f"report sha256 equal in every pair: {'no' if differ else 'yes'}" in out
+    assert ("  seed 3: parent [['marginal', 'a']] change [['marginal', 'b']]" in out) == differ
+
+
 @pytest.mark.parametrize("fails", [False, True])
 def test_main_restores_the_callers_sigterm_handler(monkeypatch, fails):
     def fake_interleave(src, name, seed, pairs):
         if fails:
             raise RuntimeError("op failed")
-        return {"op_s": 0.5, "cpu_s": 0.6, "digests_equal": True}
+        return interleaved()
 
     monkeypatch.setattr(bench_pairs, "export", lambda rev, into: None)
     monkeypatch.setattr(bench_pairs, "interleave", fake_interleave)
