@@ -29,6 +29,7 @@ from .data import (
     Schema,
     SchemaError,
     load_csv,
+    open_input,
     select_targets,
 )
 from .dpsgd import BugMode, DpSgdConfig, PredictiveTrainer
@@ -69,11 +70,13 @@ def _build(path: str, fn, *args):
 
 
 def load_config(path) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config: no such file: {path}")
     try:
-        doc = json.loads(p.read_text())
+        with open_input(path) as f:
+            doc = json.load(f)
+    except DataError as e:
+        raise ConfigError(f"config: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config: {path}: not UTF-8 text: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config: invalid JSON: {e}") from e
     if not isinstance(doc, dict):
@@ -196,11 +199,18 @@ def _delta(cfg: dict, n: int) -> float:
 
 def _out_dir(cfg: dict, args) -> Path:
     """The output directory. A command checks it before its work and makes
-    it only once it has results to write, so a failed run leaves none."""
+    it only once it has results to write, so a failed run leaves none: the
+    path, or the nearest of its parents that exists, must be a directory."""
     out = args.out or cfg.get("out")
     if not out:
         raise ConfigError("out: missing (set in config or pass --out)")
-    return Path(out)
+    out = Path(out)
+    for p in (out, *out.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise ConfigError(f"out: {p} is not a directory")
+            break
+    return out
 
 
 def _write_sidecar(out: Path, command: str) -> None:
@@ -380,8 +390,8 @@ def cmd_audit(cfg: dict, args) -> int:
         dp = _dpsgd_config(doc)
         if "audit_delta" in kw:
             kw["delta"] = kw.pop("audit_delta")
-        verdict = _build("audit", lambda: audit_mod.audit_step_mechanism(dp, **kw))
         out = _out_dir(cfg, args)
+        verdict = _build("audit", lambda: audit_mod.audit_step_mechanism(dp, **kw))
     else:
         ds = _load_data(cfg)
         trainer = build_trainer(cfg, ds.schema)

@@ -29,6 +29,7 @@ __all__ = [
     "CategoricalColumn",
     "Schema",
     "Dataset",
+    "open_input",
     "load_csv",
     "encode",
     "decode",
@@ -150,7 +151,7 @@ class Schema:
 
     @staticmethod
     def from_json_file(path) -> "Schema":
-        with open(path, "r", encoding="utf-8") as f:
+        with open_input(path, SchemaError) as f:
             return Schema.from_json_dict(json.load(f))
 
 
@@ -291,14 +292,22 @@ def _csv_column(path, col: Column, cells: tuple, start: int) -> np.ndarray:
 _CSV_BLOCK_ROWS = 1024
 
 
+def open_input(path, error=DataError, newline=None):
+    """path opened to read as UTF-8 text. A path no file can be read from
+    (missing, a directory, under a file) raises error, naming the path."""
+    try:
+        return open(path, "r", encoding="utf-8", newline=newline)
+    except FileNotFoundError:
+        raise error(f"no such file: {path}") from None
+    except OSError as e:
+        raise error(f"cannot read {path}: {e.strerror}") from None
+
+
 def load_csv(path, schema: Schema) -> Dataset:
     """Read a CSV with a header row matching the schema column order, a block
     of rows at a time, column by column with no row tuples; each block's
     columns pass the one checking rule. An error names the file's row."""
-    try:
-        f = open(path, "r", encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise DataError(f"no such file: {path}") from None
+    f = open_input(path, newline="")
     width = len(schema.columns)
     parts = [[] for _ in schema.columns]
     with f:

@@ -50,6 +50,9 @@ class ThreatModel:
             raise ValueError(f"unknown model_access {self.model_access!r}")
         if self.data_knowledge not in (FIXED_DATASET, RESAMPLED_DATASET):
             raise ValueError(f"unknown data_knowledge {self.data_knowledge!r}")
+        if not isinstance(self.architecture_known, bool):
+            raise ValueError(f"architecture_known must be true or false, "
+                             f"got {self.architecture_known!r}")
         if self.model_access == WHITE_BOX and not self.architecture_known:
             raise ValueError("white_box access implies architecture_known")
 
@@ -57,14 +60,13 @@ class ThreatModel:
 @dataclass(frozen=True)
 class ShadowCollection:
     """The trained runs: run t's membership bit (a read-only int array),
-    seed, artifact and training-set fingerprint are entry t of each field."""
+    seed and artifact are entry t of each field."""
 
     target: tuple
     threat_model: ThreatModel
     bits: np.ndarray
     seeds: tuple[int, ...]
     artifacts: tuple
-    fingerprints: tuple[str, ...]
     master_seed: int
     trainer: object = None
 
@@ -87,11 +89,7 @@ class FeatureBundle:
 
 def dataset_fingerprint(ds: Dataset) -> str:
     """Hash of the row multiset; invariant under row order."""
-    return _fingerprint(np.sort(row_keys(ds)))
-
-
-def _fingerprint(sorted_keys: np.ndarray) -> str:
-    return hashlib.sha256(sorted_keys.tobytes()).hexdigest()
+    return hashlib.sha256(np.sort(row_keys(ds)).tobytes()).hexdigest()
 
 
 def shadow_run_count(value) -> int:
@@ -168,22 +166,6 @@ def run_shadow_experiment(
     if min(map(len, run_rows)) == 0:
         raise ValueError(f"a pool of size {n} leaves a target-out run no training rows")
 
-    # a run's rows are distinct, so its sorted keys are the sorted keys of all
-    # rows filtered to its own: one sort serves every run's fingerprint, and
-    # each distinct row set is hashed once (twice in all for fixed_dataset)
-    keys = row_keys(with_target)
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    fingerprints = {}
-
-    def fingerprint(rows):
-        key = rows.tobytes()
-        if key not in fingerprints:
-            member = np.zeros(n + 1, dtype=bool)
-            member[rows] = True
-            fingerprints[key] = _fingerprint(sorted_keys[member[order]])
-        return fingerprints[key]
-
     artifacts = trainer.fit_runs(with_target, run_rows, seeds, workers)
     bits.setflags(write=False)
     return ShadowCollection(
@@ -192,7 +174,6 @@ def run_shadow_experiment(
         bits=bits,
         seeds=tuple(seeds),
         artifacts=tuple(artifacts),
-        fingerprints=tuple(map(fingerprint, run_rows)),
         master_seed=master_seed,
         trainer=trainer,
     )

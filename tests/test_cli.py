@@ -752,6 +752,118 @@ def test_schema_with_non_finite_numeric_bounds_exits_3(workspace, capsys, comman
     assert not (workspace / "results").exists()
 
 
+# every command's work, each refusing to run
+WORK = ("privaudit.cli.run_shadow_experiment", "privaudit.audit.run_shadow_experiment",
+        "privaudit.audit.audit_step_mechanism", "privaudit.dpsgd.PredictiveTrainer.fit",
+        "privaudit.synthesizers.MarginalTrainer.fit")
+
+# a config for each command, "step audit" being the audit that reads no data
+COMMAND_CONFIG = {
+    "train": {},
+    "synthesize": {"trainer": {"kind": "marginal", "noise_std": 1.0}},
+    "attack": {"attack": {"attacks": ["lira"], "t_runs": 8}},
+    "audit": {"audit": {"mode": "end_to_end", "t_runs": 20}},
+    "step audit": {"audit": {"mode": "step_mechanism", "trials": 200}},
+}
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    def refuse(*args, **kw):
+        raise AssertionError("work started")
+    for name in WORK:
+        monkeypatch.setattr(name, refuse)
+
+
+def path_fault(ws, fault):
+    """A path that names no readable file or directory, by the fault: a
+    missing file, a directory, a path under a file, or an existing file."""
+    (ws / "afile").write_text("not a directory\n")
+    (ws / "adir").mkdir(exist_ok=True)
+    return str({"missing": ws / "nope", "directory": ws / "adir",
+                "under a file": ws / "afile" / "sub", "file": ws / "afile"}[fault])
+
+
+def assert_config_error(capsys, ws, line):
+    err = capsys.readouterr().err
+    assert line in err.splitlines()
+    assert "Traceback" not in err
+    assert not (ws / "results").exists()
+    assert (ws / "afile").read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["train", "synthesize", "attack", "audit"])
+@pytest.mark.parametrize("key, fault, reason", [
+    ("schema", "missing", None),
+    ("schema", "directory", "Is a directory"),
+    ("schema", "under a file", "Not a directory"),
+    ("dataset", "directory", "Is a directory"),
+    ("dataset", "under a file", "Not a directory"),
+])
+def test_unreadable_input_path_exits_3_before_any_work(workspace, capsys, no_work, command,
+                                                       key, fault, reason):
+    path = path_fault(workspace, fault)
+    cfg = base_config(workspace, **COMMAND_CONFIG[command], **{key: path})
+    assert main([command, "--config", write_config(workspace, cfg)]) == 3
+    detail = f"no such file: {path}" if reason is None else f"cannot read {path}: {reason}"
+    assert_config_error(capsys, workspace, f"error: {key}: {detail}")
+
+
+@pytest.mark.parametrize("command", ["train", "synthesize", "attack", "audit", "report"])
+@pytest.mark.parametrize("fault", ["directory", "under a file", "not UTF-8"])
+def test_unreadable_config_exits_3_before_any_work(workspace, capsys, no_work, command, fault):
+    if fault == "not UTF-8":
+        path = str(workspace / "latin1.json")
+        (workspace / "latin1.json").write_bytes(b'{"out": "r\xe9sultats"}')
+        path_fault(workspace, "file")
+        line = (f"error: config: {path}: not UTF-8 text: 'utf-8' codec can't decode byte "
+                f"0xe9 in position 10: invalid continuation byte")
+    else:
+        path = path_fault(workspace, fault)
+        reason = "Is a directory" if fault == "directory" else "Not a directory"
+        line = f"error: config: cannot read {path}: {reason}"
+    assert main([command, "--config", path]) == 3
+    assert_config_error(capsys, workspace, line)
+
+
+@pytest.mark.parametrize("command", list(COMMAND_CONFIG))
+@pytest.mark.parametrize("fault", ["file", "under a file"])
+@pytest.mark.parametrize("flag", [False, True])
+def test_out_that_cannot_be_a_directory_exits_3_before_any_work(workspace, capsys, no_work,
+                                                                command, fault, flag):
+    out = path_fault(workspace, fault)
+    cfg = base_config(workspace, **COMMAND_CONFIG[command])
+    argv = [command.split()[-1], "--config", None]
+    if flag:
+        argv += ["--out", out]
+    else:
+        cfg["out"] = out
+    argv[2] = write_config(workspace, cfg)
+    assert main(argv) == 3
+    assert_config_error(capsys, workspace, f"error: out: {workspace / 'afile'} is not a directory")
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 2, None])
+def test_architecture_known_that_is_not_a_bool_exits_3_before_training(
+        workspace, capsys, no_work, value):
+    cfg = base_config(workspace, **COMMAND_CONFIG["attack"],
+                      threat_model={"model_access": "white_box", "architecture_known": value})
+    assert main(["attack", "--config", write_config(workspace, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert (f"error: threat_model: architecture_known must be true or false, got {value!r}"
+            in err.splitlines())
+    assert "Traceback" not in err and not (workspace / "results").exists()
+
+
+def test_architecture_known_bool_is_written_to_every_report(workspace):
+    for known in (True, False):
+        cfg = base_config(workspace, attack={"attacks": ["loss_threshold"], "t_runs": 8},
+                          threat_model={"architecture_known": known})
+        assert main(["attack", "--config", write_config(workspace, cfg)]) == 0
+        doc = json.loads((workspace / "results" / "attack_loss_threshold.json").read_text())
+        assert doc["threat_model"]["architecture_known"] is known
+
+
 def test_unknown_key_in_generative_trainer_exits_3(workspace, capsys):
     for trainer in ({"kind": "marginal", "noise_sd": 1.0},
                     {"kind": "gan", "dpsgd": DPSGD_ALL_KEYS, "hidden_dim": 4}):

@@ -20,6 +20,7 @@ from privaudit.data import (
     encode,
     encode_record,
     load_csv,
+    row_keys,
     select_targets,
 )
 
@@ -623,6 +624,12 @@ def test_columnar_core_matches_row_reference(case):
         got = decode(sch, m).rows
         want = [ref_decode_row(sch, m[i]) for i in range(len(rows))]
         assert [bits(r) for r in got] == [bits(r) for r in want]
+
+    # a row's key is its encoded bytes, and matches finds the rows of equal keys
+    assert [k.tobytes() for k in row_keys(ds)] == [r.tobytes() for r in ref]
+    for r in validated:
+        key = ref_encode_record(sch, r).tobytes()
+        assert ds.matches(r).tolist() == [k.tobytes() == key for k in ref]
 
     assert dataset_fingerprint(ds) == ref_fingerprint(sch, validated)
     assert dataset_fingerprint(ds.take(np.arange(len(ds))[::-1])) == dataset_fingerprint(ds)

@@ -65,13 +65,21 @@ def test_threat_model_validation():
         ThreatModel(model_access=WHITE_BOX, architecture_known=False)
 
 
+@pytest.mark.parametrize("access", [BLACK_BOX, WHITE_BOX])
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, 2, None])
+def test_architecture_known_must_be_a_bool(access, value):
+    with pytest.raises(ValueError, match=f"architecture_known must be true or false, "
+                                         f"got {value!r}"):
+        ThreatModel(model_access=access, architecture_known=value)
+
+
 def test_bits_stratified(pool, target, trainer):
     for t_runs in (8, 9, 20):
         coll = run_shadow_experiment(target, pool, trainer, ThreatModel(),
                                      t_runs, master_seed=5)
         assert int(coll.bits.sum()) == t_runs // 2
         assert coll.bits.shape == (t_runs,) and coll.bits.dtype.kind == "i"
-        for field in (coll.seeds, coll.artifacts, coll.fingerprints):
+        for field in (coll.seeds, coll.artifacts):
             assert len(field) == t_runs
         assert list(coll.seeds) == [shadow.derive_seed(5, t) for t in range(t_runs)]
         with pytest.raises(ValueError, match="read-only"):
@@ -84,20 +92,24 @@ def test_target_in_pool_rejected(pool, trainer):
 
 
 def test_fixed_dataset_fingerprints(pool, target, trainer):
-    coll = run_shadow_experiment(target, pool, trainer, ThreatModel(), 10, 2)
-    fp_out = {fp for fp, b in zip(coll.fingerprints, coll.bits) if b == 0}
-    fp_in = {fp for fp, b in zip(coll.fingerprints, coll.bits) if b == 1}
+    each = FitEachRun(trainer)
+    coll = run_shadow_experiment(target, pool, each, ThreatModel(), 10, 2)
+    assert_run_rows(each, coll, len(pool), FIXED_DATASET)
+    fps = [dataset_fingerprint(each.data.take(r)) for r in each.run_rows]
+    fp_out = {fp for fp, b in zip(fps, coll.bits) if b == 0}
+    fp_in = {fp for fp, b in zip(fps, coll.bits) if b == 1}
     # fixed-dataset runs train on exactly two datasets: pool and pool+target
     assert fp_out == {dataset_fingerprint(pool)}
-    assert len(fp_in) == 1
-    assert fp_in.isdisjoint(fp_out)
+    assert fp_in == {dataset_fingerprint(pool.with_record(target))}
 
 
 def test_resampled_dataset_fingerprints(pool, target, trainer):
     tm = ThreatModel(data_knowledge=RESAMPLED_DATASET)
-    coll = run_shadow_experiment(target, pool, trainer, tm, 10, 2)
-    # half-size subsamples drawn per run: fingerprints should not all collide
-    assert len(set(coll.fingerprints)) > 2
+    each = FitEachRun(trainer)
+    coll = run_shadow_experiment(target, pool, each, tm, 10, 2)
+    assert_run_rows(each, coll, len(pool), RESAMPLED_DATASET)
+    # half-size subsamples drawn per run: the datasets should not all collide
+    assert len({dataset_fingerprint(each.data.take(r)) for r in each.run_rows}) > 2
 
 
 def test_fingerprint_order_invariant(pool):
@@ -106,17 +118,24 @@ def test_fingerprint_order_invariant(pool):
 
 
 def test_master_seed_determinism(pool, target, trainer):
-    a = run_shadow_experiment(target, pool, trainer, ThreatModel(), 6, 17)
-    b = run_shadow_experiment(target, pool, trainer, ThreatModel(), 6, 17)
-    c = run_shadow_experiment(target, pool, trainer, ThreatModel(), 6, 18)
-    assert np.array_equal(a.bits, b.bits)
-    assert a.seeds == b.seeds
-    for ra, rb in zip(a.artifacts, b.artifacts):
-        assert np.array_equal(ra.params, rb.params)
-    assert any(
-        not np.array_equal(ra.params, rc.params)
-        for ra, rc in zip(a.artifacts, c.artifacts)
-    )
+    for knowledge in (FIXED_DATASET, RESAMPLED_DATASET):
+        tm = ThreatModel(data_knowledge=knowledge)
+        fits = [FitEachRun(trainer) for _ in range(3)]
+        a, b, c = (run_shadow_experiment(target, pool, each, tm, 6, seed)
+                   for each, seed in zip(fits, (17, 17, 18)))
+        assert np.array_equal(a.bits, b.bits)
+        assert a.seeds == b.seeds
+        rows = [[r.tobytes() for r in each.run_rows] for each in fits]
+        assert rows[0] == rows[1]
+        if knowledge == RESAMPLED_DATASET:
+            # runs of another master seed draw other subsamples
+            assert rows[0] != rows[2]
+        for ra, rb in zip(a.artifacts, b.artifacts, strict=True):
+            assert np.array_equal(ra.params, rb.params)
+        assert any(
+            not np.array_equal(ra.params, rc.params)
+            for ra, rc in zip(a.artifacts, c.artifacts)
+        )
 
 
 def test_worker_count_invariance(pool, target, trainer):
@@ -124,7 +143,7 @@ def test_worker_count_invariance(pool, target, trainer):
     a = run_shadow_experiment(target, pool, trainer, tm, 8, 23, workers=1)
     b = run_shadow_experiment(target, pool, trainer, tm, 8, 23, workers=4)
     assert np.array_equal(a.bits, b.bits)
-    assert a.fingerprints == b.fingerprints
+    assert a.seeds == b.seeds
     for ra, rb in zip(a.artifacts, b.artifacts, strict=True):
         assert np.array_equal(ra.params, rb.params)
 
@@ -190,7 +209,7 @@ def test_features_are_read_only_run_axis_values_aligned_with_bits(
     coll = run_shadow_experiment(target, pool, tr,
                                  ThreatModel(model_access=WHITE_BOX, data_knowledge=knowledge),
                                  t_runs, 2)
-    for field in (coll.bits, coll.seeds, coll.artifacts, coll.fingerprints):
+    for field in (coll.bits, coll.seeds, coll.artifacts):
         assert len(field) == t_runs
     fb = query_features(coll, mode, {"n_samples": 7})
     assert fb.bits is coll.bits and not fb.bits.flags.writeable
@@ -290,27 +309,55 @@ WIDE = Schema((
 
 class FitEachRun:
     """The per-run reference: fit_runs fits each run's own rows alone with
-    the wrapped trainer's fit, and records their fingerprints."""
+    the wrapped trainer's fit, and records the pool-plus-target data it was
+    given, each run's rows of it and each run's seed."""
 
     def __init__(self, trainer):
         self.trainer = trainer
-        self.fingerprints = []
+        self.data = None
+        self.run_rows = []
+        self.seeds = []
 
     def fit_runs(self, data, run_rows, seeds, workers=1):
+        self.data = data
         out = []
-        for rows, seed in zip(run_rows, seeds):
-            ds = data.take(rows)
-            self.fingerprints.append(dataset_fingerprint(ds))
-            out.append(self.trainer.fit(ds, seed))
+        for rows, seed in zip(run_rows, seeds, strict=True):
+            self.run_rows.append(rows)
+            self.seeds.append(seed)
+            out.append(self.trainer.fit(data.take(rows), seed))
         return out
 
 
+def assert_run_rows(each, coll, n, knowledge):
+    """The rows and seed each run of coll was fit on, as recorded by the
+    FitEachRun each, are those the bits and the data knowledge say: row n of
+    the data is the target, which a run takes last iff its bit is 1; under
+    fixed_dataset every other row, under resampled_dataset a sorted
+    half-size subsample of them that is not the same for every run."""
+    assert each.seeds == list(coll.seeds)
+    assert each.data.matches(coll.target).tolist() == [False] * n + [True]
+    bases = []
+    for rows, b in zip(each.run_rows, coll.bits, strict=True):
+        assert rows.dtype.kind == "i"
+        base = rows[:-1] if b else rows
+        if b:
+            assert rows[-1] == n
+        if knowledge == FIXED_DATASET:
+            assert np.array_equal(rows, np.arange(n + b))
+        else:
+            assert len(base) == n // 2 and np.all(np.diff(base) > 0)
+            assert 0 <= base.min() and base.max() < n
+        bases.append(base.tobytes())
+    if knowledge == RESAMPLED_DATASET:
+        assert len(set(bases)) > 1
+
+
 def run_bytes(coll):
-    """Each run's fingerprint, parameters and traced steps, as bytes."""
-    return [(fp, art.params.tobytes(),
+    """Each run's parameters and traced steps, as bytes."""
+    return [(art.params.tobytes(),
              [(st.indices.tobytes(), st.grad_sum.tobytes(), st.noise.tobytes(),
                st.params_after.tobytes(), st.max_sample_norm) for st in art.trace.steps])
-            for fp, art in zip(coll.fingerprints, coll.artifacts, strict=True)]
+            for art in coll.artifacts]
 
 
 @pytest.mark.parametrize("bug", list(BugMode))
@@ -338,7 +385,7 @@ def test_run_bit_equal_alone_and_at_every_block_size(bug, model_kind, hidden_dim
         tm = ThreatModel(data_knowledge=knowledge)
         each = FitEachRun(trainer)
         alone = run_shadow_experiment(target, pool, each, tm, t_runs, master_seed)
-        assert list(alone.fingerprints) == each.fingerprints
+        assert_run_rows(each, alone, len(pool), knowledge)
         want = run_bytes(alone)
         for block, sizes in ((1, [1] * 7), (3, [3, 3, 1]), (t_runs, [7])):
             blocks.clear()
@@ -374,7 +421,7 @@ def test_runs_bit_equal_at_every_worker_count(monkeypatch, model_kind, hidden_di
 
 
 # ---------------------------------------------------------------------------
-# marginal runs and fingerprints
+# marginal runs
 
 def _probs_bytes(art):
     return [p.tobytes() for p in art.state["probs"]], art.meta
@@ -388,35 +435,15 @@ def test_marginal_fit_runs_bit_equal_to_fitting_each_run(pool, target, schema, k
     alone = run_shadow_experiment(target, pool, each, tm, 9, 5)
     coll = run_shadow_experiment(target, pool, tr, tm, 9, 5, workers=3)
     assert list(map(_probs_bytes, coll.artifacts)) == list(map(_probs_bytes, alone.artifacts))
-    assert list(coll.fingerprints) == each.fingerprints
-
-
-def test_fixed_dataset_hashes_each_distinct_training_set_once(pool, target, schema, monkeypatch):
-    tr = MarginalTrainer(MarginalSynthSpec(noise_std=1.0), schema=schema)
-    hashed = []
-    fingerprint = shadow._fingerprint
-
-    def counting(sorted_keys):
-        hashed.append(sorted_keys.size)
-        return fingerprint(sorted_keys)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(shadow, "_fingerprint", counting)
-        coll = run_shadow_experiment(target, pool, tr, ThreatModel(), 16, 3)
-    # pool alone and pool plus target
-    assert sorted(hashed) == [len(pool), len(pool) + 1]
-    with_target = pool.with_record(target)
-    for fp, b in zip(coll.fingerprints, coll.bits, strict=True):
-        ds = with_target if b else pool
-        assert fp == dataset_fingerprint(ds)
+    assert_run_rows(each, alone, len(pool), knowledge)
 
 
 # ---------------------------------------------------------------------------
 # GAN runs
 
 def _gan_bytes(coll):
-    return [(fp, art.state["gen_params"].tobytes(), art.state["disc_params"].tobytes(), art.meta)
-            for fp, art in zip(coll.fingerprints, coll.artifacts, strict=True)]
+    return [(art.state["gen_params"].tobytes(), art.state["disc_params"].tobytes(), art.meta)
+            for art in coll.artifacts]
 
 
 @pytest.mark.parametrize("knowledge", [FIXED_DATASET, RESAMPLED_DATASET])
@@ -425,8 +452,9 @@ def test_gan_fit_runs_bit_equal_to_fitting_each_run(pool, target, schema, knowle
     tr = gan_trainer(schema)
     tm = ThreatModel(model_access=WHITE_BOX, data_knowledge=knowledge)
     each = FitEachRun(tr)
-    want = _gan_bytes(run_shadow_experiment(target, pool, each, tm, 7, 5))
-    assert [w[0] for w in want] == each.fingerprints
+    alone = run_shadow_experiment(target, pool, each, tm, 7, 5)
+    assert_run_rows(each, alone, len(pool), knowledge)
+    want = _gan_bytes(alone)
     fits = []
     fit_gan = synthesizers.fit_gan
 
