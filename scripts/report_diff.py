@@ -7,8 +7,8 @@ The reports are the ``*.json`` files, except ``run_info.json``, and the
 ``*_roc.csv`` files; model files and synthetic data are not compared. Both
 directories must hold the same reports. Every JSON field must be equal,
 except that a number anywhere under a ``threshold`` key, the threshold of
-each (threshold, fpr, tpr) triple of a ``roc`` list, and a cell of
-a ROC file's ``threshold`` column may differ from the other side's by at most
+each (threshold, fpr, tpr) triple of a ``roc_hull`` (or ``roc``) list, and a
+cell of a ROC file's ``threshold`` column may differ from the other side's by at most
 --rel times the larger magnitude. The first difference is printed; the exit
 code is 0 when there is none and 1 otherwise.
 
@@ -46,12 +46,14 @@ def is_number(v) -> bool:
 
 
 def keyed(doc):
-    """The document with each triple of every roc list as a {threshold, fpr,
-    tpr} object, so that its threshold is a number under a threshold key."""
+    """The document with each triple of every roc_hull or roc list as a
+    {threshold, fpr, tpr} object, so that its threshold is a number under a
+    threshold key."""
     if isinstance(doc, dict):
         return {k: [dict(zip(("threshold", "fpr", "tpr"), r))
                     if isinstance(r, list) and len(r) == 3 else keyed(r) for r in v]
-                if k == "roc" and isinstance(v, list) else keyed(v) for k, v in doc.items()}
+                if k in ("roc_hull", "roc") and isinstance(v, list) else keyed(v)
+                for k, v in doc.items()}
     if isinstance(doc, list):
         return [keyed(v) for v in doc]
     return doc

@@ -90,6 +90,7 @@ class AttackReport:
     confidence: float
     auc: float
     roc: np.ndarray  # (rows, 3) float64: threshold, fpr, tpr; fpr ascending
+    hull: np.ndarray  # ascending indices of the roc rows on its upper convex hull
     operating_points: tuple
     n_runs: int
 
@@ -379,6 +380,47 @@ def attack_disc_loss(fb: FeatureBundle) -> ScoredRuns:
 DEFAULT_OPERATING_POINTS = ("median", 0.1, 0.01)
 
 
+def _score_groups(scores: np.ndarray) -> np.ndarray:
+    """Each score's index in np.unique(scores), as np.searchsorted gives it,
+    from one argsort: a group starts where the sorted scores change value.
+    -0.0 equals 0.0, and the NaNs, sorted last, are one value, as np.unique
+    has them."""
+    order = np.argsort(scores)
+    s = scores[order]
+    ranks = np.zeros(len(s), dtype=np.intp)
+    np.cumsum((s[1:] != s[:-1]) & ~np.isnan(s[:-1]), out=ranks[1:])
+    group = np.empty_like(ranks)
+    group[order] = ranks
+    return group
+
+
+def _upper_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Ascending indices of the vertices of the upper convex hull of the
+    int64 points (x, y), given in (x, y) order, from the first point to the
+    last. A point on an edge is no vertex. The cross products are exact.
+
+    Each pass drops every point on or below the chord of its two neighbours,
+    none of which is a vertex. Passes go on while they drop a quarter of the
+    points, so they cost O(n) in all; Andrew's monotone chain then takes the
+    survivors, which a crafted set may leave as many as it was given."""
+    keep = np.arange(len(x))
+    while len(keep) > 2:
+        dx, dy = np.diff(x[keep]), np.diff(y[keep])
+        below = dx[:-1] * dy[1:] >= dy[:-1] * dx[1:]
+        dropped = int(np.count_nonzero(below))
+        keep = keep[np.concatenate(([True], ~below, [True]))]
+        if 4 * dropped < len(below):
+            break
+    xs, ys = x[keep].tolist(), y[keep].tolist()
+    hull: list[int] = []
+    for i in range(len(xs)):
+        while len(hull) > 1 and ((xs[hull[-1]] - xs[hull[-2]]) * (ys[i] - ys[hull[-1]])
+                                 >= (ys[hull[-1]] - ys[hull[-2]]) * (xs[i] - xs[hull[-1]])):
+            hull.pop()
+        hull.append(i)
+    return keep[hull]
+
+
 def _counts_from_top(group: np.ndarray, n_groups: int) -> np.ndarray:
     """Runs scored at or above each threshold of the descending sweep: entry
     0 is the +inf threshold, entry k the k-th largest distinct score."""
@@ -403,12 +445,13 @@ def evaluate(
     mapped to its score's group once; cumulative per-class counts over the
     groups then give the confusion table at every threshold, so the sweep
     costs one sort rather than a recount per threshold. The ROC is one
-    (thresholds, 3) float64 array, the first threshold +inf.
+    (thresholds, 3) float64 array, the first threshold +inf; its upper convex
+    hull comes from the same integer counts.
     """
     bits, scores = scored.bits, scored.scores
 
     distinct = np.unique(scores)
-    group = np.searchsorted(distinct, scores)
+    group = _score_groups(scores)
     tp = _counts_from_top(group[bits == 1], len(distinct))
     fp = _counts_from_top(group[bits == 0], len(distinct))
     n_pos, n_neg = int(tp[-1]), int(fp[-1])
@@ -448,6 +491,7 @@ def evaluate(
         confidence=confidence,
         auc=auc,
         roc=roc,
+        hull=_upper_hull(fp, tp),
         operating_points=tuple(ops),
         n_runs=len(bits),
     )
@@ -462,9 +506,9 @@ def _num(v: float):
     return v
 
 
-def _report_doc(report: AttackReport) -> dict:
-    """The report's JSON document with the ROC left as its float array,
-    which write_json takes as a table."""
+def report_to_json_dict(report: AttackReport) -> dict:
+    """The report's JSON document. Of the ROC it holds the rows of its upper
+    convex hull, as [threshold, fpr, tpr]; save_roc_csv writes every row."""
     tm = report.threat_model
     if tm is not None:
         tm = {
@@ -473,14 +517,14 @@ def _report_doc(report: AttackReport) -> dict:
             "architecture_known": tm.architecture_known,
         }
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "attack": report.attack,
         "threat_model": tm,
         "delta": report.delta,
         "confidence": report.confidence,
         "auc": report.auc,
         "n_runs": report.n_runs,
-        "roc": report.roc,
+        "roc_hull": [[_num(t), fpr, tpr] for t, fpr, tpr in report.roc[report.hull].tolist()],
         "operating_points": [
             {
                 "name": op.name,
@@ -498,121 +542,29 @@ def _report_doc(report: AttackReport) -> dict:
     }
 
 
-def report_to_json_dict(report: AttackReport) -> dict:
-    doc = _report_doc(report)
-    doc["roc"] = rows = report.roc.tolist()
-    for i, j in zip(*np.nonzero(np.isinf(report.roc))):
-        rows[i][j] = "unbounded"
-    return doc
-
-
-# A table's rows are laid out and written this many at a time, so a long ROC
-# never exists as one string.
-_TABLE_CHUNK_ROWS = 2048
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-# json.dumps puts this item separator between list items. The encoder escapes
-# NUL inside strings, so a raw NUL in its output is always a separator.
-_NUL_SEPARATORS = (",\x00", ": ")
-
-
-def _cell_texts(table: np.ndarray) -> np.ndarray:
-    """Each cell's JSON text as _num then json.dumps give it, in an object
-    array of the table's shape. Each distinct value (bit pattern, so -0.0 and
-    0.0 stay apart) is formatted once, by float.__repr__ as json.dumps does."""
-    # Not np.unique: with return_inverse its argsort raised peak RSS by 0.3 MB
-    # at the first call, even for a 64-row ROC, and without it its hash table
-    # took 5 ms for a 20k-row one. A sort takes 0.5 ms, and the lookups take
-    # 1.5 ms column by column, as an ROC's columns are each monotone.
-    bits = table.view(np.int64)
-    ordered = np.sort(bits, axis=None)
-    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    values = distinct.view(np.float64)
-    texts = np.array(list(map(float.__repr__, values.tolist())), dtype=object)
-    texts[np.isinf(values)] = '"unbounded"'
-    texts[np.isnan(values)] = "NaN"
-    return texts[np.searchsorted(distinct, bits.T).T]
-
-
-def _iter_float_table(table: np.ndarray, level: int):
-    """A 2-D float64 array as json.dumps lays out its rows' lists, laid out
-    column-wise: each chunk of rows is one object array of text pieces,
-    (row opening, cell, separator, ..., cell, row closing) per row."""
-    if table.size == 0:
-        yield from _iter_json(table.tolist(), level)
-        return
-    row_indent = "\n" + "  " * (level + 1)
-    item_indent = row_indent + "  "
-    cells = _cell_texts(table)
-    width = table.shape[1]
-    opening = "[" + row_indent + "[" + item_indent
-    between = "," + row_indent + "[" + item_indent
-    for i in range(0, len(cells), _TABLE_CHUNK_ROWS):
-        chunk = cells[i:i + _TABLE_CHUNK_ROWS]
-        pieces = np.empty((len(chunk), 2 * width + 1), dtype=object)
-        pieces[:, 0] = between
-        pieces[0, 0] = opening
-        pieces[:, 1::2] = chunk
-        pieces[:, 2:-1:2] = "," + item_indent
-        pieces[:, -1] = row_indent + "]"
-        yield "".join(pieces.ravel().tolist())
-        opening = between
-    yield "\n" + "  " * level + "]"
-
-
-def _iter_json(o, level: int):
-    """The text of json.dumps(o, sort_keys=True, indent=2), nested `level`
-    deep. Dicts and mixed lists recurse here; scalar lists go to json.dumps
-    whole, which runs the C encoder when there is no indent, and 2-D float64
-    arrays to _iter_float_table."""
-    if o is None or isinstance(o, (str, int, float)):
-        yield json.dumps(o)
-        return
-    indent = "\n" + "  " * (level + 1)
-    close = "\n" + "  " * level
+def _check_keys(o) -> None:
     if isinstance(o, dict):
-        if not o:
-            yield "{}"
-            return
-        if not all(isinstance(k, str) for k in o):
-            raise TypeError("write_json: every key must be a str")
-        sep = "{" + indent
-        for k in sorted(o):
-            yield sep + json.dumps(k) + ": "
-            yield from _iter_json(o[k], level + 1)
-            sep = "," + indent
-        yield close + "}"
-        return
-    if isinstance(o, np.ndarray) and o.ndim == 2 and o.dtype == np.float64:
-        yield from _iter_float_table(o, level)
-        return
-    if not isinstance(o, (list, tuple)):
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-    if not o:
-        yield "[]"
-    elif {type(v) for v in o} <= _SCALARS:
-        text = json.dumps(o, separators=_NUL_SEPARATORS)
-        yield "[" + indent + text[1:-1].replace("\x00", indent) + close + "]"
-    else:
-        sep = "[" + indent
+        for k, v in o.items():
+            if not isinstance(k, str):
+                raise TypeError("write_json: every key must be a str")
+            _check_keys(v)
+    elif isinstance(o, (list, tuple)):
         for v in o:
-            yield sep
-            yield from _iter_json(v, level + 1)
-            sep = "," + indent
-        yield close + "]"
+            _check_keys(v)
 
 
 def write_json(path, doc) -> None:
-    """Write doc to path as the bytes of json.dumps(plain, sort_keys=True,
-    indent=2) + "\n": the one format of every JSON report. Keys must be str.
-    doc may hold 2-D float64 arrays as tables, such as the ROC; plain is doc
-    with each of them as its .tolist() rows, infinities as _num gives them."""
+    """Write doc to path as the bytes of json.dumps(doc, sort_keys=True,
+    indent=2) + "\n": the one format of every JSON report. Keys must be str,
+    where json.dumps would write an int key as a string."""
+    _check_keys(doc)
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as f:
-        f.writelines(_iter_json(doc, 0))
-        f.write("\n")
+        f.write(text)
 
 
 def save_report(path, report: AttackReport) -> None:
-    write_json(path, _report_doc(report))
+    write_json(path, report_to_json_dict(report))
 
 
 def save_roc_csv(path, report: AttackReport) -> None:

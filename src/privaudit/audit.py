@@ -20,7 +20,6 @@ from .attacks import (
     OperatingPoint,
     ScoredRuns,
     _num,
-    _report_doc,
     attack_dcr,
     attack_groundhog,
     attack_lira,
@@ -342,10 +341,9 @@ def estimate_mia_cost(n: int, t: int, cost_model_m: AffineCost, cost_model_b: Af
 # ---------------------------------------------------------------------------
 # serialization
 
-def _verdict_doc(v: AuditVerdict) -> dict:
-    """The verdict's JSON document, its report's ROC left as an array."""
+def verdict_to_json_dict(v: AuditVerdict) -> dict:
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "audit": v.audit,
         "claimed": {"epsilon": _num(v.claimed.epsilon), "delta": v.claimed.delta},
         "measured_lower_bound": _num(v.measured_lower_bound),
@@ -363,18 +361,12 @@ def _verdict_doc(v: AuditVerdict) -> dict:
             "eps_point": _num(v.operating_point.eps_point),
             "eps_lower": _num(v.operating_point.eps_lower),
         },
-        "report": _report_doc(v.report),
+        "report": report_to_json_dict(v.report),
     }
 
 
-def verdict_to_json_dict(v: AuditVerdict) -> dict:
-    doc = _verdict_doc(v)
-    doc["report"] = report_to_json_dict(v.report)
-    return doc
-
-
 def save_verdict(path, v: AuditVerdict) -> None:
-    write_json(path, _verdict_doc(v))
+    write_json(path, verdict_to_json_dict(v))
 
 
 def exit_code(v: AuditVerdict) -> int:

@@ -132,11 +132,21 @@ class Schema:
         return {"columns": cols}
 
     @staticmethod
-    def from_json_dict(doc: dict) -> "Schema":
+    def from_json_dict(doc: dict, source: str = "schema document") -> "Schema":
+        """The schema of a JSON document; a document of the wrong shape raises
+        a SchemaError naming source."""
+        if not isinstance(doc, dict):
+            raise SchemaError(f"{source}: expected an object, got {type(doc).__name__}")
         if "columns" not in doc:
-            raise SchemaError("schema document missing 'columns'")
+            raise SchemaError(f"{source}: missing 'columns'")
+        if not isinstance(doc["columns"], list):
+            raise SchemaError(f"{source}: 'columns' must be a list, "
+                              f"got {type(doc['columns']).__name__}")
         cols: list[Column] = []
         for i, c in enumerate(doc["columns"]):
+            if not isinstance(c, dict):
+                raise SchemaError(f"{source}: columns[{i}] must be an object, "
+                                  f"got {type(c).__name__}")
             try:
                 kind = c["kind"]
                 if kind == "numeric":
@@ -152,7 +162,11 @@ class Schema:
     @staticmethod
     def from_json_file(path) -> "Schema":
         with open_input(path, SchemaError) as f:
-            return Schema.from_json_dict(json.load(f))
+            try:
+                doc = json.load(f)
+            except UnicodeDecodeError as e:
+                raise SchemaError(f"{path}: not UTF-8 text: {e}") from None
+        return Schema.from_json_dict(doc, str(path))
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,6 +317,15 @@ def open_input(path, error=DataError, newline=None):
         raise error(f"cannot read {path}: {e.strerror}") from None
 
 
+def _utf8_lines(path, f):
+    """The lines of the text file f; a file that is not UTF-8 raises a
+    DataError naming path."""
+    try:
+        yield from f
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text: {e}") from None
+
+
 def load_csv(path, schema: Schema) -> Dataset:
     """Read a CSV with a header row matching the schema column order, a block
     of rows at a time, column by column with no row tuples; each block's
@@ -311,7 +334,7 @@ def load_csv(path, schema: Schema) -> Dataset:
     width = len(schema.columns)
     parts = [[] for _ in schema.columns]
     with f:
-        reader = csv.reader(f)
+        reader = csv.reader(_utf8_lines(path, f))
         try:
             header = next(reader)
         except StopIteration:

@@ -376,9 +376,11 @@ def _reference_evaluate(scored, delta, confidence, operating_points):
     def rates(c):
         return c.fp / (c.fp + c.tn), c.tp / (c.tp + c.fn)
 
-    roc = [(math.inf, 0.0, 0.0)]
+    roc, points = [(math.inf, 0.0, 0.0)], [(0, 0)]
     for t in np.unique(scores)[::-1]:
-        roc.append((float(t), *rates(counts_at(float(t)))))
+        c = counts_at(float(t))
+        roc.append((float(t), *rates(c)))
+        points.append((c.fp, c.tp))
     auc = float(np.trapezoid([p[2] for p in roc], [p[1] for p in roc]))
     ops = []
     for op in operating_points:
@@ -398,7 +400,23 @@ def _reference_evaluate(scored, delta, confidence, operating_points):
             target_fpr=target))
     return AttackReport(attack=scored.attack, threat_model=None, delta=delta,
                         confidence=confidence, auc=auc, roc=np.array(roc),
+                        hull=np.array(_chain_hull(points), dtype=np.intp),
                         operating_points=tuple(ops), n_runs=len(bits))
+
+
+def _chain_hull(points):
+    """Andrew's monotone chain over every point, in Python ints: the indices
+    of the upper hull's vertices of points sorted by (x, y), a point on an
+    edge left out."""
+    hull = []
+    for i, (x, y) in enumerate(points):
+        while len(hull) > 1:
+            (ox, oy), (ax, ay) = points[hull[-2]], points[hull[-1]]
+            if (ax - ox) * (y - ay) < (ay - oy) * (x - ax):
+                break
+            hull.pop()
+        hull.append(i)
+    return hull
 
 
 # signed zeros, extreme magnitudes and subnormals, drawn from a small pool so
@@ -443,6 +461,7 @@ def test_evaluate_matches_per_threshold_recount(scored, ops):
     # bit-equal, signed zeros included: the representative threshold of a
     # -0.0/0.0 tie is whichever np.unique keeps
     assert _bits_of(got.roc) == _bits_of(ref.roc)
+    assert got.hull.tolist() == ref.hull.tolist()
     assert _bits_of([got.auc]) == _bits_of([ref.auc])
     assert len(got.operating_points) == len(ref.operating_points)
     for g, r in zip(got.operating_points, ref.operating_points):
@@ -486,9 +505,10 @@ def test_report_json_and_csv(tmp_path):
     save_report(tmp_path / "r.json", rep)
     doc = json.loads((tmp_path / "r.json").read_text())
     assert doc["attack"] == "sep"
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
+    assert "roc" not in doc
     # infinities render as a JSON-safe marker
-    assert doc["roc"][0][0] == "unbounded"
+    assert doc["roc_hull"] == [["unbounded", 0.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
     assert any(op["eps_point"] == "unbounded" for op in doc["operating_points"])
     save_roc_csv(tmp_path / "r.csv", rep)
     lines = (tmp_path / "r.csv").read_text().strip().splitlines()
@@ -496,76 +516,138 @@ def test_report_json_and_csv(tmp_path):
     assert len(lines) == 1 + len(rep.roc)
 
 
-def _plain(doc):
-    """doc with each float array as the nested lists of its .tolist(),
-    infinities as "unbounded": the JSON value write_json writes for it."""
-    if isinstance(doc, np.ndarray):
-        return [["unbounded" if math.isinf(v) else v for v in row] for row in doc.tolist()]
-    if isinstance(doc, dict):
-        return {k: _plain(v) for k, v in doc.items()}
-    if isinstance(doc, (list, tuple)):
-        return [_plain(v) for v in doc]
-    return doc
+def _hull_points(steps):
+    """The integer ROC points of steps: from (0, 0), step k adds steps[k] =
+    (negatives, positives) runs, as one threshold of the sweep does."""
+    x = np.cumsum([0] + [neg for neg, _ in steps]).astype(np.int64)
+    y = np.cumsum([0] + [pos for _, pos in steps]).astype(np.int64)
+    return x, y
+
+
+# a run that is concave but for one steep last segment: each pruning pass
+# finds only the point before that segment to drop
+_CONCAVE_THEN_STEEP = [(1, k) for k in range(60, 0, -1)] + [(1, 10_000)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(any),
+                      min_size=1, max_size=80))
+@example(steps=[(3, 5)])  # all scores equal
+@example(steps=[(0, 5), (4, 0)])  # perfect separation
+@example(steps=[(4, 0), (0, 5)])  # inverted separation
+@example(steps=[(0, 1)] * 20 + [(1, 0)] + [(0, 1)] * 20)  # one negative
+@example(steps=_CONCAVE_THEN_STEEP)
+@example(steps=[(1, 1)] * 50)  # every point on one chord
+# one pass drops one point of five, and the chain then meets points on a hull edge
+@example(steps=[(1, 3), (1, 1), (0, 2), (3, 3), (2, 1), (3, 0)])
+def test_upper_hull_matches_monotone_chain(steps):
+    x, y = _hull_points(steps)
+    want = _chain_hull(list(zip(x.tolist(), y.tolist())))
+    assert attacks._upper_hull(x, y).tolist() == want
+
+
+def test_upper_hull_of_a_long_concave_run_ending_steep():
+    steps = [(1, k) for k in range(5000, 0, -1)] + [(1, 10**9)]
+    x, y = _hull_points(steps)
+    assert attacks._upper_hull(x, y).tolist() == [0, len(steps)]
+    steps[-1] = (1, 0)  # without the steep segment every point is a vertex
+    x, y = _hull_points(steps)
+    assert attacks._upper_hull(x, y).tolist() == list(range(len(steps) + 1))
+
+
+def _runs_of(steps):
+    """Scored runs whose sweep takes the steps of _hull_points: step k's runs
+    share the k-th highest score."""
+    bits = [b for neg, pos in steps for b in [0] * neg + [1] * pos]
+    scores = [-float(k) for k, (neg, pos) in enumerate(steps) for _ in range(neg + pos)]
+    return ScoredRuns(bits=np.array(bits), scores=np.array(scores), attack="x")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # median of ~1e308
+@settings(max_examples=100, deadline=None)
+@given(scored=_scored_runs())
+@example(scored=_runs_of([(3, 5)]))
+@example(scored=_runs_of([(0, 5), (4, 0)]))
+@example(scored=_runs_of([(4, 0), (0, 5)]))
+@example(scored=_runs_of(_CONCAVE_THEN_STEEP))
+@example(scored=ScoredRuns(bits=np.array([1, 0, 1, 0]),
+                           scores=np.array([-0.0, 0.0, 0.0, -0.0]), attack="x"))
+def test_written_hull_rows_are_rows_of_the_roc(tmp_path_factory, scored):
+    rep = evaluate(scored, 1e-3)
+    assert rep.hull.tolist() == _reference_evaluate(scored, 1e-3, 0.95, ()).hull.tolist()
+    path = tmp_path_factory.mktemp("hull") / "r.json"
+    save_report(path, rep)
+    rows = json.loads(path.read_text())["roc_hull"]
+    assert rows[0] == ["unbounded", 0.0, 0.0]
+    assert rows[-1][1:] == [1.0, 1.0]
+    written = [[math.inf if v == "unbounded" else v for v in row] for row in rows]
+    # bit-equal, in ROC order, to the rows evaluate chose
+    assert _bits_of(written) == _bits_of(rep.roc[rep.hull])
+    roc_rows = {_bits_of(row) for row in rep.roc}
+    assert all(_bits_of(row) in roc_rows for row in written)
+    assert np.all(np.diff(rep.hull) > 0)
+
+
+_GROUP_VALUES = (-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan, 1.0, -1.0, 5e-324)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_score_groups_equal_searchsorted_of_unique(data):
+    value = st.sampled_from(_GROUP_VALUES) | st.floats(allow_nan=True, allow_infinity=True)
+    pool = data.draw(st.lists(value, min_size=1, max_size=8))
+    scores = np.array(data.draw(st.lists(st.sampled_from(pool), max_size=40)), dtype=np.float64)
+    want = np.searchsorted(np.unique(scores), scores)
+    assert attacks._score_groups(scores).tolist() == want.tolist()
 
 
 def _stdlib_bytes(doc) -> bytes:
-    return (json.dumps(_plain(doc), sort_keys=True, indent=2) + "\n").encode()
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
 
 
 # signed zeros, subnormals, and the neighbours of 1e-4 and 1e16, where
 # float.__repr__ switches between positional and exponent notation
-_TABLE_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-4,
+_FLOAT_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-4,
                  9.999999999999999e-05, 1.0000000000000002e-04, 1e16,
                  9999999999999998.0, 1.0000000000000002e16, -1e16, 0.5, 1.0, math.nan)
 
-
-@st.composite
-def _float_tables(draw):
-    """A (rows, width) float64 array whose cells come from a small pool, so
-    values repeat, with an infinity in column 0 at times, as an ROC has."""
-    rows, width = draw(st.integers(0, 12)), draw(st.integers(0, 4))
-    pool = draw(st.lists(st.sampled_from(_TABLE_VALUES) | st.floats(), min_size=1, max_size=6))
-    cells = draw(st.lists(st.sampled_from(pool), min_size=rows * width, max_size=rows * width))
-    table = np.array(cells, dtype=np.float64).reshape(rows, width)
-    if rows and width and draw(st.booleans()):
-        table[draw(st.integers(0, rows - 1)), 0] = draw(st.sampled_from([math.inf, -math.inf]))
-    return table
-
-
 _JSON_TEXT = st.text() | st.sampled_from(["", "\x00", "a\x00b", "],\x00[", "], [", "]", '"]'])
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers(-10**20, 10**20)
-                 | st.floats(allow_nan=True, allow_infinity=True) | _JSON_TEXT)
+                 | st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(_FLOAT_VALUES)
+                 | _JSON_TEXT)
 _ROWS = st.lists(_JSON_SCALARS, max_size=4) | st.lists(_JSON_SCALARS, max_size=4).map(tuple)
 _JSON_DOCS = st.recursive(
-    _JSON_SCALARS | st.lists(_ROWS, max_size=12) | _float_tables(),
+    _JSON_SCALARS | st.lists(_ROWS, max_size=12),
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
                    | st.dictionaries(_JSON_TEXT, inner, max_size=4)),
     max_leaves=30)
 
 
-@given(doc=_JSON_DOCS, chunk_rows=st.integers(1, 5))
+@given(doc=_JSON_DOCS)
 @settings(max_examples=300, deadline=None)
-def test_write_json_bytes_equal_stdlib_indent_2(tmp_path_factory, doc, chunk_rows):
-    # small chunks put many chunk boundaries inside hypothesis-sized tables
+def test_write_json_bytes_equal_stdlib_indent_2(tmp_path_factory, doc):
     path = tmp_path_factory.mktemp("wj") / "doc.json"
-    with mock.patch.object(attacks, "_TABLE_CHUNK_ROWS", chunk_rows):
-        write_json(path, doc)
+    write_json(path, doc)
     assert path.read_bytes() == _stdlib_bytes(doc)
 
 
-def test_write_json_table_longer_than_a_chunk(tmp_path):
-    # three chunks at the real chunk size, the last one short
-    n = 2 * attacks._TABLE_CHUNK_ROWS + 3
-    roc = np.array([[math.inf, 0.0, 0.0]] + [[1.0 / (i + 1), i / n, (i % 7) / 7] for i in range(n)])
-    doc = {"roc": roc, "ragged": [[i] * (1 + i % 3) for i in range(n)], "n": n}
-    write_json(tmp_path / "t.json", doc)
-    assert (tmp_path / "t.json").read_bytes() == _stdlib_bytes(doc)
+def test_long_roc_writes_its_hull_and_every_csv_row(tmp_path):
+    rng = np.random.default_rng(28)
+    bits = np.repeat([0, 1], 10_000)
+    rep = evaluate(ScoredRuns(bits=bits, scores=rng.normal(size=bits.size) + bits,
+                              attack="x"), delta=1e-3)
+    assert rep.roc.shape == (20_001, 3)
+    save_report(tmp_path / "r.json", rep)
+    doc = json.loads((tmp_path / "r.json").read_text())
+    assert 2 < len(doc["roc_hull"]) == len(rep.hull) < 200
+    save_roc_csv(tmp_path / "r.csv", rep)
+    assert len((tmp_path / "r.csv").read_text().splitlines()) == 1 + len(rep.roc)
 
 
 def test_saved_report_is_its_json_dict(tmp_path):
-    # an ROC of more rows than two chunks, ties and a signed-zero score included
+    # ties and a signed-zero score included
     rng = np.random.default_rng(21)
-    n = 2 * attacks._TABLE_CHUNK_ROWS + 50
+    n = 4000
     scores = np.round(rng.normal(size=n), 3)
     scores[:2] = (-0.0, 0.0)
     rep = evaluate(ScoredRuns(bits=np.arange(n) % 2, scores=scores, attack="x"), delta=1e-3)
@@ -579,6 +661,8 @@ def test_saved_report_is_its_json_dict(tmp_path):
 def test_write_json_rejects_non_str_keys(tmp_path):
     with pytest.raises(TypeError):
         write_json(tmp_path / "k.json", {"a": {1: 2}})
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "k.json", {"a": [({"b": 1}, {2: 3})]})
 
 
 # ---------------------------------------------------------------------------

@@ -326,11 +326,14 @@ def test_verdict_serialization(tmp_path):
     v = audit_step_mechanism(step_config(), trials=200, delta=0.1, master_seed=0)
     save_verdict(tmp_path / "v.json", v)
     doc = json.loads((tmp_path / "v.json").read_text())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["audit"] == "step_mechanism"
     assert doc["passed"] is True
     assert doc["report"]["attack"] == "step_mechanism"
-    # the nested report's ROC array is written as verdict_to_json_dict gives it
+    assert doc["report"]["schema_version"] == 2
+    # the nested report holds its ROC's hull, not every row
+    assert "roc" not in doc["report"]
+    assert len(doc["report"]["roc_hull"]) == len(v.report.hull) < len(v.report.roc)
     assert doc == verdict_to_json_dict(v)
     assert (tmp_path / "v.json").read_text() == \
         json.dumps(verdict_to_json_dict(v), sort_keys=True, indent=2) + "\n"

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import json
 import math
 
@@ -140,7 +142,7 @@ def test_attack_two_reports(workspace):
         assert (out / f"attack_{name}.json").exists()
         assert (out / f"attack_{name}_roc.csv").exists()
     doc = json.loads((out / "attack_lira.json").read_text())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
 
 
 def test_attack_dry_run(workspace, capsys):
@@ -809,6 +811,34 @@ def test_unreadable_input_path_exits_3_before_any_work(workspace, capsys, no_wor
     assert_config_error(capsys, workspace, f"error: {key}: {detail}")
 
 
+def _decode_error(raw: bytes) -> str:
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        return str(e)
+    raise AssertionError("raw is UTF-8")
+
+
+@pytest.mark.parametrize("command", ["train", "synthesize", "attack", "audit"])
+@pytest.mark.parametrize("key, raw, detail", [
+    ("schema", b"5", "expected an object, got int"),
+    ("schema", b"{}", "missing 'columns'"),
+    ("schema", b'{"columns": 5}', "'columns' must be a list, got int"),
+    ("schema", b'{"columns": [5]}', "columns[0] must be an object, got int"),
+    ("schema", b'{"columns": [], "note": "r\xe9sum\xe9"}', None),
+    ("dataset", b"x,y\n0.5,\xe9\n", None),
+])
+def test_input_file_of_the_wrong_shape_or_encoding_exits_3_before_any_work(
+        workspace, capsys, no_work, command, key, raw, detail):
+    path = workspace / "input"
+    path.write_bytes(raw)
+    path_fault(workspace, "file")
+    cfg = base_config(workspace, **COMMAND_CONFIG[command], **{key: str(path)})
+    assert main([command, "--config", write_config(workspace, cfg)]) == 3
+    detail = detail or f"not UTF-8 text: {_decode_error(raw)}"
+    assert_config_error(capsys, workspace, f"error: {key}: {path}: {detail}")
+
+
 @pytest.mark.parametrize("command", ["train", "synthesize", "attack", "audit", "report"])
 @pytest.mark.parametrize("fault", ["directory", "under a file", "not UTF-8"])
 def test_unreadable_config_exits_3_before_any_work(workspace, capsys, no_work, command, fault):
@@ -916,8 +946,10 @@ def test_step_audit_json_round_trips_through_stdlib(workspace):
     assert main(["report", "--config", path]) == 0
     out = workspace / "results"
     assert _assert_stdlib_indent_2(out) == ["audit.json", "run_info.json", "summary.json"]
-    # the ROC spans several of the writer's chunks
-    assert len(json.loads((out / "audit.json").read_text())["report"]["roc"]) > 10000
+    # of its 20,001 ROC rows the report holds those of the hull, +inf first
+    hull = json.loads((out / "audit.json").read_text())["report"]["roc_hull"]
+    assert 2 < len(hull) < 200
+    assert hull[0] == ["unbounded", 0.0, 0.0] and hull[-1][1:] == [1.0, 1.0]
 
 
 def test_report_empty_dir(tmp_path, capsys):
@@ -1016,3 +1048,88 @@ def test_degenerate_marginal_exits_3(workspace, capsys, command):
     assert "error: trainer: degenerate marginal for column 'y': all cells zero" in err
     assert "Traceback" not in err
     assert not (workspace / "results").exists()
+
+
+# ---------------------------------------------------------------------------
+# what the reports mean, pinned
+
+def _step_audit_config(ws, seed, bug_mode):
+    return {"master_seed": seed, "out": str(ws / "results"),
+            "trainer": {"dpsgd": {"clip_norm": 1.0, "noise_multiplier": 1.0, "sample_rate": 1.0,
+                                  "steps": 1, "learning_rate": 1.0, "bug_mode": bug_mode}},
+            "audit": {"mode": "step_mechanism", "trials": 20000}}
+
+
+# case: (config of the workspace, the commands run in turn, their exit codes)
+MEANING_CASES = {
+    **{f"step audit {bug} seed {seed}": (
+        functools.partial(_step_audit_config, seed=seed, bug_mode=bug), ["audit", "report"],
+        [code, 0])
+       for seed in (1, 2, 3) for bug, code in (("none", 0), ("no_per_sample_clipping", 1))},
+    "end_to_end audit": (lambda ws: base_config(
+        ws, audit={"mode": "end_to_end", "t_runs": 20}), ["train", "audit", "report"], [0, 0, 0]),
+    "predictive attacks": (lambda ws: base_config(
+        ws, attack={"attacks": ["loss_threshold", "lira"], "t_runs": 24}),
+        ["train", "attack", "report"], [0, 0, 0]),
+    "marginal attacks": (lambda ws: base_config(
+        ws, trainer={"kind": "marginal", "noise_std": 1.0},
+        attack={"attacks": ["dcr", "groundhog"], "t_runs": 20, "n_samples": 30}),
+        ["train", "attack", "report"], [0, 0, 0]),
+    "gan attack": (lambda ws: base_config(
+        ws, trainer={"kind": "gan", "dpsgd": DPSGD_ALL_KEYS, "steps": 2},
+        threat_model={"model_access": "white_box"},
+        attack={"attacks": ["disc_loss"], "t_runs": 20}),
+        ["train", "attack", "report"], [0, 0, 0]),
+}
+
+# sha256 of _meaning for each case, as the reports that wrote every ROC row
+# under "roc" (schema_version 1) gave it
+PINNED_MEANING = {
+    "end_to_end audit":
+        "39a80802ce134cd723ffe603cf2af42eec918f28e5ff164d92873dc3d94cc1cc",
+    "gan attack":
+        "b73a3f541bf092db6e5aeeddb91abf9057a9b19891faf11a78a45d85ccc95d7d",
+    "marginal attacks":
+        "72a3b0ff02154d8543b9f2e8cda5c45a9281b85f64fcf4e63e8f5b25bfa9aa1f",
+    "predictive attacks":
+        "ddb655eae4eb2ff882df797109f950ac64b9e250c8b842bbba1b1752177ba441",
+    "step audit no_per_sample_clipping seed 1":
+        "e6d1a6daa125e2b675fdbd541153fab99684d33fc583f275b6154b1026eb2c3f",
+    "step audit no_per_sample_clipping seed 2":
+        "c4d868253bf5c9fe8f8d7a7644d8df72e46a841af4c3728182b68c36e5a13bff",
+    "step audit no_per_sample_clipping seed 3":
+        "828a8035ead0963bdf7f0899162721c2049f377b8bb5cc9548b09b267200bd63",
+    "step audit none seed 1":
+        "ae0667fd462e1787875b5348743c9eb3f20fb807f662ac33488af403b5b13469",
+    "step audit none seed 2":
+        "3c0e875a1db3901346342fdc7e7df87a998ce0b3449c26e3c9798b28dbdb3e73",
+    "step audit none seed 3":
+        "14d80b6ff7a11bcf011cb1ebb1083b4e840685251af6ed4d2ddce40cccc9ef81",
+}
+
+
+def _meaning(out, codes) -> str:
+    """The sha256 of what the reports in out mean: the exit codes; of each
+    attack and audit report its status, bound, operating points and AUC; and
+    the bytes of the ROC files, accountant.json and summary.json."""
+    m = {"exit codes": codes}
+    for p in sorted(out.iterdir()):
+        if p.suffix == ".json" and p.name.startswith(("attack_", "audit")):
+            doc = json.loads(p.read_text())
+            report = doc.get("report", doc)
+            m[p.name] = {"status": doc.get("status"),
+                         "measured_lower_bound": doc.get("measured_lower_bound"),
+                         "operating_point": doc.get("operating_point"),
+                         "auc": report["auc"], "operating_points": report["operating_points"]}
+        elif p.name.endswith("_roc.csv") or p.name in ("accountant.json", "summary.json"):
+            m[p.name] = hashlib.sha256(p.read_bytes()).hexdigest()
+    return hashlib.sha256(json.dumps(m, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(MEANING_CASES))
+def test_reports_keep_their_meaning(workspace, case):
+    build, commands, want = MEANING_CASES[case]
+    path = write_config(workspace, build(workspace))
+    codes = [main([command, "--config", path]) for command in commands]
+    assert codes == want
+    assert _meaning(workspace / "results", codes) == PINNED_MEANING[case]

@@ -13,7 +13,7 @@ REPORT = {
     "attack": "lira", "auc": 0.5458984375, "n_runs": 64,
     "operating_points": [{"name": "median", "threshold": -0.05942211331985811,
                           "fpr": 0.46875, "tpr": 0.53125, "counts": {"tp": 17, "fp": 15}}],
-    "roc": [["unbounded", 0.0, 0.0], [0.7554265369513913, 0.03125, 0.0]],
+    "roc_hull": [["unbounded", 0.0, 0.0], [0.7554265369513913, 0.03125, 0.0]],
 }
 ROC = "threshold,fpr,tpr\ninf,0.0,0.0\n0.7554265369513913,0.03125,0.0\n"
 
@@ -51,7 +51,7 @@ def test_identical_reports_match_whatever_run_info_and_models_say(tmp_path, caps
 
 @pytest.mark.parametrize("field, value", [
     ("operating_points.0.threshold", -0.05942211331985828),
-    ("roc.1.0", 0.7554265369513915),
+    ("roc_hull.1.0", 0.7554265369513915),
 ])
 def test_thresholds_may_move_within_rel(tmp_path, capsys, field, value):
     a = outputs(tmp_path / "a")
@@ -67,8 +67,8 @@ def test_thresholds_may_move_within_rel(tmp_path, capsys, field, value):
     ("operating_points.0.counts.tp", 18, ".operating_points[0].counts.tp"),
     ("operating_points.0.threshold", -0.0595, ".operating_points[0].threshold"),
     ("operating_points.0.threshold", "-0.05942211331985811", ".operating_points[0].threshold"),
-    ("roc.1.1", 0.03125000000000001, ".roc[1].fpr"),
-    ("roc.0.0", 1e300, ".roc[0].threshold"),
+    ("roc_hull.1.1", 0.03125000000000001, ".roc_hull[1].fpr"),
+    ("roc_hull.0.0", 1e300, ".roc_hull[0].threshold"),
     ("n_runs", 64.0, ".n_runs"),
 ])
 def test_any_other_change_is_the_first_difference(tmp_path, capsys, field, value, where):
@@ -81,11 +81,24 @@ def test_any_other_change_is_the_first_difference(tmp_path, capsys, field, value
 def test_nested_report_thresholds_may_move_within_rel(tmp_path, capsys):
     # an audit verdict holds its attack report under "report"
     a = outputs(tmp_path / "a", report={"verdict": "pass", "report": REPORT})
-    moved = changed(**{"roc.1.0": 0.7554265369513915, "operating_points.0.threshold": -0.0594221133198582})
+    moved = changed(**{"roc_hull.1.0": 0.7554265369513915,
+                       "operating_points.0.threshold": -0.0594221133198582})
     b = outputs(tmp_path / "b", report={"verdict": "pass", "report": moved})
     assert run(a, b, capsys=capsys)[0] == 0
     c = outputs(tmp_path / "c", report={"verdict": "fail", "report": moved})
     assert run(a, c, capsys=capsys) == (1, "attack_lira.json: .verdict: 'pass' != 'fail'")
+
+
+def test_full_roc_of_a_schema_1_report_keeps_loose_thresholds(tmp_path, capsys):
+    old = {**REPORT, "roc": REPORT["roc_hull"]}
+    del old["roc_hull"]
+    a = outputs(tmp_path / "a", report=old)
+    moved = json.loads(json.dumps(old))
+    moved["roc"][1][0] = 0.7554265369513915
+    assert run(a, outputs(tmp_path / "b", report=moved), capsys=capsys)[0] == 0
+    moved["roc"][1][1] = 0.03125000000000001
+    code, out = run(a, outputs(tmp_path / "c", report=moved), capsys=capsys)
+    assert code == 1 and out.startswith("attack_lira.json: .roc[1].fpr: ")
 
 
 def test_roc_file_threshold_column_within_rel_and_other_cells_exact(tmp_path, capsys):
@@ -123,7 +136,7 @@ def test_verdicts_ignore_moved_bytes_but_not_a_moved_verdict(tmp_path, capsys):
         return d
 
     a = with_audit(tmp_path / "a")
-    moved = with_audit(tmp_path / "b", report=changed(auc=0.75, **{"roc.1.1": 0.5}),
+    moved = with_audit(tmp_path / "b", report=changed(auc=0.75, **{"roc_hull.1.1": 0.5}),
                        measured_lower_bound=0.3)
     assert run(a, moved, capsys=capsys)[0] == 1
     code, out = run(a, moved, "--verdicts", capsys=capsys)
