@@ -8,9 +8,9 @@ directory outside the repository. Each seed is one pair: ``bench/run.py
 --workload W --seed S --trace 0`` runs once in that export and once in this
 checkout, and the side that runs first alternates from pair to pair. The
 script prints every pair's end-to-end metrics, each side's median and
-quartiles, how many pairs the change won, each metric's regression verdict,
-and whether the report sha256 values of the two sides match. The export is
-removed on exit.
+quartiles, the quartiles of the pairs' change/parent ratios, how many pairs
+the change won, each metric's regression verdict, and whether the report
+sha256 values of the two sides match. The export is removed on exit.
 
 With ``--interleave N`` the script instead imports the export's
 ``privaudit`` and this checkout's, under two package names, into its own
@@ -18,10 +18,14 @@ process and, for each seed in turn, writes the workload's inputs once and
 runs N pairs of ``cli.main`` ops, one op of each side per pair, the side that
 runs first alternating. It prints each pair's wall and CPU seconds, and per
 seed the median paired change/parent ratios of ``op_s`` and ``cpu_s``, each
-metric's wins, losses and gain verdict over the seed's pairs, and whether
-the two sides' reports are byte-identical. Separate runs, minutes apart,
-cannot cancel a drift in the host's speed; ops a second apart in one process
-can.
+metric's quartiles, paired-ratio quartiles, wins, losses and gain verdict
+over the seed's pairs, and whether the two sides' reports are
+byte-identical. Separate runs, minutes apart, cannot cancel a drift in the
+host's speed; ops a second apart in one process can. A drift that slows
+both ops of some pairs widens each side's interquartile range but leaves
+those pairs' ratios where they were, so the ratio quartiles show a change
+that the gain rule, on the sides' medians and the parent's spread, cannot
+resolve.
 
 A gain is claimed only when the change wins at least nine tenths of the
 pairs (ties count for neither side) and the medians differ by more than the
@@ -122,6 +126,7 @@ def summarize(name: str, parent: list[float], change: list[float],
     wins = sum(c < p for p, c in zip(parent, change))
     losses = sum(c > p for p, c in zip(parent, change))
     pq, cq = quartiles(parent), quartiles(change)
+    rq = quartiles([c / p for p, c in zip(parent, change)])
     iqr = pq[2] - pq[0]
     gap = pq[1] - cq[1]
     holds = wins >= 0.9 * len(parent) and gap > iqr
@@ -129,7 +134,8 @@ def summarize(name: str, parent: list[float], change: list[float],
         f"  verdict at bound {bound:g}: {verdict(parent, change, bound)}"
     return (f"{name:<28} parent median {pq[1]:.4g} (q1 {pq[0]:.4g}, q3 {pq[2]:.4g})  "
             f"change median {cq[1]:.4g} (q1 {cq[0]:.4g}, q3 {cq[2]:.4g})  "
-            f"change/parent {cq[1] / pq[1]:.3f}  wins {wins}/{len(parent)} "
+            f"change/parent {cq[1] / pq[1]:.3f} (paired q1 {rq[0]:.3f}, median {rq[1]:.3f}, "
+            f"q3 {rq[2]:.3f})  wins {wins}/{len(parent)} "
             f"(losses {losses})  gap {gap:.4g} vs parent IQR {iqr:.4g}  "
             f"gain claimable: {'yes' if holds else 'no'}{judged}")
 

@@ -10,7 +10,6 @@ configurations get caught.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,9 +27,8 @@ from .attacks import (
     write_json,
 )
 from .core_stats import PrivacyParams, gdp_epsilon_of_delta, subsampled_gdp_mu
-from .data import Dataset, NumericColumn, Record, Schema
+from .data import Dataset, NumericColumn, Record, Schema, check_finite, count_value
 from .dpsgd import DpSgdConfig, clip_and_sum, privatize
-from .models import count_value
 from .seeds import derive_seed
 from .shadow import (
     FIXED_DATASET,
@@ -158,8 +156,7 @@ def audit_step_mechanism(
     flip the aggregate's sign, doubling the observable separation.
     """
     audit_slack(slack)
-    if trials < 100:
-        raise ValueError("trials must be >= 100")
+    trials = count_value("trials", trials, 100)
     # the single-step claim (T=1, p=1) ignores any bug; without noise it raises
     mu = subsampled_gdp_mu(config.noise_multiplier, 1.0, 1)
     claimed = PrivacyParams(epsilon=gdp_epsilon_of_delta(mu, delta), delta=delta)
@@ -231,20 +228,14 @@ def _generative_scores(fb) -> ScoredRuns:
 
 
 def audit_slack(value) -> float:
-    """value as an audit's slack: a finite float of at least 0. A negative
+    """value as an audit's slack: a finite number of at least 0. A negative
     slack would fail an audit whose measured bound is below the claim."""
-    slack = float(value)
-    if not (math.isfinite(slack) and slack >= 0.0):
-        raise ValueError(f"slack must be a finite number >= 0, got {value}")
-    return slack
+    return check_finite("slack", value, positive=False)
 
 
 def audit_run_count(value) -> int:
     """value as the shadow runs of an end-to-end audit: an int of at least 20."""
-    t_runs = count_value("t_runs", value, None)
-    if t_runs < 20:
-        raise ValueError(f"t_runs must be >= 20, got {value}")
-    return t_runs
+    return count_value("t_runs", value, 20)
 
 
 def audit_end_to_end(

@@ -22,18 +22,20 @@ import numpy as np
 from . import attacks as attacks_mod
 from . import audit as audit_mod
 from .attacks import _num
-from .core_stats import NoValidGuaranteeError, confidence_level
+from .core_stats import NoValidGuaranteeError
 from .data import (
     DataError,
     Dataset,
     Schema,
     SchemaError,
+    count_value,
+    fraction,
     load_csv,
     open_input,
     select_targets,
 )
 from .dpsgd import BugMode, DpSgdConfig, PredictiveTrainer
-from .models import count_value, save_params
+from .models import save_params
 from .shadow import (
     ThreatModel,
     _stratified_bits,
@@ -61,11 +63,14 @@ class ConfigError(Exception):
     """Configuration problem, annotated with the offending field path."""
 
 
-def _build(path: str, fn, *args):
+def _build(path: str, fn, *args, keys=()):
+    """fn(*args); an error becomes a ConfigError at path, or at path.key when
+    its message begins with one of keys, the name a value was checked under."""
     try:
         return fn(*args)
     except (ValueError, KeyError, TypeError, SchemaError, DataError) as e:
         detail = str(e) or type(e).__name__
+        path += next((f".{k}" for k in keys if detail.startswith(f"{k} ")), "")
         raise ConfigError(f"{path}: {detail}") from e
 
 
@@ -97,8 +102,10 @@ def _load_data(cfg: dict) -> Dataset:
 
 
 def _record_from_json(schema: Schema, values, path: str):
-    """A config record (level names or indices for categorical columns),
-    checked by the data layer's one rule."""
+    """A config record, a list of values (level names or indices for
+    categorical columns), checked by the data layer's one rule."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{path}: must be a list of values, got {type(values).__name__}")
     return _build(path, lambda: Dataset.from_rows(schema, [values]).rows[0])
 
 
@@ -106,21 +113,14 @@ def _as_is(value):
     return value
 
 
-def _delta_value(value) -> float:
-    """value as a privacy delta: a float strictly between 0 and 1."""
-    delta = float(value)
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must be in (0, 1), got {value}")
-    return delta
-
-
 # One table per config block: every accepted key and the conversion applied to
 # its value. A key's default lives only in the signature of the function the
 # block configures, so a block passes on just the keys it was given.
-CONFIG = {**dict.fromkeys(("schema_version", "schema", "dataset", "out", "trainer",
+CONFIG = {**dict.fromkeys(("schema", "dataset", "out", "trainer",
                            "threat_model", "attack", "audit", "synthesize"), _as_is),
+          "schema_version": partial(count_value, "schema_version", minimum=1),
           "master_seed": partial(count_value, "master_seed", minimum=None),
-          "delta": _delta_value, "confidence": confidence_level}
+          "delta": partial(fraction, "delta"), "confidence": partial(fraction, "confidence")}
 ATTACK = {"attacks": _as_is, "t_runs": shadow_run_count,
           "n_samples": query_sample_count, "target": _as_is}
 TARGET = dict.fromkeys(("strategy", "record"), _as_is)
@@ -133,12 +133,15 @@ TRAINER = {
     "predictive": dict.fromkeys(("kind", "label_column", "dpsgd", "model_kind",
                                  "hidden_dim", "init_scale", "observability"), _as_is),
     "marginal": dict.fromkeys(("kind", "noise_std", "bins"), _as_is),
-    "gan": dict.fromkeys(("kind", "dpsgd", "latent_dim", "gen_hidden", "disc_hidden",
-                          "gen_lr", "steps"), _as_is),
+    # a null steps would mean disc_config's steps: a default the config did not ask for
+    "gan": {**dict.fromkeys(("kind", "dpsgd", "latent_dim", "gen_hidden", "disc_hidden",
+                             "gen_lr"), _as_is),
+            "steps": partial(count_value, "steps", minimum=None)},
 }
 AUDIT = {
     "step_mechanism": {"mode": _as_is, "trials": partial(count_value, "trials", minimum=None),
-                       "audit_delta": float, "slack": audit_mod.audit_slack},
+                       "audit_delta": partial(fraction, "audit_delta"),
+                       "slack": audit_mod.audit_slack},
     "end_to_end": {"mode": _as_is, "t_runs": audit_mod.audit_run_count, "canary": _as_is,
                    "slack": audit_mod.audit_slack},
 }
@@ -161,7 +164,7 @@ def _given(doc: dict, *keys) -> dict:
 
 def _dpsgd_config(doc) -> DpSgdConfig:
     kw = _read_block(doc, DPSGD, "trainer.dpsgd")
-    return _build("trainer.dpsgd", lambda: DpSgdConfig(**kw))
+    return _build("trainer.dpsgd", lambda: DpSgdConfig(**kw), keys=kw)
 
 
 def build_trainer(cfg: dict, schema: Schema):
@@ -174,7 +177,7 @@ def build_trainer(cfg: dict, schema: Schema):
     kw = _read_block(doc, TRAINER[kind], "trainer")
     del kw["kind"]
     if kind == "marginal":
-        return MarginalTrainer(_build("trainer", lambda: MarginalSynthSpec(**kw)),
+        return MarginalTrainer(_build("trainer", lambda: MarginalSynthSpec(**kw), keys=kw),
                                schema=schema)
     dp = _dpsgd_config(kw.pop("dpsgd", {}))
     if kind == "predictive":
@@ -182,14 +185,14 @@ def build_trainer(cfg: dict, schema: Schema):
             trainer = PredictiveTrainer(config=dp, **kw)
             trainer.model_spec(schema, 0)  # rejects a label column the schema cannot serve
             return trainer
-        return _build("trainer", predictive)
+        return _build("trainer", predictive, keys=kw)
     return GanTrainer(_build("trainer", lambda: gan_spec_for_schema(
-        schema, disc_config=dp, **kw)))
+        schema, disc_config=dp, **kw), keys=kw))
 
 
 def _threat_model(cfg: dict) -> ThreatModel:
     kw = _read_block(cfg.get("threat_model", {}), THREAT_MODEL, "threat_model")
-    return _build("threat_model", lambda: ThreatModel(**kw))
+    return _build("threat_model", lambda: ThreatModel(**kw), keys=kw)
 
 
 def _delta(cfg: dict, n: int) -> float:
@@ -391,7 +394,7 @@ def cmd_audit(cfg: dict, args) -> int:
         if "audit_delta" in kw:
             kw["delta"] = kw.pop("audit_delta")
         out = _out_dir(cfg, args)
-        verdict = _build("audit", lambda: audit_mod.audit_step_mechanism(dp, **kw))
+        verdict = _build("audit", lambda: audit_mod.audit_step_mechanism(dp, **kw), keys=kw)
     else:
         ds = _load_data(cfg)
         trainer = build_trainer(cfg, ds.schema)
@@ -509,12 +512,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _worker_count(value: str) -> int:
     try:
-        workers = int(value)
+        return count_value("--workers", int(value), 1)
     except ValueError:
-        workers = 0
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value!r}")
-    return workers
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value!r}") from None
 
 
 def _make_parser() -> argparse.ArgumentParser:

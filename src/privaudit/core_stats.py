@@ -11,6 +11,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+from .data import count_value, fraction
+
 __all__ = [
     "PrivacyParams",
     "ErrorRates",
@@ -19,7 +21,6 @@ __all__ = [
     "ConfidenceInterval",
     "NoValidGuaranteeError",
     "UNBOUNDED",
-    "confidence_level",
     "error_rates",
     "effective_epsilon_point",
     "accuracy_bound",
@@ -111,15 +112,7 @@ class ConfidenceInterval:
     def __post_init__(self):
         if not (0.0 <= self.lo <= self.hi <= 1.0):
             raise ValueError(f"need 0 <= lo <= hi <= 1, got [{self.lo}, {self.hi}]")
-        confidence_level(self.confidence)
-
-
-def confidence_level(value) -> float:
-    """value as a confidence level: a float strictly between 0 and 1."""
-    confidence = float(value)
-    if not (0.0 < confidence < 1.0):
-        raise ValueError(f"confidence must be in (0, 1), got {value}")
-    return confidence
+        fraction("confidence", self.confidence)
 
 
 def error_rates(c: ConfusionCounts) -> ErrorRates:
@@ -167,8 +160,7 @@ def accuracy_bound(p: PrivacyParams) -> float:
 
 
 def _check_binomial(successes: int, trials: int) -> None:
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    count_value("trials", trials, 1)
     if not (0 <= successes <= trials):
         raise ValueError(f"need 0 <= successes <= trials, got {successes}/{trials}")
 
@@ -181,7 +173,7 @@ def clopper_pearson(successes: int, trials: int, confidence: float) -> Confidenc
     the exact Clopper-Pearson limit (see _cp_limit).
     """
     _check_binomial(successes, trials)
-    half = (1.0 - confidence_level(confidence)) / 2.0
+    half = (1.0 - fraction("confidence", confidence)) / 2.0
     return ConfidenceInterval(lo=_cp_limit(successes, trials, half, upper=False),
                               hi=_cp_limit(successes, trials, half, upper=True),
                               confidence=confidence)
@@ -191,8 +183,7 @@ def clopper_pearson_upper(successes: int, trials: int, error_budget: float) -> f
     """One-sided exact upper confidence limit at the given error budget,
     never below the exact Clopper-Pearson value."""
     _check_binomial(successes, trials)
-    if not (0.0 < error_budget < 1.0):
-        raise ValueError(f"error_budget must be in (0, 1), got {error_budget}")
+    fraction("error_budget", error_budget)
     return _cp_limit(successes, trials, error_budget, upper=True)
 
 
@@ -411,7 +402,7 @@ def effective_epsilon_lower_bound(
     then plugs the upper limits into the point formula. Conservative by
     construction: never exceeds the point estimate.
     """
-    confidence_level(confidence)
+    fraction("confidence", confidence)
     # Trigger the degenerate-counts check up front.
     error_rates(c)
     budget = (1.0 - confidence) / 2.0
@@ -450,8 +441,7 @@ def gdp_delta_of_epsilon(g: GdpParam, epsilon: float) -> float:
 
 def gdp_epsilon_of_delta(g: GdpParam, delta: float) -> float:
     """Smallest eps >= 0 with delta(eps) <= delta, by bisection."""
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must be in (0, 1), got {delta}")
+    fraction("delta", delta)
     if gdp_delta_of_epsilon(g, 0.0) <= delta:
         return 0.0
     lo, hi = 0.0, 1.0
@@ -479,10 +469,8 @@ def subsampled_gdp_mu(
     if noise_multiplier <= 0.0:
         raise NoValidGuaranteeError(
             f"no valid guarantee exists without noise (noise_multiplier={noise_multiplier})")
-    if not (0.0 < sample_rate <= 1.0):
-        raise ValueError(f"sample_rate must be in (0, 1], got {sample_rate}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    fraction("sample_rate", sample_rate, one=True)
+    count_value("steps", steps, 1)
     try:
         growth = math.expm1(1.0 / noise_multiplier**2)
     except (OverflowError, ZeroDivisionError):

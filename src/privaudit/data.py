@@ -3,8 +3,9 @@
 Schema-typed ingestion into columnar datasets, canonical whole-column
 [0,1]/one-hot encoding, neighboring-dataset construction, and target-record
 selection. Datasets are immutable after construction. This module alone
-decides how a column is checked (`_checked`), encoded (`encode`) and binned
-(`histogram_cells`), and it imports no other privaudit module.
+decides how a number from outside is checked (`count_value`, `check_finite`,
+`fraction`), how a column is checked (`_checked`), encoded (`encode`) and
+binned (`histogram_cells`), and it imports no other privaudit module.
 
 Many datasets of one schema and length, one per shadow run, are not Datasets
 but run-axis arrays: one (runs, n) array per schema column, row r holding run
@@ -17,12 +18,17 @@ import csv
 import itertools
 import json
 import math
+import numbers
 import operator
+import sys
 from dataclasses import InitVar, dataclass
 
 import numpy as np
 
 __all__ = [
+    "count_value",
+    "check_finite",
+    "fraction",
     "SchemaError",
     "DataError",
     "NumericColumn",
@@ -51,6 +57,44 @@ class DataError(ValueError):
     pass
 
 
+# -- numbers from outside: one rule for every number a config, a schema or a
+# record gives. It is a number, never a bool or a string. Each check returns
+# the value it was given, and the message of its error begins with name.
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def count_value(name: str, value, minimum: int | None) -> int:
+    """value as an int of at least minimum, or any int when minimum is None.
+    An integral float such as 40.0 converts; 2.5, NaN, strings and bools are
+    not counts."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or (minimum is not None and value < minimum):
+        floor = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{floor}, got {value!r}")
+    return int(value)
+
+
+def check_finite(name: str, value, positive: bool | None = True, error=ValueError):
+    """value, once it is a finite number, which an int too large for a float is
+    not: > 0 when positive, >= 0 when not, and of either sign when None."""
+    ok = _is_number(value) and abs(value) <= sys.float_info.max
+    if not ok or (positive is not None and (value < 0 or (positive and value == 0))):
+        bound = {True: " > 0", False: " >= 0", None: ""}[positive]
+        raise error(f"{name} must be a finite number{bound}, got {value!r}")
+    return value
+
+
+def fraction(name: str, value, one: bool = False):
+    """value, once it is a number in (0, 1), or in (0, 1] when one."""
+    if not (_is_number(value) and 0 < value and (value <= 1 if one else value < 1)):
+        raise ValueError(f"{name} must be a number in (0, 1{']' if one else ')'}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class NumericColumn:
     name: str
@@ -58,9 +102,10 @@ class NumericColumn:
     hi: float
 
     def __post_init__(self):
+        for field, key in (("lo", "min"), ("hi", "max")):
+            object.__setattr__(self, field, float(check_finite(
+                f"column {self.name!r}: {key}", getattr(self, field), None, SchemaError)))
         bounds = f"[{self.lo}, {self.hi}]"
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise SchemaError(f"column {self.name!r}: min and max must be finite, got {bounds}")
         if not (self.lo < self.hi):
             raise SchemaError(f"column {self.name!r}: need min < max, got {bounds}")
         if not math.isfinite(self.hi - self.lo):
@@ -133,31 +178,18 @@ class Schema:
 
     @staticmethod
     def from_json_dict(doc: dict, source: str = "schema document") -> "Schema":
-        """The schema of a JSON document; a document of the wrong shape raises
-        a SchemaError naming source."""
-        if not isinstance(doc, dict):
-            raise SchemaError(f"{source}: expected an object, got {type(doc).__name__}")
-        if "columns" not in doc:
-            raise SchemaError(f"{source}: missing 'columns'")
-        if not isinstance(doc["columns"], list):
-            raise SchemaError(f"{source}: 'columns' must be a list, "
-                              f"got {type(doc['columns']).__name__}")
-        cols: list[Column] = []
-        for i, c in enumerate(doc["columns"]):
-            if not isinstance(c, dict):
-                raise SchemaError(f"{source}: columns[{i}] must be an object, "
-                                  f"got {type(c).__name__}")
-            try:
-                kind = c["kind"]
-                if kind == "numeric":
-                    cols.append(NumericColumn(c["name"], float(c["min"]), float(c["max"])))
-                elif kind == "categorical":
-                    cols.append(CategoricalColumn(c["name"], tuple(c["levels"])))
-                else:
-                    raise SchemaError(f"columns[{i}]: unknown kind {kind!r}")
-            except KeyError as e:
-                raise SchemaError(f"columns[{i}]: missing field {e}") from None
-        return Schema(tuple(cols))
+        """The schema of a JSON document; any fault in it raises a SchemaError
+        naming source."""
+        try:
+            if not isinstance(doc, dict):
+                raise SchemaError(f"expected an object, got {type(doc).__name__}")
+            if "columns" not in doc:
+                raise SchemaError("missing 'columns'")
+            if not isinstance(doc["columns"], list):
+                raise SchemaError(f"'columns' must be a list, got {type(doc['columns']).__name__}")
+            return Schema(tuple(_column_from_json(i, c) for i, c in enumerate(doc["columns"])))
+        except SchemaError as e:
+            raise SchemaError(f"{source}: {e}") from None
 
     @staticmethod
     def from_json_file(path) -> "Schema":
@@ -167,6 +199,27 @@ class Schema:
             except UnicodeDecodeError as e:
                 raise SchemaError(f"{path}: not UTF-8 text: {e}") from None
         return Schema.from_json_dict(doc, str(path))
+
+
+def _column_from_json(i: int, c) -> Column:
+    """Column i of a schema document, whose name and levels are strings."""
+    if not isinstance(c, dict):
+        raise SchemaError(f"columns[{i}] must be an object, got {type(c).__name__}")
+    try:
+        kind = c["kind"]
+        if kind not in ("numeric", "categorical"):
+            raise SchemaError(f"columns[{i}]: unknown kind {kind!r}")
+        name = c["name"]
+        if not isinstance(name, str):
+            raise SchemaError(f"columns[{i}]: name must be a string, got {name!r}")
+        if kind == "numeric":
+            return NumericColumn(name, c["min"], c["max"])
+        levels = c["levels"]
+        if not (isinstance(levels, list) and all(isinstance(v, str) for v in levels)):
+            raise SchemaError(f"column {name!r}: levels must be a list of strings, got {levels!r}")
+        return CategoricalColumn(name, tuple(levels))
+    except KeyError as e:
+        raise SchemaError(f"columns[{i}]: missing field {e}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,8 +259,8 @@ class Dataset:
     @staticmethod
     def from_rows(schema: Schema, rows, provenance: str = "") -> "Dataset":
         """Records (values in schema column order) as a dataset. A categorical
-        value is a level name or index, any other value goes through float(),
-        a bool is refused, and the columns then pass the one checking rule.
+        value is a level name or index; every other value must be a number,
+        not a bool or a string, and the columns then pass the one checking rule.
         An error names the offending row unless there is only one record."""
         rows = list(rows)
         width = len(schema.columns)
@@ -248,15 +301,18 @@ class Dataset:
             w.writerows(zip(*cells))
 
 
-def _number(col: Column, value, where: str) -> float:
+def _number(col: Column, value, where: str):
     """One record value as a number; a level name becomes its index."""
-    if isinstance(value, (bool, np.bool_)):
-        raise DataError(f"column {col.name!r}: value {value} is not a number{where}")
     if isinstance(value, str) and isinstance(col, CategoricalColumn):
         if value not in col.levels:
             raise DataError(f"unknown level {value!r} for column {col.name!r}{where}")
         return col.levels.index(value)
-    return float(value)
+    if not _is_number(value):
+        shown = repr(value) if isinstance(value, str) else value
+        raise DataError(f"column {col.name!r}: value {shown} is not a number{where}")
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise DataError(f"column {col.name!r}: value {value} is too large for a float{where}")
+    return value
 
 
 def _checked(schema: Schema, columns, where=lambda i: f" (row {i})") -> tuple[np.ndarray, ...]:

@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from . import models
 from .core_stats import gdp_epsilon_of_delta, subsampled_gdp_mu
-from .data import CategoricalColumn, Dataset, Schema, encode
-from .models import ModelSpec, check_finite, count_value
+from .data import CategoricalColumn, Dataset, Schema, check_finite, count_value, encode, fraction
+from .models import ModelSpec
 from .seeds import derive_seed
 
 __all__ = [
@@ -64,8 +64,7 @@ class DpSgdConfig:
     def __post_init__(self):
         check_finite("clip_norm", self.clip_norm)
         check_finite("noise_multiplier", self.noise_multiplier, positive=False)
-        if not (0.0 < self.sample_rate <= 1.0):
-            raise ValueError("sample_rate must be in (0, 1]")
+        fraction("sample_rate", self.sample_rate, one=True)
         object.__setattr__(self, "steps", count_value("steps", self.steps, 1))
         check_finite("learning_rate", self.learning_rate)
 
@@ -90,7 +89,6 @@ class TrainedArtifact:
     spec: ModelSpec
     params: np.ndarray
     trace: TrainingTrace | None
-    meta: dict = field(default_factory=dict)
 
 
 # the one Philox generator _stream re-seats, and the state template it writes
@@ -352,7 +350,6 @@ def train_lockstep(
     run_rows: list[np.ndarray],
     configs: list[DpSgdConfig],
     observability: str = "black_box",
-    meta: dict | None = None,
     workers: int = 1,
 ) -> list[TrainedArtifact]:
     """Train run k on the rows run_rows[k] of (x, y) with specs[k] and
@@ -396,7 +393,6 @@ def train_lockstep(
                 spec=spec,
                 params=params[k].copy(),
                 trace=TrainingTrace(tuple(traces[k])) if white_box else None,
-                meta=dict(meta or {}),
             ))
     return out
 
@@ -589,7 +585,6 @@ class PredictiveTrainer:
             [self.model_spec(data.schema, s) for s in seeds], x, y, list(run_rows),
             [replace(self.config, seed=derive_seed(s, "dpsgd")) for s in seeds],
             observability=self.observability,
-            meta={"label_column": self.label_column, "schema": data.schema},
             workers=workers,
         )
 
@@ -600,11 +595,8 @@ class PredictiveTrainer:
         return gdp_epsilon_of_delta(
             subsampled_gdp_mu(c.noise_multiplier, c.sample_rate, c.steps), delta)
 
-    def target_losses(self, artifacts: list[TrainedArtifact], record) -> list[float]:
-        """Each artifact's loss on record, which is encoded once: the
-        artifacts must share one schema."""
-        schema = artifacts[0].meta["schema"]
-        if any(a.meta["schema"] != schema for a in artifacts):
-            raise ValueError("target_losses needs artifacts of one schema")
+    def target_losses(self, artifacts: list[TrainedArtifact], schema: Schema, record) -> list[float]:
+        """Each artifact's loss on record, a record of the schema the
+        artifacts were trained on, which is encoded once."""
         x, y = features_and_labels(Dataset.from_rows(schema, [record]), self.label_column)
         return [models.per_example_loss(a.spec, a.params, x[0], int(y[0])) for a in artifacts]

@@ -8,16 +8,15 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .data import check_finite, count_value
+
 __all__ = [
     "ModelSpec",
     "Workspace",
-    "count_value",
-    "check_finite",
     "n_params",
     "init_params",
     "predict",
@@ -35,28 +34,6 @@ __all__ = [
 
 LOGISTIC = "logistic_regression"
 MLP = "mlp"
-
-
-def count_value(name: str, value, minimum: int | None) -> int:
-    """value as an int of at least minimum, or any int when minimum is None.
-    An integral float such as 40.0 converts; 2.5, NaN, strings and bools are
-    not counts."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-            or (minimum is not None and value < minimum):
-        floor = "" if minimum is None else f" >= {minimum}"
-        raise ValueError(f"{name} must be an integer{floor}, got {value!r}")
-    return int(value)
-
-
-def check_finite(name: str, value, positive: bool = True) -> None:
-    """Reject a value that is not a finite number, > 0 when positive and
-    >= 0 otherwise. A valid value is kept as given, int or float."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not math.isfinite(value) or value < 0 or (positive and value == 0):
-        bound = "> 0" if positive else ">= 0"
-        raise ValueError(f"{name} must be a finite number {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, row_keys
-from .models import count_value
+from .data import Dataset, Schema, count_value, row_keys
 from .seeds import derive_seed
 from .synthesizers import GanTrainer, disc_loss, sample_runs
 
@@ -60,9 +59,10 @@ class ThreatModel:
 @dataclass(frozen=True)
 class ShadowCollection:
     """The trained runs: run t's membership bit (a read-only int array),
-    seed and artifact are entry t of each field."""
+    seed and artifact are entry t of each field; schema is the pool's."""
 
     target: tuple
+    schema: Schema
     threat_model: ThreatModel
     bits: np.ndarray
     seeds: tuple[int, ...]
@@ -94,19 +94,13 @@ def dataset_fingerprint(ds: Dataset) -> str:
 
 def shadow_run_count(value) -> int:
     """value as a number of shadow runs: an int of at least 2."""
-    t_runs = count_value("t_runs", value, None)
-    if t_runs < 2:
-        raise ValueError(f"need at least 2 shadow runs, got {value}")
-    return t_runs
+    return count_value("t_runs", value, 2)
 
 
 def query_sample_count(value) -> int:
     """value as the rows of one synth_dataset query: an int of at least 1,
     since a query of no rows leaves the attack nothing to score."""
-    n = count_value("n_samples", value, None)
-    if n < 1:
-        raise ValueError(f"n_samples must be >= 1, got {value}")
-    return n
+    return count_value("n_samples", value, 1)
 
 
 def _stratified_bits(n: int, seed: int) -> np.ndarray:
@@ -170,6 +164,7 @@ def run_shadow_experiment(
     bits.setflags(write=False)
     return ShadowCollection(
         target=target,
+        schema=pool.schema,
         threat_model=tm,
         bits=bits,
         seeds=tuple(seeds),
@@ -214,8 +209,8 @@ def query_features(collection: ShadowCollection, mode: str, query_config: dict |
         for c in feats:
             c.setflags(write=False)
     else:
-        losses = (trainer.target_losses(arts, collection.target) if mode == "pred_loss"
-                  else [disc_loss(a, collection.target) for a in arts])
+        losses = (trainer.target_losses(arts, collection.schema, collection.target)
+                  if mode == "pred_loss" else [disc_loss(a, collection.target) for a in arts])
         feats = np.array(losses, dtype=np.float64)
         feats.setflags(write=False)
 
@@ -224,6 +219,6 @@ def query_features(collection: ShadowCollection, mode: str, query_config: dict |
         features=feats,
         bits=collection.bits,
         target=collection.target,
-        schema=arts[0].meta["schema"] if mode == "pred_loss" else arts[0].schema,
+        schema=collection.schema,
         threat_model=collection.threat_model,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .data import (
     Dataset,
     NumericColumn,
     Schema,
+    check_finite,
+    count_value,
     decode,
     encode,
     encode_record,
@@ -29,7 +31,7 @@ from .data import (
     run_chunks,
 )
 from .dpsgd import DpSgdConfig, _poisson_rows, _stream, _update
-from .models import ModelSpec, check_finite, count_value
+from .models import ModelSpec
 from .seeds import derive_seed
 
 __all__ = [
@@ -114,7 +116,10 @@ def gan_spec_for_schema(
     steps: int | None = None,
 ) -> GanSpec:
     width = schema.encoded_width
+    # checked under the names the caller gave them, not the ModelSpec fields
     latent_dim = count_value("latent_dim", latent_dim, 1)
+    gen_hidden = count_value("gen_hidden", gen_hidden, 1)
+    disc_hidden = count_value("disc_hidden", disc_hidden, 1)
     if disc_config is None:
         disc_config = DpSgdConfig(clip_norm=1.0, noise_multiplier=1.0,
                                   sample_rate=0.5, steps=200, learning_rate=0.1)
@@ -133,7 +138,6 @@ class GenerativeArtifact:
     kind: str            # "marginal" or "gan"
     schema: Schema
     state: dict
-    meta: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +188,8 @@ def _fit_marginal_runs(data: Dataset, run_rows, seeds, spec: MarginalSynthSpec):
             kind="marginal",
             schema=data.schema,
             state={"probs": [p[k] for p in probs], "bins": spec.bins},
-            meta={"noise_std": spec.noise_std, "seed": seed},
         )
-        for k, seed in enumerate(seeds)
+        for k in range(len(seeds))
     ]
 
 
@@ -344,7 +347,6 @@ def fit_gan(ds: Dataset, spec: GanSpec) -> GenerativeArtifact:
             "disc_spec": disc_spec, "disc_params": disc_params,
             "latent_dim": spec.latent_dim,
         },
-        meta={"seed": spec.seed, "disc_config": cfg},
     )
 
 
@@ -359,10 +361,7 @@ def _sample_gan(art: GenerativeArtifact, n: int, rng: np.random.Generator) -> Da
 
 def sample_count(value) -> int:
     """value as a number of synthetic rows to draw: an int >= 0."""
-    n = count_value("n", value, None)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {value}")
-    return n
+    return count_value("n", value, 0)
 
 
 def sample_runs(artifacts, n: int, seeds) -> tuple[np.ndarray, ...]:

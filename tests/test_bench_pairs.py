@@ -42,6 +42,17 @@ def test_every_end_to_end_metric_has_its_bound_and_verdict():
     assert "verdict" not in bench_pairs.summarize("op_s", TIGHT, TIGHT)
 
 
+def test_summary_prints_the_quartiles_of_the_paired_ratios():
+    # pairs 6-9 ran on a host 50% slower: each side's spread widens and the
+    # gain rule cannot tell, but every pair's ratio stays 0.8
+    parent = TIGHT[:6] + shifted(TIGHT[6:], 1.5)
+    line = bench_pairs.summarize("op_s", parent, shifted(parent, 0.8))
+    assert "(paired q1 0.800, median 0.800, q3 0.800)  wins 10/10" in line
+    assert line.endswith("gain claimable: no")
+    line = bench_pairs.summarize("op_s", [1.0, 2.0, 4.0, 1.0], [0.5, 2.0, 6.0, 1.1])
+    assert "(paired q1 0.625, median 1.050, q3 1.400)" in line
+
+
 def test_interleave_runs_both_trees_in_one_process(monkeypatch, capsys):
     # both sides from this checkout, under the two package names, on a
     # small attack: every op is checked, and equal trees give equal reports

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from privaudit import dpsgd
+from privaudit import cli, dpsgd
 from privaudit.cli import _pick_target, build_trainer, main
 from privaudit.core_stats import GdpParam, gdp_epsilon_of_delta
 from privaudit.data import CategoricalColumn, Dataset, NumericColumn, Schema, load_csv
@@ -380,10 +380,12 @@ def test_audit_deterministic(workspace):
 
 
 @pytest.mark.parametrize("over, message", [
-    ({"audit": {"mode": "end_to_end", "t_runs": 10}}, "audit.t_runs: t_runs must be >= 20"),
-    ({"audit": {"mode": "end_to_end"}, "delta": 2.0}, "config.delta: delta must be in (0, 1)"),
+    ({"audit": {"mode": "end_to_end", "t_runs": 10}},
+     "audit.t_runs: t_runs must be an integer >= 20, got 10"),
+    ({"audit": {"mode": "end_to_end"}, "delta": 2.0},
+     "config.delta: delta must be a number in (0, 1), got 2.0"),
     ({"audit": {"mode": "end_to_end", "t_runs": 24.5}},
-     "audit.t_runs: t_runs must be an integer, got 24.5"),
+     "audit.t_runs: t_runs must be an integer >= 20, got 24.5"),
 ])
 def test_audit_end_to_end_bad_value_exits_3_before_output(workspace, capsys, over, message):
     cfg = base_config(workspace, **over)
@@ -624,23 +626,29 @@ def test_non_object_config_block_exits_3(workspace, capsys, command, over, messa
 
 @pytest.mark.parametrize("command, section, key, value, message", [
     ("audit", "config", "master_seed", "x", "config.master_seed: master_seed must be an integer"),
-    ("attack", "config", "confidence", "x", "config.confidence: could not convert"),
-    ("attack", "attack", "t_runs", "x", "attack.t_runs: t_runs must be an integer, got 'x'"),
+    ("attack", "config", "confidence", "x",
+     "config.confidence: confidence must be a number in (0, 1), got 'x'"),
+    ("attack", "attack", "t_runs", "x", "attack.t_runs: t_runs must be an integer >= 2, got 'x'"),
     ("attack", "attack", "n_samples", "x", "attack.n_samples: n_samples must be an integer"),
     ("audit", "audit", "trials", "x", "audit.trials: trials must be an integer, got 'x'"),
-    ("audit", "audit", "audit_delta", "x", "audit.audit_delta: could not convert"),
-    ("audit", "audit", "slack", "x", "audit.slack: could not convert"),
+    ("audit", "audit", "audit_delta", "x",
+     "audit.audit_delta: audit_delta must be a number in (0, 1), got 'x'"),
+    ("audit", "audit", "slack", "x", "audit.slack: slack must be a finite number >= 0, got 'x'"),
     ("audit", "audit", "slack", -1.0, "audit.slack: slack must be a finite number >= 0"),
     ("audit", "audit", "slack", float("nan"), "audit.slack: slack must be a finite number >= 0"),
     ("synthesize", "synthesize", "n_samples", "x", "synthesize.n_samples: n must be an integer"),
     ("attack", "attack", "attacks", 5, "attack.attacks: must be a list of attack names"),
     ("attack", "attack", "attacks", "lira", "attack.attacks: must be a list of attack names"),
-    ("train", "config", "delta", "x", "config.delta: could not convert"),
-    ("attack", "config", "confidence", 1.5, "config.confidence: confidence must be in (0, 1)"),
-    ("attack", "attack", "t_runs", 1, "attack.t_runs: need at least 2 shadow runs"),
-    ("attack", "attack", "n_samples", 0, "attack.n_samples: n_samples must be >= 1"),
-    ("attack", "attack", "n_samples", -1, "attack.n_samples: n_samples must be >= 1"),
-    ("synthesize", "synthesize", "n_samples", -1, "synthesize.n_samples: n must be >= 0"),
+    ("train", "config", "delta", "x", "config.delta: delta must be a number in (0, 1), got 'x'"),
+    ("attack", "config", "confidence", 1.5,
+     "config.confidence: confidence must be a number in (0, 1), got 1.5"),
+    ("attack", "attack", "t_runs", 1, "attack.t_runs: t_runs must be an integer >= 2, got 1"),
+    ("attack", "attack", "n_samples", 0,
+     "attack.n_samples: n_samples must be an integer >= 1, got 0"),
+    ("attack", "attack", "n_samples", -1,
+     "attack.n_samples: n_samples must be an integer >= 1, got -1"),
+    ("synthesize", "synthesize", "n_samples", -1,
+     "synthesize.n_samples: n must be an integer >= 0, got -1"),
     ("train", "trainer", "observability", "grey", "trainer: unknown observability 'grey'"),
     ("train", "trainer", "label_column", "x", "trainer: label column 'x' must be categorical"),
     ("attack", "attack", "target", {"record": [0.5, "b", 99, "junk"]},
@@ -649,43 +657,47 @@ def test_non_object_config_block_exits_3(workspace, capsys, command, over, messa
                                   "canary": [0.5, "b", 99, "junk"]},
      "audit.canary: record has 4 values, schema has 2 columns"),
     ("train", "config", "trainer", {"kind": "marginal", "noise_std": float("nan")},
-     "trainer: noise_std must be a finite number >= 0, got nan"),
+     "trainer.noise_std: noise_std must be a finite number >= 0, got nan"),
     ("attack", "config", "trainer", {"kind": "marginal", "noise_std": float("nan")},
-     "trainer: noise_std must be a finite number >= 0, got nan"),
+     "trainer.noise_std: noise_std must be a finite number >= 0, got nan"),
     ("synthesize", "trainer", "noise_std", float("inf"),
-     "trainer: noise_std must be a finite number >= 0, got inf"),
-    ("synthesize", "trainer", "bins", 2.5, "trainer: bins must be an integer >= 1, got 2.5"),
-    ("synthesize", "trainer", "bins", True, "trainer: bins must be an integer >= 1, got True"),
-    ("synthesize", "trainer", "bins", 0, "trainer: bins must be an integer >= 1, got 0"),
+     "trainer.noise_std: noise_std must be a finite number >= 0, got inf"),
+    ("synthesize", "trainer", "bins", 2.5, "trainer.bins: bins must be an integer >= 1, got 2.5"),
+    ("synthesize", "trainer", "bins", True,
+     "trainer.bins: bins must be an integer >= 1, got True"),
+    ("synthesize", "trainer", "bins", 0, "trainer.bins: bins must be an integer >= 1, got 0"),
     ("train", "config", "trainer", PREDICTIVE | {"dpsgd": DPSGD | {"steps": 2.5}},
-     "trainer.dpsgd: steps must be an integer >= 1, got 2.5"),
+     "trainer.dpsgd.steps: steps must be an integer >= 1, got 2.5"),
     ("attack", "config", "trainer", PREDICTIVE | {"dpsgd": DPSGD | {"clip_norm": float("nan")}},
-     "trainer.dpsgd: clip_norm must be a finite number > 0, got nan"),
+     "trainer.dpsgd.clip_norm: clip_norm must be a finite number > 0, got nan"),
     ("train", "config", "trainer",
      PREDICTIVE | {"dpsgd": DPSGD | {"learning_rate": float("nan")}},
-     "trainer.dpsgd: learning_rate must be a finite number > 0, got nan"),
+     "trainer.dpsgd.learning_rate: learning_rate must be a finite number > 0, got nan"),
     ("train", "config", "trainer",
      PREDICTIVE | {"dpsgd": DPSGD | {"noise_multiplier": float("nan")}},
-     "trainer.dpsgd: noise_multiplier must be a finite number >= 0, got nan"),
+     "trainer.dpsgd.noise_multiplier: noise_multiplier must be a finite number >= 0, got nan"),
     ("train", "config", "trainer",
      PREDICTIVE | {"dpsgd": DPSGD | {"noise_multiplier": float("inf")}},
-     "trainer.dpsgd: noise_multiplier must be a finite number >= 0, got inf"),
+     "trainer.dpsgd.noise_multiplier: noise_multiplier must be a finite number >= 0, got inf"),
     ("train", "config", "trainer", PREDICTIVE | {"model_kind": "mlp", "hidden_dim": 2.5},
-     "trainer: hidden_dim must be an integer >= 1, got 2.5"),
+     "trainer.hidden_dim: hidden_dim must be an integer >= 1, got 2.5"),
     ("train", "config", "trainer", PREDICTIVE | {"init_scale": float("nan")},
-     "trainer: init_scale must be a finite number >= 0, got nan"),
+     "trainer.init_scale: init_scale must be a finite number >= 0, got nan"),
     ("train", "config", "trainer", GAN | {"latent_dim": 2.5},
-     "trainer: latent_dim must be an integer >= 1, got 2.5"),
+     "trainer.latent_dim: latent_dim must be an integer >= 1, got 2.5"),
     ("train", "config", "trainer", GAN | {"steps": 2.5},
-     "trainer: steps must be an integer >= 0, got 2.5"),
+     "trainer.steps: steps must be an integer, got 2.5"),
+    ("train", "config", "trainer", GAN | {"steps": -1},
+     "trainer.steps: steps must be an integer >= 0, got -1"),
     ("synthesize", "config", "trainer", GAN | {"gen_lr": float("nan")},
-     "trainer: gen_lr must be a finite number > 0, got nan"),
+     "trainer.gen_lr: gen_lr must be a finite number > 0, got nan"),
     ("train", "config", "trainer", GAN | {"dpsgd": DPSGD | {"steps": 2.5}},
-     "trainer.dpsgd: steps must be an integer >= 1, got 2.5"),
-    ("attack", "attack", "t_runs", 24.5, "attack.t_runs: t_runs must be an integer, got 24.5"),
+     "trainer.dpsgd.steps: steps must be an integer >= 1, got 2.5"),
+    ("attack", "attack", "t_runs", 24.5, "attack.t_runs: t_runs must be an integer >= 2, got 24.5"),
     ("audit", "config", "master_seed", 7.5,
      "config.master_seed: master_seed must be an integer, got 7.5"),
     ("audit", "audit", "trials", 1000.5, "audit.trials: trials must be an integer, got 1000.5"),
+    ("audit", "audit", "trials", 50, "audit.trials: trials must be an integer >= 100, got 50"),
     ("synthesize", "synthesize", "n_samples", 2.5, "synthesize.n_samples: n must be an integer"),
     # a level index must be an integer and no value may be a bool
     ("attack", "attack", "target", {"record": [0.5, 1.7]},
@@ -696,6 +708,20 @@ def test_non_object_config_block_exits_3(workspace, capsys, command, over, messa
      "audit.canary: column 'y': level index 1.7 is not an integer"),
     ("audit", "config", "audit", {"mode": "end_to_end", "t_runs": 20, "canary": [True, 1]},
      "audit.canary: column 'x': value True is not a number"),
+    # a record is a list, and its numbers are numbers, not text
+    ("attack", "attack", "target", {"record": "ab"},
+     "attack.target.record: must be a list of values, got str"),
+    ("attack", "attack", "target", {"record": ["0.25", "a"]},
+     "attack.target.record: column 'x': value '0.25' is not a number"),
+    ("attack", "attack", "target", {"record": ["abc", "a"]},
+     "attack.target.record: column 'x': value 'abc' is not a number"),
+    ("audit", "config", "audit", {"mode": "end_to_end", "t_runs": 20, "canary": "ab"},
+     "audit.canary: must be a list of values, got str"),
+    ("audit", "config", "audit", {"mode": "end_to_end", "t_runs": 20,
+                                  "canary": {"x": 1.0, "y": "b"}},
+     "audit.canary: must be a list of values, got dict"),
+    ("audit", "config", "audit", {"mode": "end_to_end", "t_runs": 20, "canary": ["1.0", "b"]},
+     "audit.canary: column 'x': value '1.0' is not a number"),
 ])
 def test_bad_config_value_exits_3(workspace, capsys, command, section, key, value, message):
     cfg = base_config(workspace, synthesize={})
@@ -736,9 +762,9 @@ def test_dataset_with_no_rows_exits_3(workspace, capsys, command, over):
     ("audit", {"audit": {"mode": "end_to_end", "t_runs": 20}}),
 ])
 @pytest.mark.parametrize("lo, hi, message", [
-    (0.0, float("inf"), "min and max must be finite, got [0.0, inf]"),
-    (float("-inf"), 1.0, "min and max must be finite, got [-inf, 1.0]"),
-    (float("nan"), 1.0, "min and max must be finite, got [nan, 1.0]"),
+    (0.0, float("inf"), "max must be a finite number, got inf"),
+    (float("-inf"), 1.0, "min must be a finite number, got -inf"),
+    (float("nan"), 1.0, "min must be a finite number, got nan"),
     (-1e308, 1e308, "max - min must be finite, got [-1e+308, 1e+308]"),
 ])
 def test_schema_with_non_finite_numeric_bounds_exits_3(workspace, capsys, command, over,
@@ -749,7 +775,7 @@ def test_schema_with_non_finite_numeric_bounds_exits_3(workspace, capsys, comman
     path = write_config(workspace, base_config(workspace, **over))
     assert main([command, "--config", path]) == 3
     err = capsys.readouterr().err
-    assert f"error: schema: column 'x': {message}" in err
+    assert f"error: schema: {workspace / 'schema.json'}: column 'x': {message}" in err
     assert "Traceback" not in err
     assert not (workspace / "results").exists()
 
@@ -757,7 +783,7 @@ def test_schema_with_non_finite_numeric_bounds_exits_3(workspace, capsys, comman
 # every command's work, each refusing to run
 WORK = ("privaudit.cli.run_shadow_experiment", "privaudit.audit.run_shadow_experiment",
         "privaudit.audit.audit_step_mechanism", "privaudit.dpsgd.PredictiveTrainer.fit",
-        "privaudit.synthesizers.MarginalTrainer.fit")
+        "privaudit.synthesizers.MarginalTrainer.fit", "privaudit.synthesizers.GanTrainer.fit")
 
 # a config for each command, "step audit" being the audit that reads no data
 COMMAND_CONFIG = {
@@ -825,6 +851,22 @@ def _decode_error(raw: bytes) -> str:
     ("schema", b"{}", "missing 'columns'"),
     ("schema", b'{"columns": 5}', "'columns' must be a list, got int"),
     ("schema", b'{"columns": [5]}', "columns[0] must be an object, got int"),
+    # every other fault of a schema file names the file too
+    ("schema", b'{"columns": [{"name": "x"}]}', "columns[0]: missing field 'kind'"),
+    ("schema", b'{"columns": [{"name": "x", "kind": "text"}]}', "columns[0]: unknown kind 'text'"),
+    ("schema", b'{"columns": [{"name": 3, "kind": "numeric", "min": 0, "max": 1}]}',
+     "columns[0]: name must be a string, got 3"),
+    ("schema", b'{"columns": [{"name": "x", "kind": "numeric", "min": false, "max": true}]}',
+     "column 'x': min must be a finite number, got False"),
+    ("schema", b'{"columns": [{"name": "x", "kind": "numeric", "min": "abc", "max": 1}]}',
+     "column 'x': min must be a finite number, got 'abc'"),
+    ("schema", b'{"columns": [{"name": "y", "kind": "categorical", "levels": "ab"}]}',
+     "column 'y': levels must be a list of strings, got 'ab'"),
+    ("schema", b'{"columns": [{"name": "y", "kind": "categorical", "levels": ["a", 1]}]}',
+     "column 'y': levels must be a list of strings, got ['a', 1]"),
+    ("schema", b'{"columns": [{"name": "y", "kind": "categorical", "levels": ["a"]},'
+               b' {"name": "y", "kind": "categorical", "levels": ["b"]}]}',
+     "duplicate column names in ['y', 'y']"),
     ("schema", b'{"columns": [], "note": "r\xe9sum\xe9"}', None),
     ("dataset", b"x,y\n0.5,\xe9\n", None),
 ])
@@ -880,8 +922,8 @@ def test_architecture_known_that_is_not_a_bool_exits_3_before_training(
                       threat_model={"model_access": "white_box", "architecture_known": value})
     assert main(["attack", "--config", write_config(workspace, cfg)]) == 3
     err = capsys.readouterr().err
-    assert (f"error: threat_model: architecture_known must be true or false, got {value!r}"
-            in err.splitlines())
+    assert (f"error: threat_model.architecture_known: architecture_known must be true or "
+            f"false, got {value!r}" in err.splitlines())
     assert "Traceback" not in err and not (workspace / "results").exists()
 
 
@@ -892,6 +934,80 @@ def test_architecture_known_bool_is_written_to_every_report(workspace):
         assert main(["attack", "--config", write_config(workspace, cfg)]) == 0
         doc = json.loads((workspace / "results" / "attack_loss_threshold.json").read_text())
         assert doc["threat_model"]["architecture_known"] is known
+
+
+# ---------------------------------------------------------------------------
+# every number in a config is a JSON number
+
+# the keys of the CLI tables whose values are not numbers
+NOT_NUMBER_KEYS = {"schema", "dataset", "out", "trainer", "threat_model", "attack", "audit",
+                   "synthesize", "attacks", "target", "kind", "label_column", "dpsgd",
+                   "model_kind", "observability", "bug_mode", "mode", "canary"}
+
+# a valid value of every number key, whichever table holds it
+VALID_NUMBER = {
+    "schema_version": 1, "master_seed": 7, "delta": 0.01, "confidence": 0.9, "t_runs": 20,
+    "n_samples": 10, "clip_norm": 1.0, "noise_multiplier": 1.0, "sample_rate": 0.2, "steps": 2,
+    "learning_rate": 0.5, "hidden_dim": 4, "init_scale": 0.1, "noise_std": 1.0, "bins": 5,
+    "latent_dim": 2, "gen_hidden": 4, "disc_hidden": 4, "gen_lr": 0.05, "trials": 200,
+    "audit_delta": 0.1, "slack": 0.5,
+}
+
+MARGINAL = {"kind": "marginal", "noise_std": 1.0}
+
+# (error path, table, command, config over base_config, the table's block in a config)
+TABLE_BLOCKS = [
+    ("config", cli.CONFIG, "train", {}, lambda cfg: cfg),
+    ("attack", cli.ATTACK, "attack", {"attack": {"attacks": ["lira"], "t_runs": 8}},
+     lambda cfg: cfg["attack"]),
+    ("synthesize", cli.SYNTHESIZE, "synthesize", {"trainer": MARGINAL, "synthesize": {}},
+     lambda cfg: cfg["synthesize"]),
+    ("trainer.dpsgd", cli.DPSGD, "train", {}, lambda cfg: cfg["trainer"]["dpsgd"]),
+    *[("trainer", cli.TRAINER[kind], "train", {"trainer": trainer}, lambda cfg: cfg["trainer"])
+      for kind, trainer in [("predictive", PREDICTIVE), ("marginal", MARGINAL), ("gan", GAN)]],
+    *[("audit", cli.AUDIT[mode], "audit", {"audit": audit}, lambda cfg: cfg["audit"])
+      for mode, audit in [("step_mechanism", {"mode": "step_mechanism"}),
+                          ("end_to_end", {"mode": "end_to_end", "t_runs": 20})]],
+]
+
+NUMBER_CASES = [
+    (path, key, value, command, over, block)
+    for path, table, command, over, block in TABLE_BLOCKS
+    for key in sorted(set(table) - NOT_NUMBER_KEYS)
+    # the number as text, both bools, null and a list
+    for value in [str(VALID_NUMBER[key]), True, False, None, [VALID_NUMBER[key]]]
+]
+
+
+def test_every_table_key_is_a_number_or_named_otherwise():
+    keys = set().union(*(table for _, table, *_ in TABLE_BLOCKS))
+    assert NOT_NUMBER_KEYS <= keys and keys - NOT_NUMBER_KEYS <= set(VALID_NUMBER)
+    assert len(NUMBER_CASES) == 26 * 5
+
+
+@pytest.mark.parametrize("path, key, value, command, over, block", NUMBER_CASES,
+                         # the audit tables share a path; their mode tells them apart
+                         ids=[f"{c[0]}.{c[1]}={c[2]!r}" + (f"-{c[4]['audit']['mode']}"
+                                                           if "audit" in c[4] else "")
+                              for c in NUMBER_CASES])
+def test_a_number_key_given_anything_but_a_number_exits_3_before_any_work(
+        workspace, capsys, no_work, path, key, value, command, over, block):
+    cfg = base_config(workspace, **json.loads(json.dumps(over)))
+    block(cfg)[key] = value
+    assert main([command, "--config", write_config(workspace, cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}.{key}: ") and " must be " in err, err
+    assert "Traceback" not in err and not (workspace / "results").exists()
+
+
+def test_an_int_number_is_written_as_given(workspace):
+    cfg = _step_audit_config(workspace, 1, "none")
+    cfg["audit"]["trials"] = 200
+    cfg["trainer"]["dpsgd"]["sample_rate"] = 1
+    assert main(["audit", "--config", write_config(workspace, cfg)]) == 0
+    provenance = json.loads((workspace / "results" / "audit.json").read_text())["provenance"]
+    assert [provenance[k] for k in ("sample_rate", "clip_norm")] == [1, 1.0]
+    assert [type(provenance[k]) for k in ("sample_rate", "clip_norm")] == [int, float]
 
 
 def test_unknown_key_in_generative_trainer_exits_3(workspace, capsys):

@@ -16,9 +16,12 @@ from privaudit.data import (
     NumericColumn,
     Schema,
     SchemaError,
+    check_finite,
+    count_value,
     decode,
     encode,
     encode_record,
+    fraction,
     load_csv,
     row_keys,
     select_targets,
@@ -39,6 +42,66 @@ def make_ds(schema, rows):
 
 
 # ---------------------------------------------------------------------------
+# numbers from outside
+
+NOT_NUMBERS = ["0.5", "1", True, False, None, [1], {"v": 1}, np.bool_(True)]
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS)
+def test_no_check_takes_a_value_that_is_not_a_number(value):
+    for check, args in ((count_value, (None,)), (check_finite, (None,)), (fraction, ())):
+        with pytest.raises(ValueError, match=r"^v must be .*, got "):
+            check("v", value, *args)
+
+
+@pytest.mark.parametrize("value", [1, 0.5, np.float64(0.5), np.int64(1), 10**300])
+def test_checks_return_the_value_as_given(value):
+    assert check_finite("v", value) is value
+    if value <= 1:
+        assert fraction("v", value, one=True) is value
+    # an int stays an int, written as 1 and not 1.0
+    assert type(check_finite("v", 1)) is int and type(fraction("v", 1, one=True)) is int
+
+
+@pytest.mark.parametrize("value, positive, message", [
+    (float("nan"), None, "v must be a finite number, got nan"),
+    (float("-inf"), None, "v must be a finite number, got -inf"),
+    (10**400, None, f"v must be a finite number, got {10**400!r}"),
+    (-1, False, "v must be a finite number >= 0, got -1"),
+    (0, True, "v must be a finite number > 0, got 0"),
+    (-0.0, True, "v must be a finite number > 0, got -0.0"),
+])
+def test_check_finite_bounds(value, positive, message):
+    with pytest.raises(ValueError) as e:
+        check_finite("v", value, positive)
+    assert str(e.value) == message
+    assert check_finite("v", -2.5, None) == -2.5 and check_finite("v", 0, False) == 0
+
+
+@pytest.mark.parametrize("value, one, ok", [
+    (0.5, False, True), (1, False, False), (1, True, True), (1.0, True, True),
+    (0, True, False), (-0.1, False, False), (1.5, True, False), (float("nan"), True, False),
+])
+def test_fraction_is_the_open_or_half_open_unit_interval(value, one, ok):
+    if ok:
+        assert fraction("v", value, one) == value
+    else:
+        with pytest.raises(ValueError) as e:
+            fraction("v", value, one)
+        assert str(e.value) == f"v must be a number in (0, 1{']' if one else ')'}, got {value!r}"
+
+
+def test_count_value_converts_an_integral_float_only():
+    assert count_value("v", 40.0, 1) == 40 and type(count_value("v", 40.0, 1)) is int
+    for value, message in [(2.5, "v must be an integer >= 1, got 2.5"),
+                           (0, "v must be an integer >= 1, got 0"),
+                           (float("nan"), "v must be an integer >= 1, got nan")]:
+        with pytest.raises(ValueError) as e:
+            count_value("v", value, 1)
+        assert str(e.value) == message
+
+
+# ---------------------------------------------------------------------------
 # schema
 
 def test_schema_rejects_duplicate_names():
@@ -52,10 +115,10 @@ def test_schema_rejects_bad_bounds():
 
 
 @pytest.mark.parametrize("lo, hi, message", [
-    (0.0, float("inf"), "min and max must be finite"),
-    (float("-inf"), 0.0, "min and max must be finite"),
-    (float("nan"), 1.0, "min and max must be finite"),
-    (0.0, float("nan"), "min and max must be finite"),
+    (0.0, float("inf"), "max must be a finite number, got inf"),
+    (float("-inf"), 0.0, "min must be a finite number, got -inf"),
+    (float("nan"), 1.0, "min must be a finite number, got nan"),
+    (0.0, float("nan"), "max must be a finite number, got nan"),
     (-1e308, 1e308, "max - min must be finite"),
 ])
 def test_schema_rejects_non_finite_bounds(lo, hi, message):
@@ -64,6 +127,48 @@ def test_schema_rejects_non_finite_bounds(lo, hi, message):
     doc = {"columns": [{"name": "x", "kind": "numeric", "min": lo, "max": hi}]}
     with pytest.raises(SchemaError, match=message):
         Schema.from_json_dict(json.loads(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("column, message", [
+    ({"name": "x", "kind": "numeric", "min": False, "max": True},
+     "column 'x': min must be a finite number, got False"),
+    ({"name": "x", "kind": "numeric", "min": "abc", "max": 1.0},
+     "column 'x': min must be a finite number, got 'abc'"),
+    ({"name": "x", "kind": "numeric", "min": 0.0, "max": "1"},
+     "column 'x': max must be a finite number, got '1'"),
+    ({"name": "x", "kind": "numeric", "min": 0.0, "max": None},
+     "column 'x': max must be a finite number, got None"),
+    ({"name": "y", "kind": "categorical", "levels": "ab"},
+     "column 'y': levels must be a list of strings, got 'ab'"),
+    ({"name": "y", "kind": "categorical", "levels": ["a", 1]},
+     "column 'y': levels must be a list of strings, got ['a', 1]"),
+    ({"name": 3, "kind": "categorical", "levels": ["a"]},
+     "columns[0]: name must be a string, got 3"),
+    ({"name": "x"}, "columns[0]: missing field 'kind'"),
+    ({"name": "x", "kind": "numeric", "min": 0.0}, "columns[0]: missing field 'max'"),
+    ({"name": "x", "kind": "text"}, "columns[0]: unknown kind 'text'"),
+    ({"name": "y", "kind": "categorical", "levels": []}, "column 'y': levels must be non-empty"),
+])
+def test_schema_document_errors_name_the_source(column, message):
+    with pytest.raises(SchemaError) as e:
+        Schema.from_json_dict({"columns": [column]}, "s.json")
+    assert str(e.value) == f"s.json: {message}"
+
+
+def test_schema_document_with_duplicate_names_names_the_source():
+    col = {"name": "x", "kind": "numeric", "min": 0, "max": 1}
+    with pytest.raises(SchemaError) as e:
+        Schema.from_json_dict({"columns": [col, col]}, "s.json")
+    assert str(e.value) == "s.json: duplicate column names in ['x', 'x']"
+
+
+def test_schema_bounds_are_floats():
+    # an int bound is written back as a float, as the schema file was read
+    sch = Schema.from_json_dict({"columns": [{"name": "x", "kind": "numeric",
+                                              "min": 0, "max": 10}]})
+    assert sch.to_json_dict()["columns"][0] == {"name": "x", "kind": "numeric",
+                                                "min": 0.0, "max": 10.0}
+    assert type(sch.columns[0].lo) is float
 
 
 def test_schema_rejects_empty_levels():
@@ -295,6 +400,14 @@ def test_from_rows_checks_every_value(schema):
         ([(30.0, 0, 5.0), (True, 1, 5.0)], "column 'age': value True is not a number (row 1)"),
         ([(np.bool_(False), 1, 5.0), (1.0, 1, 5.0)], "column 'age': value False is not a number (row 0)"),
         ([(30.0, "astronaut", 5.0)], "unknown level 'astronaut' for column 'job'"),
+        # a number must be a number, not its text
+        ([("30", 0, 5.0)], "column 'age': value '30' is not a number"),
+        ([(30.0, 0, 5.0), (30.0, 0, "abc")], "column 'income': value 'abc' is not a number (row 1)"),
+        ([(None, 0, 5.0)], "column 'age': value None is not a number"),
+        # an integer no float can hold, as a 400-digit JSON number reads
+        ([(10**400, 0, 5.0)], f"column 'age': value {10**400} is too large for a float"),
+        ([(30.0, 0, 5.0), (30.0, -10**400, 5.0)],
+         f"column 'job': value {-10**400} is too large for a float (row 1)"),
         ([(130.0, 0, 5.0)], "column 'age': value 130.0 outside [0.0, 100.0]"),
         ([(30.0, 0, float("inf"))], "column 'income': value inf outside [0.0, 10.0]"),
         ([(30.0, 0, 5.0), (30.0, 0)], "record has 2 values, schema has 3 columns (row 1)"),

@@ -620,7 +620,7 @@ def test_predictive_trainer_fit_and_loss(labeled_ds):
     trainer = PredictiveTrainer(label_column="y", config=cfg(steps=10))
     art = trainer.fit(labeled_ds, seed=42)
     assert art.kind == "predictive"
-    loss = trainer.target_losses([art], labeled_ds.rows[0])[0]
+    loss = trainer.target_losses([art], labeled_ds.schema, labeled_ds.rows[0])[0]
     assert loss >= 0.0
     art2 = trainer.fit(labeled_ds, seed=42)
     assert np.array_equal(art.params, art2.params)
@@ -630,14 +630,11 @@ def test_target_losses_encode_the_record_once(labeled_ds, monkeypatch):
     trainer = PredictiveTrainer(label_column="y", config=cfg(steps=3))
     arts = trainer.fit_runs(labeled_ds, [np.arange(30), np.arange(10)], [1, 2])
     record = labeled_ds.rows[4]
-    want = [trainer.target_losses([a], record)[0] for a in arts]
+    want = [trainer.target_losses([a], labeled_ds.schema, record)[0] for a in arts]
     calls = []
     encode = dpsgd.features_and_labels
     monkeypatch.setattr(dpsgd, "features_and_labels", lambda *a: calls.append(1) or encode(*a))
-    assert trainer.target_losses(arts, record) == want and len(calls) == 1
-    other = replace(arts[1], meta={**arts[1].meta, "schema": Schema(labeled_ds.schema.columns[::-1])})
-    with pytest.raises(ValueError, match="one schema"):
-        trainer.target_losses([arts[0], other], record)
+    assert trainer.target_losses(arts, labeled_ds.schema, record) == want and len(calls) == 1
 
 
 

@@ -172,7 +172,7 @@ def test_pred_loss_features(pool, target, trainer):
     assert np.array_equal(fb.bits, coll.bits)
     # recomputable from the stored artifacts
     for art, v in zip(coll.artifacts, fb.features, strict=True):
-        assert trainer.target_losses([art], target)[0] == pytest.approx(v)
+        assert trainer.target_losses([art], pool.schema, target)[0] == pytest.approx(v)
 
 
 def test_pred_loss_requires_predictive(pool, target, schema):
@@ -213,6 +213,7 @@ def test_features_are_read_only_run_axis_values_aligned_with_bits(
         assert len(field) == t_runs
     fb = query_features(coll, mode, {"n_samples": 7})
     assert fb.bits is coll.bits and not fb.bits.flags.writeable
+    assert coll.schema == pool.schema and fb.schema is coll.schema
     if mode == "synth_dataset":
         assert [c.shape for c in fb.features] == [(t_runs, 7), (t_runs, 7)]
         assert not any(c.flags.writeable for c in fb.features)
@@ -225,7 +226,7 @@ def test_features_are_read_only_run_axis_values_aligned_with_bits(
         return
     assert fb.features.shape == (t_runs,) and fb.features.dtype == np.float64
     assert not fb.features.flags.writeable
-    one = ((lambda art: tr.target_losses([art], target)[0]) if mode == "pred_loss"
+    one = ((lambda art: tr.target_losses([art], coll.schema, target)[0]) if mode == "pred_loss"
            else (lambda art: synthesizers.disc_loss(art, target)))
     assert fb.features.tolist() == [one(art) for art in coll.artifacts]
 
@@ -424,7 +425,7 @@ def test_runs_bit_equal_at_every_worker_count(monkeypatch, model_kind, hidden_di
 # marginal runs
 
 def _probs_bytes(art):
-    return [p.tobytes() for p in art.state["probs"]], art.meta
+    return [p.tobytes() for p in art.state["probs"]]
 
 
 @pytest.mark.parametrize("knowledge", [FIXED_DATASET, RESAMPLED_DATASET])
@@ -442,7 +443,7 @@ def test_marginal_fit_runs_bit_equal_to_fitting_each_run(pool, target, schema, k
 # GAN runs
 
 def _gan_bytes(coll):
-    return [(art.state["gen_params"].tobytes(), art.state["disc_params"].tobytes(), art.meta)
+    return [(art.state["gen_params"].tobytes(), art.state["disc_params"].tobytes())
             for art in coll.artifacts]
 
 

@@ -389,7 +389,6 @@ def test_fit_runs_bit_equal_to_per_run_histograms(case, seed):
     for art, probs, s in zip(got, want, seeds):
         assert [p.tobytes() for p in art.state["probs"]] == [p.tobytes() for p in probs]
         assert art.state["bins"] == spec.bins
-        assert art.meta == {"noise_std": spec.noise_std, "seed": derive_seed(s, "marginal")}
 
 
 def test_degenerate_marginal_raises_for_the_first_run_and_column():
